@@ -53,7 +53,6 @@ from .filtering import (
     spectral_filter,
 )
 from .models import (
-    HTEModel,
     LinearIVModel,
     LogisticIVModel,
     ate_from_params,
@@ -95,7 +94,6 @@ __all__ = [
     "FILTER_SLACK",
     "FilterExhaustedError",
     "FilterOutcome",
-    "HTEModel",
     "HyperParams",
     "LearnerResult",
     "LinearIVModel",

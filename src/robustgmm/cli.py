@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Optional
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .experiments import (
     SweepConfig,
     aggregate_rows,
     corrupt_negation,
-    derive_hyperparams,
     diagnose_assumptions,
     format_float,
     gen_synthetic_hte,
@@ -45,6 +43,7 @@ from .filtering import spectral_filter
 from .models import (
     LinearIVModel,
     LogisticIVModel,
+    ate_from_params,
     hte_design,
     scalar_treatment_design,
     two_stage_least_squares,
@@ -56,7 +55,6 @@ from .numerics import (
     projected_gradient_critical_point,
     top_eigenvector,
 )
-from .sever import iterated_gmm_sever
 
 __all__ = ["main"]
 
@@ -216,6 +214,16 @@ def _fixed_hyperparams(resolved: dict) -> HyperParams:
         raise ConfigError(str(err)) from None
 
 
+def _hyper_value(resolved: dict):
+    """The estimators' hyper argument: "plugin" or a fixed HyperParams."""
+    hyper = resolved["hyper"]
+    if hyper == "fixed":
+        return _fixed_hyperparams(resolved)
+    if hyper == "plugin":
+        return "plugin"
+    raise ConfigError(f"hyper must be 'plugin' or 'fixed', got {hyper!r}")
+
+
 def _build_design(resolved: dict):
     """Load the CSV and derive the design for the requested model kind.
 
@@ -238,20 +246,11 @@ def _build_design(resolved: dict):
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
-def _ate_line(kind: str, w: np.ndarray, base: Optional[Dataset]) -> Optional[float]:
-    if base is None:
-        return None
-    if kind == "scalar":
-        return float(w[0])
-    return float(np.mean(base.X @ w[: base.d]))
-
-
 _ESTIMATE_SPEC = {
     "seed": "0",
     "input": None,
     "model": "linear",
     "intercept": "true",
-    "cold_start": "false",
     **_COLUMN_KEYS,
     **_HYPER_KEYS,
 }
@@ -269,42 +268,25 @@ def cmd_estimate(args) -> int:
     except (ValueError, KeyError, OSError) as err:
         raise ConfigError(str(err)) from None
 
-    rng = RandomSource(_parse_int(resolved["seed"], "seed"))
-    if resolved["hyper"] == "fixed":
-        hp = _fixed_hyperparams(resolved)
-        model = (
-            LogisticIVModel(design) if solver_kind == "logistic" else LinearIVModel(design)
-        )
-        report = iterated_gmm_sever(
-            model,
-            hp,
-            rng.child("est"),
-            slack=_parse_float(resolved["slack"], "slack"),
-            cold_start=_parse_bool(resolved["cold_start"]),
-            bound_mode=_bound_mode(resolved),
-        )
-        w = report.w_hat
-    elif resolved["hyper"] == "plugin":
-        w, report = robust_linear_estimate(
-            design,
-            eps,
-            rng,
-            hyper="plugin",
-            rescale=_parse_bool(resolved["rescale"]),
-            gamma_scale=_parse_float(resolved["gamma_scale"], "gamma_scale"),
-            delta=_parse_float(resolved["delta"], "delta"),
-            model_kind=solver_kind,
-            slack=_parse_float(resolved["slack"], "slack"),
-            bound_mode=_bound_mode(resolved),
-        )
-    else:
-        raise ConfigError(f"hyper must be 'plugin' or 'fixed', got {resolved['hyper']!r}")
+    w, report = robust_linear_estimate(
+        design,
+        eps,
+        RandomSource(_parse_int(resolved["seed"], "seed")),
+        hyper=_hyper_value(resolved),
+        rescale=_parse_bool(resolved["rescale"]),
+        gamma_scale=_parse_float(resolved["gamma_scale"], "gamma_scale"),
+        delta=_parse_float(resolved["delta"], "delta"),
+        model_kind=solver_kind,
+        slack=_parse_float(resolved["slack"], "slack"),
+        bound_mode=_bound_mode(resolved),
+    )
 
     removed = np.setdiff1d(np.arange(design.n), report.final_set.indices)
     lines = [f"w_hat={','.join(format_float(v) for v in w)}"]
-    ate = _ate_line(resolved["model"], w, base)
-    if ate is not None:
-        lines.append(f"ate={format_float(ate)}")
+    if base is not None:
+        # the effect parameters lead w in the scalar and both hte designs
+        mode = "scalar" if resolved["model"] == "scalar" else "hte"
+        lines.append(f"ate={format_float(ate_from_params(w[: base.d], base, mode))}")
     lines.append(f"final_set_size={len(report.final_set)}")
     lines.append(f"removed_indices={','.join(str(i) for i in removed)}")
     lines.append(
@@ -356,18 +338,11 @@ _PRESETS = {
 
 
 def _sweep_common(resolved: dict, kind: str) -> dict:
-    hyper = resolved["hyper"]
-    if hyper == "fixed":
-        hyper_value = _fixed_hyperparams(resolved)
-    elif hyper == "plugin":
-        hyper_value = "plugin"
-    else:
-        raise ConfigError(f"hyper must be 'plugin' or 'fixed', got {hyper!r}")
     return {
         "kind": kind,
         "estimators": tuple(_split_list(resolved["estimators"])),
         "attack": resolved["attack"],
-        "hyper": hyper_value,
+        "hyper": _hyper_value(resolved),
         "rescale": _parse_bool(resolved["rescale"]),
         "gamma_scale": _parse_float(resolved["gamma_scale"], "gamma_scale"),
         "delta": _parse_float(resolved["delta"], "delta"),
@@ -502,23 +477,21 @@ def cmd_diagnose(args) -> int:
 
 
 def _check_jacobians(rng: RandomSource) -> bool:
-    from .models import HTEModel
-
     data, _ = gen_synthetic_hte(40, 3, rng.child("data"))
     models = [
         LinearIVModel(hte_design(data)),
         LogisticIVModel(
             Dataset(X=data.X, Y=(data.Y > 0).astype(float), Z=data.X, T=None)
         ),
-        HTEModel(data, "full"),
+        LinearIVModel(hte_design(data, "full")),
     ]
     for m, model in enumerate(models):
         for k in range(10):
             sub = rng.child(f"probe-{m}-{k}")
-            i = int(sub.integers(0, model.n_samples))
+            idx = np.array([int(sub.integers(0, model.n_samples))])
             w = sub.normal(model.param_dim) * 0.5
-            jac = model.jacobian(i, w)
-            fd = finite_diff_jacobian(lambda v: model.moment(i, v), w, 1e-5)
+            jac = model.mean_jacobian_over(idx, w)
+            fd = finite_diff_jacobian(lambda v: model.moments(idx, v)[0], w, 1e-5)
             denom = max(float(np.linalg.norm(jac)), 1e-8)
             if np.linalg.norm(fd - jac) / denom > 1e-5:
                 return False

@@ -3,7 +3,8 @@
 Everything downstream (filtering, the sever loop, the experiment harness)
 speaks in terms of these types: an immutable `Dataset`, an `ActiveSet` of
 surviving sample indices, `HyperParams` bundling the problem constants,
-and `MomentModel`, the per-sample moment/Jacobian contract.
+and `MomentModel`, the batched moment/Jacobian contract: every hook takes
+an index array, and a single sample i is the batch `idx=np.array([i])`.
 """
 
 from __future__ import annotations
@@ -245,11 +246,10 @@ class EstimateReport:
 
 
 class MomentModel(ABC):
-    """Per-sample moment vectors g_i(w) and their Jacobians.
+    """Moment vectors g_i(w) and their Jacobians, evaluated over index batches.
 
-    Implementations may override the batched hooks (`moments`,
-    `jacobian_dot`, `mean_jacobian_over`) with vectorized versions; the
-    defaults loop over `moment` / `jacobian` and define the semantics.
+    Every hook takes an integer array idx of sample indices; one sample i
+    is the batch np.array([i]).
     """
 
     @property
@@ -265,25 +265,20 @@ class MomentModel(ABC):
     def moment_dim(self) -> int: ...
 
     @abstractmethod
-    def moment(self, i: int, w: np.ndarray) -> np.ndarray:
-        """g_i(w), shape (moment_dim,)."""
+    def moments(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Rows g_i(w), shape (len(idx), moment_dim)."""
 
     @abstractmethod
-    def jacobian(self, i: int, w: np.ndarray) -> np.ndarray:
-        """d g_i / d w, shape (moment_dim, param_dim)."""
+    def residuals(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Scalar response residuals behind the moments, shape (len(idx),)."""
 
-    def moments(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return np.stack([self.moment(int(i), w) for i in idx])
-
+    @abstractmethod
     def jacobian_dot(self, idx: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Rows (d g_i / d w)^T u, shape (len(idx), param_dim)."""
-        return np.stack([self.jacobian(int(i), w).T @ u for i in idx])
 
+    @abstractmethod
     def mean_jacobian_over(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-        acc = np.zeros((self.moment_dim, self.param_dim))
-        for i in idx:
-            acc += self.jacobian(int(i), w)
-        return acc / len(idx)
+        """(1/len(idx)) sum of d g_i / d w, shape (moment_dim, param_dim)."""
 
 
 def _check_active(model: MomentModel, S: ActiveSet) -> np.ndarray:

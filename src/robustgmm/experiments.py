@@ -406,14 +406,12 @@ def derive_hyperparams(
     rng: RandomSource,
     delta: float = 0.05,
     gamma_scale: float = 0.1,
-    r0: Optional[float] = None,
-    sched: Optional[RadiusSchedule] = None,
 ) -> HyperParams:
     """Plug-in hyperparameters from diagnostics on the (corrupted) design.
 
     Safety factors: x2 on L, /2 on lam. The noise scale uses the MAD-based
     diagnostic so planted outliers cannot inflate it, the search radius
-    defaults to four times the classical IV estimate's norm, and gamma is a
+    is four times the classical IV estimate's norm, and gamma is a
     small fraction of the default criticality rate (same sqrt(eps) scaling,
     tighter learner stops).
     """
@@ -436,10 +434,10 @@ def derive_hyperparams(
         lam=lam,
         L=L,
         sigma=sigma,
-        R0=r0 if r0 is not None else 4.0 * max(1.0, float(np.linalg.norm(w_ref))),
+        R0=4.0 * max(1.0, float(np.linalg.norm(w_ref))),
         gamma=gamma if gamma > 0 else None,
         delta=delta,
-        sched=sched if sched is not None else RadiusSchedule.practice(),
+        sched=RadiusSchedule.practice(),
     )
 
 
@@ -500,7 +498,6 @@ def robust_linear_estimate(
     rescale: bool = True,
     gamma_scale: float = 0.1,
     delta: float = 0.05,
-    sched: Optional[RadiusSchedule] = None,
     model_kind: str = "linear",
     slack: float = PRACTICE_SLACK,
     bound_mode: str = "practice",
@@ -549,7 +546,7 @@ def robust_linear_estimate(
         wx = np.eye(design.d)
         scaled = design
     hp = derive_hyperparams(
-        scaled, eps, rng.child("hp"), delta=delta, gamma_scale=gamma_scale, sched=sched
+        scaled, eps, rng.child("hp"), delta=delta, gamma_scale=gamma_scale
     )
     report = iterated_gmm_sever(
         make_model(scaled), hp, rng.child("est"), slack=slack, bound_mode=bound_mode

@@ -1,9 +1,10 @@
 """Instrumental-variable moment models and classical baseline estimators.
 
 The robust stack only sees the MomentModel interface; everything here is a
-concrete instance of it (linear IV, logistic IV, heterogeneous treatment
-effects) plus the two non-robust baselines the experiments compare against
-(two-stage least squares and a two-stage Huber regression).
+concrete instance of it (linear IV, logistic IV; heterogeneous treatment
+effects are linear IV on the hte_design lift) plus the two non-robust
+baselines the experiments compare against (two-stage least squares and a
+two-stage Huber regression).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ __all__ = [
     "logistic_deriv",
     "LinearIVModel",
     "LogisticIVModel",
-    "HTEModel",
     "hte_design",
     "scalar_treatment_design",
     "two_stage_least_squares",
@@ -59,14 +59,6 @@ class LinearIVModel(MomentModel):
     def moment_dim(self) -> int:
         return self.data.p
 
-    def moment(self, i: int, w: np.ndarray) -> np.ndarray:
-        d = self.data
-        return d.Z[i] * (d.Y[i] - d.X[i] @ w)
-
-    def jacobian(self, i: int, w: np.ndarray) -> np.ndarray:
-        d = self.data
-        return -np.outer(d.Z[i], d.X[i])
-
     def moments(self, idx, w):
         d = self.data
         resid = d.Y[idx] - d.X[idx] @ w
@@ -102,14 +94,6 @@ class LogisticIVModel(MomentModel):
     @property
     def moment_dim(self) -> int:
         return self.data.p
-
-    def moment(self, i: int, w: np.ndarray) -> np.ndarray:
-        d = self.data
-        return d.Z[i] * (d.Y[i] - logistic(d.X[i] @ w))
-
-    def jacobian(self, i: int, w: np.ndarray) -> np.ndarray:
-        d = self.data
-        return -np.outer(d.Z[i], d.X[i]) * logistic_deriv(d.X[i] @ w)
 
     def moments(self, idx, w):
         d = self.data
@@ -157,15 +141,6 @@ def hte_design(data: Dataset, mode: str = "treatment_only") -> Dataset:
             T=data.T,
         )
     raise ValueError(f"unknown mode {mode!r}")
-
-
-class HTEModel(LinearIVModel):
-    """Heterogeneous-treatment-effect moments via the lifted linear design."""
-
-    def __init__(self, data: Dataset, mode: str = "treatment_only"):
-        super().__init__(hte_design(data, mode))
-        self.base = data
-        self.mode = mode
 
 
 def scalar_treatment_design(data: Dataset, intercept: bool = True) -> Dataset:

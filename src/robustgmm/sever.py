@@ -22,7 +22,6 @@ from .core import (
     FilterExhaustedError,
     HyperParams,
     MomentModel,
-    mean_moment,
 )
 from .filtering import FILTER_SLACK, robust_score_bound, spectral_filter
 from .numerics import (
@@ -32,6 +31,7 @@ from .numerics import (
 )
 
 __all__ = [
+    "ACCEPT_EPS_MULT",
     "PRACTICE_JAC_SLACK_FACTOR",
     "PRACTICE_LEARNER_TOL",
     "PRACTICE_RESPONSE_CAP",
@@ -69,6 +69,10 @@ PRACTICE_LEARNER_TOL = 1e-3
 # when responses are, so the scale estimate has no point masses to break it.
 PRACTICE_RESPONSE_CAP = 60.0
 
+# amplified_gmm_sever accepts a repetition as soon as its final set keeps at
+# least (1 - ACCEPT_EPS_MULT * eps) * n samples.
+ACCEPT_EPS_MULT = 10.0
+
 
 @dataclass(frozen=True)
 class SeverResult:
@@ -105,7 +109,6 @@ def gmm_sever(
     R: float,
     rng: RandomSource,
     slack: float = FILTER_SLACK,
-    cold_start: bool = False,
     bound_mode: str = "theory",
 ) -> SeverResult:
     """Run the filter-until-stable sever loop on the full sample.
@@ -124,8 +127,8 @@ def gmm_sever(
     price of a blind spot for corruptions spread evenly across directions.
 
     Aborts with FilterExhaustedError once fewer than max(1, ceil(2n/3))
-    samples survive; a warm start reuses the previous critical point as the
-    next learner's initial iterate (cold_start restarts from the center).
+    samples survive; each learner restart is warm-started from the previous
+    critical point.
     """
     n = model.n_samples
     w0 = np.asarray(w0, dtype=np.float64)
@@ -149,10 +152,9 @@ def gmm_sever(
     warm: Optional[np.ndarray] = None
     rounds = 0
 
-    res_fn = getattr(model, "residuals", None)
-    if bound_mode == "practice" and res_fn is not None:
+    if bound_mode == "practice":
         while True:
-            res = np.asarray(res_fn(S.indices, w0), dtype=np.float64)
+            res = model.residuals(S.indices, w0)
             med = float(np.median(res))
             dev = np.abs(res - med)
             mad = float(np.median(dev))
@@ -177,14 +179,13 @@ def gmm_sever(
             center=w0,
             radius=R,
             gamma=gamma,
-            x0=None if cold_start else warm,
+            x0=warm,
         )
         learned = projected_gradient_critical_point(prob, rng.child(f"learn-{rounds}"))
         flags.append(learned.tolerance_met)
         w = learned.x
-        u = mean_moment(model, S, w)
-
         moment_scores = model.moments(S.indices, w)
+        u = moment_scores.mean(axis=0)
         jac_active = True
         if bound_mode == "practice":
             # The bulk-spectrum bound is scale-free, so projected-Jacobian
@@ -245,34 +246,25 @@ def amplified_gmm_sever(
     R: float,
     rng: RandomSource,
     slack: float = FILTER_SLACK,
-    cold_start: bool = False,
-    accept_eps_mult: float = 10.0,
     bound_mode: str = "theory",
 ) -> SeverResult:
     """Repeat gmm_sever with fresh child streams until a run keeps enough.
 
     A run is accepted as soon as its final set has at least
-    (1 - accept_eps_mult * eps) * n samples. After ceil(log10(1/delta))
+    (1 - ACCEPT_EPS_MULT * eps) * n samples. After ceil(log10(1/delta))
     repetitions the run with the largest surviving set is returned instead.
     Aborted repetitions only propagate if every repetition aborts.
     """
     n = model.n_samples
     max_reps = max(1, math.ceil(math.log10(1.0 / hp.delta)))
-    accept_size = (1.0 - accept_eps_mult * hp.eps) * n
+    accept_size = (1.0 - ACCEPT_EPS_MULT * hp.eps) * n
     best: Optional[SeverResult] = None
     abort: Optional[FilterExhaustedError] = None
 
     for rep in range(max_reps):
         try:
             result = gmm_sever(
-                model,
-                hp,
-                w0,
-                R,
-                rng.child(f"rep-{rep}"),
-                slack,
-                cold_start,
-                bound_mode,
+                model, hp, w0, R, rng.child(f"rep-{rep}"), slack, bound_mode
             )
         except FilterExhaustedError as err:
             abort = err
@@ -293,8 +285,6 @@ def iterated_gmm_sever(
     hp: HyperParams,
     rng: RandomSource,
     slack: float = FILTER_SLACK,
-    cold_start: bool = False,
-    accept_eps_mult: float = 10.0,
     bound_mode: str = "theory",
 ) -> EstimateReport:
     """Full robust estimate: amplified sever runs with a shrinking radius.
@@ -335,15 +325,7 @@ def iterated_gmm_sever(
 
     while True:
         result = amplified_gmm_sever(
-            model,
-            inner_hp,
-            w,
-            radius,
-            rng.child(f"outer-{t}"),
-            slack,
-            cold_start,
-            accept_eps_mult,
-            bound_mode,
+            model, inner_hp, w, radius, rng.child(f"outer-{t}"), slack, bound_mode
         )
         events.extend(
             (t, kind, removed) for (_, kind, removed, _) in result.events if removed

@@ -16,7 +16,6 @@ from robustgmm import (
     ActiveSet,
     CARD_STANDIN_COLUMNS,
     CriticalPointProblem,
-    HTEModel,
     LinearIVModel,
     LogisticIVModel,
     RandomSource,
@@ -25,6 +24,7 @@ from robustgmm import (
     corrupt_negation,
     finite_diff_jacobian,
     gen_synthetic_hte,
+    hte_design,
     load_csv,
     projected_gradient_critical_point,
     run_sweep,
@@ -129,15 +129,19 @@ def test_criterion_03_jacobian_correctness():
     lin, _ = make_linear_dataset(seed=301, n=60, d=4, p=4, noise=0.5)
     logd, _ = make_linear_dataset(seed=302, n=60, d=4, p=4, noise=0.5)
     hte, _ = gen_synthetic_hte(60, 3, src.child("hte"))
-    models = [LinearIVModel(lin), LogisticIVModel(logd), HTEModel(hte, "full")]
+    models = [
+        LinearIVModel(lin),
+        LogisticIVModel(logd),
+        LinearIVModel(hte_design(hte, "full")),
+    ]
     worst = 0.0
     for m, model in enumerate(models):
         for j in range(100):
             sub = src.child(f"pair-{m}-{j}")
-            i = int(sub.integers(0, model.n_samples))
+            idx = np.array([int(sub.integers(0, model.n_samples))])
             w = 0.5 * sub.normal(model.param_dim)
-            jac = model.jacobian(i, w)
-            fd = finite_diff_jacobian(lambda v: model.moment(i, v), w, 1e-5)
+            jac = model.mean_jacobian_over(idx, w)
+            fd = finite_diff_jacobian(lambda v: model.moments(idx, v)[0], w, 1e-5)
             rel = float(
                 np.linalg.norm(fd - jac) / max(np.linalg.norm(jac), 1e-8)
             )

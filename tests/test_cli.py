@@ -6,6 +6,7 @@ import pytest
 
 from robustgmm import (
     CARD_STANDIN_COLUMNS,
+    ate_from_params,
     load_csv,
     save_dataset_csv,
     scalar_treatment_design,
@@ -15,7 +16,8 @@ from robustgmm.cli import main
 
 from conftest import make_linear_dataset
 
-DATA_CSV = Path(__file__).resolve().parents[1] / "data" / "card_standin.csv"
+REPO_ROOT = Path(__file__).resolve().parents[1]
+DATA_CSV = REPO_ROOT / "data" / "card_standin.csv"
 
 
 @pytest.fixture
@@ -109,6 +111,26 @@ def test_estimate_scalar_model_reports_ate(tmp_path):
     assert code == 0
     report = parse_report(out)
     assert 0.0 < float(report["ate"]) < 0.3
+
+
+@pytest.mark.parametrize("model", ["hte", "hte-full"])
+def test_estimate_hte_models_report_mean_effect(model, tmp_path):
+    out = tmp_path / "hte.out"
+    code = main(
+        ["estimate", "--seed", "1", "--out", str(out),
+         "--set", f"input={DATA_CSV}", "--set", f"model={model}",
+         "--set", "eps=0.05",
+         "--set", f"col_response={CARD_STANDIN_COLUMNS['response']}",
+         "--set", f"col_treatment={CARD_STANDIN_COLUMNS['treatment']}",
+         "--set", "col_instruments=nearc4", "--set", "col_covariates=exper,expersq"]
+    )
+    assert code == 0
+    report = parse_report(out)
+    w = np.array([float(v) for v in report["w_hat"].split(",")])
+    base = load_csv(DATA_CSV, CARD_STANDIN_COLUMNS)
+    assert w.size == (base.d if model == "hte" else 2 * base.d)
+    # the effect vector leads w; the reported ATE averages X_i . effect
+    assert float(report["ate"]) == ate_from_params(w[: base.d], base, "hte")
 
 
 def test_estimate_error_exits(linear_csv, tmp_path, capsys):
@@ -225,6 +247,22 @@ def test_semi_sweep_negation_smoke(tmp_path):
     design = scalar_treatment_design(load_csv(DATA_CSV, CARD_STANDIN_COLUMNS))
     clean = float(two_stage_least_squares(design)[0])
     assert float(rows[0][3]) == pytest.approx(-clean, rel=1e-6)
+
+
+def test_committed_results_reproduce(tmp_path, monkeypatch):
+    # the CLI calls of scripts/run_desk_sweep.py and scripts/run_semi_sweep.py,
+    # run from the repository root so the stamped input path is repo-relative
+    monkeypatch.chdir(REPO_ROOT)
+    runs = {
+        "synth_desk": ["synth-sweep", "--seed", "1001", "--set", "preset=desk"],
+        "semi_negation": ["semi-sweep", "--seed", "9000",
+                          "--set", "input=data/card_standin.csv"],
+    }
+    for stem, argv in runs.items():
+        assert main(argv + ["--out", str(tmp_path / f"{stem}.csv")]) == 0
+        for name in (f"{stem}.csv", f"{stem}.agg.csv"):
+            committed = (REPO_ROOT / "results" / name).read_bytes()
+            assert (tmp_path / name).read_bytes() == committed, name
 
 
 def test_semi_sweep_requires_input(tmp_path, capsys):

@@ -165,12 +165,6 @@ class TwoPointModel:
     def moment_dim(self):
         return self.rows.shape[1]
 
-    def moment(self, i, w):
-        return self.rows[i]
-
-    def jacobian(self, i, w):
-        return np.zeros((self.moment_dim, self.param_dim))
-
     def moments(self, idx, w):
         return self.rows[idx]
 

@@ -10,7 +10,6 @@ from robustgmm import (
     ActiveSet,
     CARD_STANDIN_COLUMNS,
     Dataset,
-    HTEModel,
     LinearIVModel,
     RadiusSchedule,
     RandomSource,
@@ -23,6 +22,7 @@ from robustgmm import (
     diagnose_assumptions,
     gen_card_standin,
     gen_synthetic_hte,
+    hte_design,
     load_csv,
     run_sweep,
     save_dataset_csv,
@@ -67,7 +67,7 @@ def test_synthetic_hte_moments_valid_at_truth():
     # true effect vector must vanish at the sqrt(d/n) statistical rate
     for seed in (0, 1, 2):
         data, theta = gen_synthetic_hte(2000, 5, RandomSource(seed))
-        model = HTEModel(data)
+        model = LinearIVModel(hte_design(data))
         norm = np.linalg.norm(
             model.moments(np.arange(2000), theta).mean(axis=0)
         )

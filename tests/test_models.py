@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from robustgmm import (
     Dataset,
     EstimationError,
-    HTEModel,
     LinearIVModel,
     LogisticIVModel,
     RandomSource,
@@ -61,10 +61,15 @@ def test_linear_moment_and_jacobian_values():
     m = LinearIVModel(data)
     w = np.array([1.0, -1.0])
     # residual row 0: 3 - (1 - 2) = 4, moment = (8, 0)
-    np.testing.assert_allclose(m.moment(0, w), [8.0, 0.0])
-    np.testing.assert_allclose(m.jacobian(0, w), [[-2.0, -4.0], [0.0, 0.0]])
+    row0 = np.array([0])
+    np.testing.assert_allclose(m.moments(row0, w), [[8.0, 0.0]])
+    np.testing.assert_allclose(
+        m.mean_jacobian_over(row0, w), [[-2.0, -4.0], [0.0, 0.0]]
+    )
     # Jacobian does not depend on the parameter
-    np.testing.assert_array_equal(m.jacobian(0, w), m.jacobian(0, np.zeros(2)))
+    np.testing.assert_array_equal(
+        m.mean_jacobian_over(row0, w), m.mean_jacobian_over(row0, np.zeros(2))
+    )
 
 
 def test_logistic_moment_at_zero_parameter():
@@ -74,8 +79,7 @@ def test_logistic_moment_at_zero_parameter():
         Z=np.array([[3.0], [1.0]]),
     )
     m = LogisticIVModel(data)
-    np.testing.assert_allclose(m.moment(0, np.zeros(1)), [1.5])
-    np.testing.assert_allclose(m.moment(1, np.zeros(1)), [-0.5])
+    np.testing.assert_allclose(m.moments(np.array([0, 1]), np.zeros(1)), [[1.5], [-0.5]])
 
 
 def test_logistic_jacobian_slope_bound(rng):
@@ -83,7 +87,7 @@ def test_logistic_jacobian_slope_bound(rng):
     m = LogisticIVModel(data)
     for i in (0, 7, 29):
         w = rng.normal(3)
-        jac = m.jacobian(i, w)
+        jac = m.mean_jacobian_over(np.array([i]), w)
         cap = 0.25 * np.linalg.norm(data.Z[i]) * np.linalg.norm(data.X[i])
         assert np.linalg.norm(jac, 2) <= cap + 1e-12
 
@@ -95,18 +99,28 @@ def test_batched_paths_match_per_sample(cls, rng):
     idx = np.array([1, 4, 9, 16, 24])
     w = rng.normal(3)
     u = rng.normal(4)
-    looped_moments = np.stack([m.moment(i, w) for i in idx])
-    np.testing.assert_allclose(m.moments(idx, w), looped_moments, atol=1e-14)
-    looped_dot = np.stack([m.jacobian(i, w).T @ u for i in idx])
-    np.testing.assert_allclose(m.jacobian_dot(idx, w, u), looped_dot, atol=1e-13)
-    looped_mean = np.mean([m.jacobian(i, w) for i in idx], axis=0)
-    np.testing.assert_allclose(m.mean_jacobian_over(idx, w), looped_mean, atol=1e-14)
-    looped_resid = np.array(
-        [data.Y[i] - (data.X[i] @ w) for i in idx]
-        if cls is LinearIVModel
-        else [data.Y[i] - logistic(data.X[i] @ w) for i in idx]
+    # per row: index t = X_i . w, residual r_i = Y_i - link(t), moment
+    # g_i = Z_i r_i, Jacobian J_i = -link'(t) Z_i X_i^T
+    resid, moments, dots, jacs = [], [], [], []
+    for i in idx:
+        t = float(data.X[i] @ w)
+        if cls is LinearIVModel:
+            link, slope = t, 1.0
+        else:
+            link = 1.0 / (1.0 + math.exp(-t))
+            slope = link * (1.0 - link)
+        r = data.Y[i] - link
+        jac = -slope * np.outer(data.Z[i], data.X[i])
+        resid.append(r)
+        moments.append(data.Z[i] * r)
+        dots.append(jac.T @ u)
+        jacs.append(jac)
+    np.testing.assert_allclose(m.residuals(idx, w), resid, atol=1e-14)
+    np.testing.assert_allclose(m.moments(idx, w), np.stack(moments), atol=1e-14)
+    np.testing.assert_allclose(m.jacobian_dot(idx, w, u), np.stack(dots), atol=1e-13)
+    np.testing.assert_allclose(
+        m.mean_jacobian_over(idx, w), np.mean(jacs, axis=0), atol=1e-14
     )
-    np.testing.assert_allclose(m.residuals(idx, w), looped_resid, atol=1e-14)
 
 
 def build_fd_models():
@@ -116,17 +130,17 @@ def build_fd_models():
     return [
         LinearIVModel(lin_data),
         LogisticIVModel(log_data),
-        HTEModel(hte_data, mode="full"),
+        LinearIVModel(hte_design(hte_data, "full")),
     ]
 
 
 def test_jacobians_match_finite_differences(rng):
     for m in build_fd_models():
         for _ in range(10):
-            i = int(rng.integers(0, m.n_samples))
+            idx = np.array([int(rng.integers(0, m.n_samples))])
             w = rng.normal(m.param_dim)
-            analytic = m.jacobian(i, w)
-            fd = finite_diff_jacobian(lambda v: m.moment(i, v), w, 1e-6)
+            analytic = m.mean_jacobian_over(idx, w)
+            fd = finite_diff_jacobian(lambda v: m.moments(idx, v)[0], w, 1e-6)
             scale = max(1.0, float(np.linalg.norm(analytic)))
             assert np.linalg.norm(fd - analytic) <= 1e-5 * scale
 
@@ -162,14 +176,6 @@ def test_hte_design_validation():
         hte_design(wide_z)
     with pytest.raises(ValueError, match="unknown mode"):
         hte_design(data, "stacked")
-
-
-def test_hte_model_wraps_lifted_design():
-    data, _ = make_treatment_dataset(seed=2, n=12, d=3)
-    m = HTEModel(data)
-    assert m.param_dim == 3 and m.moment_dim == 3
-    assert m.base is data and m.mode == "treatment_only"
-    assert HTEModel(data, mode="full").param_dim == 6
 
 
 def test_scalar_treatment_design_layout():

@@ -142,13 +142,6 @@ def test_gmm_sever_deterministic():
     assert a.events == b.events
 
 
-def test_cold_start_also_recovers(rng):
-    hp = HyperParams(eps=0.1, lam=1.0, L=1.0, sigma=0.1, R0=3.0, gamma=1e-6)
-    model = LinearIVModel(planted_scalar_data(1))
-    res = gmm_sever(model, hp, np.zeros(1), 3.0, rng, cold_start=True)
-    assert abs(res.w[0] - 2.0) <= 0.2
-
-
 # ---------------------------------------------------------------------------
 # bound_mode="practice" mechanisms
 
@@ -232,7 +225,7 @@ def stub_model(n=10):
 
 
 def install_stub(monkeypatch, outcomes, calls):
-    def fake(model, hp, w0, R, rng, slack, cold_start, bound_mode):
+    def fake(model, hp, w0, R, rng, slack, bound_mode):
         calls.append(rng.seed)
         out = outcomes[min(len(calls) - 1, len(outcomes) - 1)]
         if isinstance(out, Exception):
