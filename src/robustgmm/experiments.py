@@ -351,6 +351,20 @@ def dataset_columns(data: Dataset) -> Mapping:
 # diagnostics and the plug-in hyperparameter rule
 
 
+# Directions evaluated per blocked kernel call in diagnose_assumptions: a
+# block of K directions holds a few (K, n) arrays, so 8 keeps the memory
+# peak near the single-direction loop's at the speed of larger blocks.
+_DIAGNOSE_BLOCK = 8
+
+
+def _sorted_row_medians(s: np.ndarray) -> np.ndarray:
+    """np.median along axis 1 of an array whose rows are already sorted."""
+    half = s.shape[1] // 2
+    if s.shape[1] % 2:
+        return s[:, half]
+    return (s[:, half - 1] + s[:, half]) / 2.0
+
+
 def diagnose_assumptions(
     model,
     S: ActiveSet,
@@ -363,11 +377,21 @@ def diagnose_assumptions(
     jacobian_sigma_min          smallest singular value of the mean Jacobian
     jacobian_second_moment_sup  sup over sampled unit (u, v) of
                                 E_S (u . grad g_i v)^2   (an L^2 analogue)
-    noise_second_moment_sup     sup over sampled unit v of E_S (v . g_i)^2
+    noise_second_moment_sup     sup over sampled unit u of E_S (u . g_i)^2
                                 (a sigma^2 L analogue)
     noise_second_moment_robust  same, MAD-based so outliers do not inflate it
     moment_norm                 || E_S g(w_ref) ||
+
+    The n_directions pairs (u, v) come from one rng.normal((n_directions,
+    p + d)) draw, which is the same stream, in the same order, as drawing
+    u then v per direction. They are evaluated in blocks of
+    _DIAGNOSE_BLOCK directions: model.jacobian_bilinear gives the Jacobian
+    terms and one (block, |S|) product gives the moment projections.
+    Raises ValueError when n_directions < 1, since no direction means no
+    sup.
     """
+    if n_directions < 1:
+        raise ValueError(f"n_directions must be at least 1, got {n_directions}")
     rng = rng if rng is not None else RandomSource(0x00D1A6)
     w_ref = np.asarray(w_ref, dtype=np.float64)
     idx = S.indices
@@ -375,21 +399,32 @@ def diagnose_assumptions(
     svals = np.linalg.svd(J, compute_uv=False)
     g = model.moments(idx, w_ref)
 
+    p = model.moment_dim
+    draws = rng.normal((n_directions, p + model.param_dim))
+    U, V = draws[:, :p], draws[:, p:]
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+
     jac_sup = 0.0
     noise_sup = 0.0
     noise_rob = 0.0
-    p, d = model.moment_dim, model.param_dim
-    for _ in range(n_directions):
-        u = rng.normal(p)
-        u /= np.linalg.norm(u)
-        v = rng.normal(d)
-        v /= np.linalg.norm(v)
-        rows = model.jacobian_dot(idx, w_ref, u)
-        jac_sup = max(jac_sup, float(np.mean((rows @ v) ** 2)))
-        proj = g @ u
-        noise_sup = max(noise_sup, float(np.mean(proj * proj)))
-        med = np.median(proj)
-        noise_rob = max(noise_rob, (1.4826 * float(np.median(np.abs(proj - med)))) ** 2)
+    for start in range(0, n_directions, _DIAGNOSE_BLOCK):
+        Ub = U[start : start + _DIAGNOSE_BLOCK]
+        Vb = V[start : start + _DIAGNOSE_BLOCK]
+        jac = model.jacobian_bilinear(idx, w_ref, Ub, Vb)
+        jac_sup = max(jac_sup, float(np.mean(np.square(jac, out=jac), axis=1).max()))
+        del jac
+        proj = Ub @ g.T
+        noise_sup = max(noise_sup, float(np.mean(proj * proj, axis=1).max()))
+        # The median absolute deviation ignores row order, so both medians
+        # sort in place and the block holds one (K, |S|) array at a time.
+        proj.sort(axis=1)
+        med = _sorted_row_medians(proj)
+        proj -= med[:, None]
+        np.abs(proj, out=proj)
+        proj.sort(axis=1)
+        mad = _sorted_row_medians(proj)
+        noise_rob = max(noise_rob, float(((1.4826 * mad) ** 2).max()))
 
     return {
         "jacobian_sigma_min": float(svals[-1]),

@@ -76,6 +76,12 @@ class LinearIVModel(MomentModel):
         d = self.data
         return -(d.Z[idx].T @ d.X[idx]) / len(idx)
 
+    def jacobian_bilinear(self, idx, w, U, V):
+        d = self.data
+        out = U @ d.Z[idx].T
+        out *= V @ d.X[idx].T
+        return np.negative(out, out=out)
+
 
 class LogisticIVModel(MomentModel):
     """Moments g_i(w) = Z_i (Y_i - s(X_i . w)) for binary-style responses."""
@@ -113,6 +119,14 @@ class LogisticIVModel(MomentModel):
         d = self.data
         slope = logistic_deriv(d.X[idx] @ w)
         return -((d.Z[idx] * slope[:, None]).T @ d.X[idx]) / len(idx)
+
+    def jacobian_bilinear(self, idx, w, U, V):
+        d = self.data
+        X = d.X[idx]
+        out = U @ d.Z[idx].T
+        out *= V @ X.T
+        out *= logistic_deriv(X @ w)
+        return np.negative(out, out=out)
 
 
 def hte_design(data: Dataset, mode: str = "treatment_only") -> Dataset:

@@ -294,6 +294,16 @@ def test_diagnose_reports_constants(linear_csv, tmp_path):
         assert float(report[key]) >= 0.0
 
 
+def test_diagnose_rejects_no_directions(linear_csv, tmp_path, capsys):
+    path, _, _ = linear_csv
+    code = main(
+        ["diagnose", "--out", str(tmp_path / "diag.out"),
+         "--set", f"input={path}", "--set", "n_directions=0", *COLS]
+    )
+    assert code == 1
+    assert "n_directions" in capsys.readouterr().err
+
+
 def test_selfcheck_all_pass(capsys):
     assert main(["selfcheck"]) == 0
     out_lines = capsys.readouterr().out.strip().splitlines()

@@ -11,6 +11,7 @@ from robustgmm import (
     CARD_STANDIN_COLUMNS,
     Dataset,
     LinearIVModel,
+    LogisticIVModel,
     RadiusSchedule,
     RandomSource,
     SweepConfig,
@@ -264,6 +265,54 @@ def test_robust_noise_diagnostic_ignores_outliers():
         spiked_diag["noise_second_moment_robust"]
         <= 5.0 * clean_diag["noise_second_moment_robust"]
     )
+
+
+def loop_diagnostics(model, S, w, rng, n_directions):
+    """Per-direction reference: draw u then v, one jacobian_dot per pair."""
+    idx = S.indices
+    g = model.moments(idx, w)
+    jac_sup = noise_sup = noise_rob = 0.0
+    for _ in range(n_directions):
+        u = rng.normal(model.moment_dim)
+        u /= np.linalg.norm(u)
+        v = rng.normal(model.param_dim)
+        v /= np.linalg.norm(v)
+        jac_sup = max(jac_sup, float(np.mean((model.jacobian_dot(idx, w, u) @ v) ** 2)))
+        proj = g @ u
+        noise_sup = max(noise_sup, float(np.mean(proj * proj)))
+        mad = float(np.median(np.abs(proj - np.median(proj))))
+        noise_rob = max(noise_rob, (1.4826 * mad) ** 2)
+    jac = model.mean_jacobian_over(idx, w)
+    return {
+        "jacobian_sigma_min": float(np.linalg.svd(jac, compute_uv=False)[-1]),
+        "jacobian_second_moment_sup": jac_sup,
+        "noise_second_moment_sup": noise_sup,
+        "noise_second_moment_robust": noise_rob,
+        "moment_norm": float(np.linalg.norm(g.mean(axis=0))),
+    }
+
+
+@pytest.mark.parametrize("cls", [LinearIVModel, LogisticIVModel])
+@pytest.mark.parametrize("n", [301, 300])
+@pytest.mark.parametrize("n_directions", [1, 13, 200])
+def test_blocked_diagnostics_match_direction_loop(cls, n, n_directions):
+    data, w_true = make_linear_dataset(seed=21, n=n, d=3, p=4, noise=0.5)
+    model = cls(data)
+    S = ActiveSet.full(n)
+    w = 0.5 * w_true
+    got = diagnose_assumptions(model, S, w, RandomSource(22), n_directions)
+    want = loop_diagnostics(model, S, w, RandomSource(22), n_directions)
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), key
+
+
+def test_diagnostics_reject_no_directions():
+    data, w_true = make_linear_dataset(seed=23, n=50, d=2)
+    with pytest.raises(ValueError, match="n_directions"):
+        diagnose_assumptions(
+            LinearIVModel(data), ActiveSet.full(50), w_true, n_directions=0
+        )
 
 
 def test_derive_hyperparams_contract(rng):

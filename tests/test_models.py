@@ -121,6 +121,11 @@ def test_batched_paths_match_per_sample(cls, rng):
     np.testing.assert_allclose(
         m.mean_jacobian_over(idx, w), np.mean(jacs, axis=0), atol=1e-14
     )
+    U, V = rng.normal((3, 4)), rng.normal((3, 3))
+    bilinear = [[U[k] @ jac @ V[k] for jac in jacs] for k in range(3)]
+    np.testing.assert_allclose(
+        m.jacobian_bilinear(idx, w, U, V), np.array(bilinear), atol=1e-13
+    )
 
 
 def build_fd_models():
