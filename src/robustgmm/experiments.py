@@ -384,9 +384,9 @@ def diagnose_assumptions(
 
     The n_directions pairs (u, v) come from one rng.normal((n_directions,
     p + d)) draw, which is the same stream, in the same order, as drawing
-    u then v per direction. They are evaluated in blocks of
-    _DIAGNOSE_BLOCK directions: model.jacobian_bilinear gives the Jacobian
-    terms and one (block, |S|) product gives the moment projections.
+    u then v per direction. They are evaluated in blocks of 8 directions:
+    model.jacobian_bilinear gives the Jacobian terms and one (block, |S|)
+    product gives the moment projections.
     Raises ValueError when n_directions < 1, since no direction means no
     sup.
     """

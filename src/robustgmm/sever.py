@@ -44,10 +44,15 @@ __all__ = [
 # Under bound_mode "practice" the projected-Jacobian pass fires at this
 # multiple of the caller's slack. Jacobian rows are feature rows scaled by
 # a projected instrument, so their covariance is anisotropic even on clean
-# designs (top-to-bulk eigenvalue ratios near 3 where raw moments sit near
-# 1.4); the factor keeps one user-facing slack knob calibrated to the
-# moment pass while giving the Jacobian pass the same clean-data margin.
-PRACTICE_JAC_SLACK_FACTOR = 2.0
+# rows: on the semi-synthetic negation design, once the response screen
+# has removed every planted row, the top-to-bulk eigenvalue ratio of the
+# Jacobian scores is 2.2 at the median, 6.0 at the 90th percentile and up
+# to 8.0 over 600 fits, where raw moments sit near 1.4. A firing level
+# inside that range strips clean rows pass after pass and can exhaust the
+# sample set; at 5 times the default slack (10) the pass stays quiet on
+# clean rows, while the moment pass, which does most of the planted-row
+# removal on synthetic designs, keeps the caller's slack.
+PRACTICE_JAC_SLACK_FACTOR = 5.0
 
 # Under bound_mode "practice" the learner is stopped at the tighter of the
 # configured gamma and the gradient norm 2 lambda^2 times this fraction of

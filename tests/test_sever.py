@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from robustgmm import (
     ActiveSet,
+    CARD_STANDIN_COLUMNS,
     Dataset,
     FILTER_SLACK,
     FilterExhaustedError,
@@ -11,9 +14,14 @@ from robustgmm import (
     RandomSource,
     SeverResult,
     amplified_gmm_sever,
+    corrupt_negation,
     gmm_sever,
     iterated_gmm_sever,
+    load_csv,
+    robust_linear_estimate,
+    scalar_treatment_design,
     spectral_filter,
+    two_stage_least_squares,
 )
 import robustgmm.sever as sever_mod
 
@@ -370,3 +378,22 @@ def test_iterated_deterministic(rng):
     np.testing.assert_array_equal(a.w_hat, b.w_hat)
     assert a.radius_trace == b.radius_trace
     np.testing.assert_array_equal(a.final_set.indices, b.final_set.indices)
+
+
+def test_practice_jacobian_pass_spares_clean_negation_rows():
+    # The semi-sweep cell at master seed 35007, eps=0.05, rep 8: with the
+    # Jacobian pass firing at twice the slack it kept stripping clean rows
+    # after the response screen had removed all planted ones, down to 535
+    # of 3010, and the fit ended in FilterExhaustedError.
+    data_csv = Path(__file__).resolve().parents[1] / "data" / "card_standin.csv"
+    design = scalar_treatment_design(load_csv(data_csv, CARD_STANDIN_COLUMNS))
+    cell_rng = RandomSource(35007).child("eps=0.05/rep=8")
+    corrupted, planted = corrupt_negation(design, 0.05, cell_rng.child("attack"))
+    w, report = robust_linear_estimate(
+        corrupted, 0.05, cell_rng.child("robust/iterated-gmm-sever")
+    )
+    assert len(planted) == 150
+    assert len(report.final_set) == 2860
+    assert not np.isin(planted, report.final_set.indices).any()
+    assert [kind for (_, kind, _) in report.filter_events] == ["response"]
+    assert abs(w[0] - two_stage_least_squares(design)[0]) <= 0.01
