@@ -411,13 +411,14 @@ def diagnose_assumptions(
     for start in range(0, n_directions, _DIAGNOSE_BLOCK):
         Ub = U[start : start + _DIAGNOSE_BLOCK]
         Vb = V[start : start + _DIAGNOSE_BLOCK]
+        # Work in place so that a block holds one (K, |S|) array at a time;
+        # the median absolute deviation ignores row order, so both medians
+        # can sort proj itself.
         jac = model.jacobian_bilinear(idx, w_ref, Ub, Vb)
         jac_sup = max(jac_sup, float(np.mean(np.square(jac, out=jac), axis=1).max()))
         del jac
         proj = Ub @ g.T
         noise_sup = max(noise_sup, float(np.mean(proj * proj, axis=1).max()))
-        # The median absolute deviation ignores row order, so both medians
-        # sort in place and the block holds one (K, |S|) array at a time.
         proj.sort(axis=1)
         med = _sorted_row_medians(proj)
         proj -= med[:, None]
