@@ -45,6 +45,7 @@ from .models import (
     LogisticIVModel,
     ate_from_params,
     hte_design,
+    model_class,
     scalar_treatment_design,
     two_stage_least_squares,
 )
@@ -227,15 +228,13 @@ def _hyper_value(resolved: dict):
 def _build_design(resolved: dict):
     """Load the CSV and derive the design for the requested model kind.
 
-    Returns (design dataset, model kind for the solver, base dataset or None
-    for ATE reporting, effect dimension for ATE).
+    Returns (design dataset, model kind for the solver, base dataset for ATE
+    reporting or None).
     """
     kind = resolved["model"]
     base = load_csv(_require(resolved, "input"), _columns_from(resolved))
-    if kind == "linear":
-        return base, "linear", None
-    if kind == "logistic":
-        return base, "logistic", None
+    if kind in ("linear", "logistic"):
+        return base, kind, None
     if kind == "hte":
         return hte_design(base, "treatment_only"), "linear", base
     if kind == "hte-full":
@@ -450,9 +449,7 @@ def cmd_diagnose(args) -> int:
         design, solver_kind, _ = _build_design(resolved)
     except (ValueError, KeyError, OSError) as err:
         raise ConfigError(str(err)) from None
-    model = (
-        LogisticIVModel(design) if solver_kind == "logistic" else LinearIVModel(design)
-    )
+    model = model_class(solver_kind)(design)
     try:
         w_ref = two_stage_least_squares(design)
     except EstimationError:

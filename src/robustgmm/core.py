@@ -6,7 +6,9 @@ surviving sample indices, `HyperParams` bundling the problem constants,
 and `MomentModel`, the batched moment/Jacobian contract. Its five kernels
 (`moments`, `residuals`, `jacobian_dot`, `mean_jacobian_over` and
 `jacobian_bilinear`) each take an index array, and a single sample i is
-the batch `idx=np.array([i])`.
+the batch `idx=np.array([i])`. Both shipped models are single-index,
+g_i(w) = Z_i (Y_i - f(X_i . w)): `models.SingleIndexIVModel` writes the
+kernels once, so a new link is two methods.
 """
 
 from __future__ import annotations

@@ -29,9 +29,9 @@ from .core import (
 )
 from .models import (
     LinearIVModel,
-    LogisticIVModel,
     hte_design,
     logistic,
+    model_class,
     scalar_treatment_design,
     two_stage_huber,
     two_stage_least_squares,
@@ -557,12 +557,7 @@ def robust_linear_estimate(
     to describe the raw design and is used as-is, without rescaling.
     Returns (w, EstimateReport).
     """
-    if model_kind == "linear":
-        make_model = LinearIVModel
-    elif model_kind == "logistic":
-        make_model = LogisticIVModel
-    else:
-        raise ValueError(f"model_kind must be 'linear' or 'logistic', got {model_kind!r}")
+    make_model = model_class(model_kind)
 
     if isinstance(hyper, HyperParams):
         report = iterated_gmm_sever(

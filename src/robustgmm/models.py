@@ -1,15 +1,19 @@
 """Instrumental-variable moment models and classical baseline estimators.
 
-The robust stack only sees the MomentModel interface; everything here is a
-concrete instance of it (linear IV, logistic IV; heterogeneous treatment
-effects are linear IV on the hte_design lift) plus the two non-robust
-baselines the experiments compare against (two-stage least squares and a
-two-stage Huber regression).
+The robust stack only sees the MomentModel interface. Both shipped models
+are single-index: SingleIndexIVModel writes the five kernels once for
+g_i(w) = Z_i (Y_i - f(X_i . w)), and linear IV and logistic IV each supply
+only the link f and the slope-weighted instruments f'(X_i . w) Z_i, so a
+new link is two methods. Heterogeneous treatment effects are linear IV on
+the hte_design lift. The module also holds the two non-robust baselines
+the experiments compare against (two-stage least squares and a two-stage
+Huber regression).
 """
 
 from __future__ import annotations
 
 import warnings
+from abc import abstractmethod
 
 import numpy as np
 
@@ -41,8 +45,14 @@ def logistic_deriv(x):
     return s * (1.0 - s)
 
 
-class LinearIVModel(MomentModel):
-    """Moments g_i(w) = Z_i (Y_i - X_i . w) with constant Jacobian -Z_i X_i^T."""
+class SingleIndexIVModel(MomentModel):
+    """Moments g_i(w) = Z_i (Y_i - f(X_i . w)) for a link f.
+
+    The per-sample Jacobian is the rank-one -f'(X_i . w) Z_i X_i^T, so all
+    five kernels follow from two pieces a subclass supplies: the link f
+    and the slope-weighted instrument rows f'(X_i . w) Z_i. No kernel calls
+    another kernel, so one call evaluates X[idx] @ w at most once.
+    """
 
     def __init__(self, data: Dataset):
         self.data = data
@@ -59,74 +69,64 @@ class LinearIVModel(MomentModel):
     def moment_dim(self) -> int:
         return self.data.p
 
+    @abstractmethod
+    def link(self, t: np.ndarray) -> np.ndarray:
+        """f applied elementwise to the indices t_i = X_i . w."""
+
+    @abstractmethod
+    def sloped_instruments(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Rows f'(X_i . w) Z_i, shape (len(idx), moment_dim)."""
+
     def moments(self, idx, w):
         d = self.data
-        resid = d.Y[idx] - d.X[idx] @ w
+        resid = d.Y[idx] - self.link(d.X[idx] @ w)
         return d.Z[idx] * resid[:, None]
 
     def residuals(self, idx, w):
         d = self.data
-        return d.Y[idx] - d.X[idx] @ w
+        return d.Y[idx] - self.link(d.X[idx] @ w)
 
     def jacobian_dot(self, idx, w, u):
-        d = self.data
-        return -d.X[idx] * (d.Z[idx] @ u)[:, None]
+        return -self.data.X[idx] * (self.sloped_instruments(idx, w) @ u)[:, None]
 
     def mean_jacobian_over(self, idx, w):
-        d = self.data
-        return -(d.Z[idx].T @ d.X[idx]) / len(idx)
+        return -(self.sloped_instruments(idx, w).T @ self.data.X[idx]) / len(idx)
 
     def jacobian_bilinear(self, idx, w, U, V):
-        d = self.data
-        out = U @ d.Z[idx].T
-        out *= V @ d.X[idx].T
+        out = U @ self.sloped_instruments(idx, w).T
+        out *= V @ self.data.X[idx].T
         return np.negative(out, out=out)
 
 
-class LogisticIVModel(MomentModel):
-    """Moments g_i(w) = Z_i (Y_i - s(X_i . w)) for binary-style responses."""
+class LinearIVModel(SingleIndexIVModel):
+    """Identity link: g_i(w) = Z_i (Y_i - X_i . w), Jacobian -Z_i X_i^T."""
 
-    def __init__(self, data: Dataset):
-        self.data = data
+    def link(self, t):
+        return t
 
-    @property
-    def n_samples(self) -> int:
-        return self.data.n
+    def sloped_instruments(self, idx, w):
+        return self.data.Z[idx]
 
-    @property
-    def param_dim(self) -> int:
-        return self.data.d
 
-    @property
-    def moment_dim(self) -> int:
-        return self.data.p
+class LogisticIVModel(SingleIndexIVModel):
+    """Sigmoid link: g_i(w) = Z_i (Y_i - s(X_i . w)) for binary-style responses."""
 
-    def moments(self, idx, w):
+    def link(self, t):
+        return logistic(t)
+
+    def sloped_instruments(self, idx, w):
         d = self.data
-        resid = d.Y[idx] - logistic(d.X[idx] @ w)
-        return d.Z[idx] * resid[:, None]
+        return d.Z[idx] * logistic_deriv(d.X[idx] @ w)[:, None]
 
-    def residuals(self, idx, w):
-        d = self.data
-        return d.Y[idx] - logistic(d.X[idx] @ w)
 
-    def jacobian_dot(self, idx, w, u):
-        d = self.data
-        slope = logistic_deriv(d.X[idx] @ w)
-        return -d.X[idx] * (slope * (d.Z[idx] @ u))[:, None]
+_MODEL_KINDS = {"linear": LinearIVModel, "logistic": LogisticIVModel}
 
-    def mean_jacobian_over(self, idx, w):
-        d = self.data
-        slope = logistic_deriv(d.X[idx] @ w)
-        return -((d.Z[idx] * slope[:, None]).T @ d.X[idx]) / len(idx)
 
-    def jacobian_bilinear(self, idx, w, U, V):
-        d = self.data
-        X = d.X[idx]
-        out = U @ d.Z[idx].T
-        out *= V @ X.T
-        out *= logistic_deriv(X @ w)
-        return np.negative(out, out=out)
+def model_class(kind: str) -> type:
+    """The IV model class for a model kind, "linear" or "logistic"."""
+    if kind not in _MODEL_KINDS:
+        raise ValueError(f"model_kind must be 'linear' or 'logistic', got {kind!r}")
+    return _MODEL_KINDS[kind]
 
 
 def hte_design(data: Dataset, mode: str = "treatment_only") -> Dataset:

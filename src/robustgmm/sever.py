@@ -11,7 +11,7 @@ estimates until the radius recursion stops contracting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -146,6 +146,14 @@ def gmm_sever(
 
     S = ActiveSet.full(n)
     floor = max(1, math.ceil(2 * n / 3))
+
+    def shrink(kept: ActiveSet) -> ActiveSet:
+        if len(kept) < floor:
+            raise FilterExhaustedError(
+                f"filter exhausted sample set: {len(kept)} of {n} remain"
+            )
+        return kept
+
     gamma = hp.resolved_gamma()
     if bound_mode == "practice":
         gamma = min(
@@ -168,14 +176,10 @@ def gmm_sever(
             keep_mask = dev <= PRACTICE_RESPONSE_CAP * mad
             if keep_mask.all():
                 break
-            S = ActiveSet(S.indices[keep_mask])
+            S = shrink(ActiveSet(S.indices[keep_mask]))
             events.append(
                 (0, "response", int((~keep_mask).sum()), float(dev.max() / mad))
             )
-            if len(S) < floor:
-                raise FilterExhaustedError(
-                    f"filter exhausted sample set: {len(S)} of {n} remain"
-                )
 
     while True:
         rounds += 1
@@ -216,11 +220,7 @@ def gmm_sever(
             )
             events.append((rounds, "jacobian", len(out.removed), out.mean_score))
             if len(out.removed) > 0:
-                S = out.kept
-                if len(S) < floor:
-                    raise FilterExhaustedError(
-                        f"filter exhausted sample set: {len(S)} of {n} remain"
-                    )
+                S = shrink(out.kept)
                 warm = w
                 continue
 
@@ -233,11 +233,7 @@ def gmm_sever(
         )
         events.append((rounds, "moment", len(out.removed), out.mean_score))
         if len(out.removed) > 0:
-            S = out.kept
-            if len(S) < floor:
-                raise FilterExhaustedError(
-                    f"filter exhausted sample set: {len(S)} of {n} remain"
-                )
+            S = shrink(out.kept)
             warm = w
             continue
 
@@ -309,16 +305,7 @@ def iterated_gmm_sever(
         planned = math.ceil(math.log2(ratio)) if ratio > 1 else 1
     else:
         planned = 1
-    inner_hp = HyperParams(
-        eps=hp.eps,
-        lam=hp.lam,
-        L=hp.L,
-        sigma=hp.sigma,
-        R0=hp.R0,
-        gamma=gamma,
-        delta=hp.delta / max(1, planned),
-        sched=hp.sched,
-    )
+    inner_hp = replace(hp, gamma=gamma, delta=hp.delta / max(1, planned))
 
     w = np.zeros(d)
     radius = hp.R0

@@ -294,6 +294,26 @@ def test_diagnose_reports_constants(linear_csv, tmp_path):
         assert float(report[key]) >= 0.0
 
 
+def test_logistic_model_dispatch(tmp_path):
+    # a binary response on the bundled design; linear and logistic IV share
+    # the columns, so only the model kind separates the two runs
+    cols = ["--set", f"input={DATA_CSV}", "--set", "col_response=nearc4",
+            "--set", "col_instruments=educ", "--set", "col_covariates=exper"]
+    diag = {}
+    for model in ("linear", "logistic"):
+        kind = ["--set", f"model={model}"]
+        est, dia = tmp_path / f"{model}.est", tmp_path / f"{model}.diag"
+        assert main(["estimate", "--seed", "2", "--out", str(est), *cols, *kind,
+                     "--set", "eps=0.05"]) == 0
+        assert main(["diagnose", "--seed", "2", "--out", str(dia), *cols, *kind]) == 0
+        w = [float(v) for v in parse_report(est)["w_hat"].split(",")]
+        assert len(w) == 1 and all(math.isfinite(v) for v in w)
+        diag[model] = {k: float(v) for k, v in parse_report(dia).items()}
+        assert all(math.isfinite(v) for v in diag[model].values())
+    assert (diag["logistic"]["jacobian_second_moment_sup"]
+            != diag["linear"]["jacobian_second_moment_sup"])
+
+
 def test_diagnose_rejects_no_directions(linear_csv, tmp_path, capsys):
     path, _, _ = linear_csv
     code = main(

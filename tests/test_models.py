@@ -126,6 +126,16 @@ def test_batched_paths_match_per_sample(cls, rng):
     np.testing.assert_allclose(
         m.jacobian_bilinear(idx, w, U, V), np.array(bilinear), atol=1e-13
     )
+    if cls is LinearIVModel:
+        # the batched linear kernels keep these exact operation orders, which
+        # the committed results/*.csv depend on bit for bit
+        X, Z, Y = data.X[idx], data.Z[idx], data.Y[idx]
+        assert_equal = np.testing.assert_array_equal
+        assert_equal(m.residuals(idx, w), Y - X @ w)
+        assert_equal(m.moments(idx, w), Z * (Y - X @ w)[:, None])
+        assert_equal(m.jacobian_dot(idx, w, u), -X * (Z @ u)[:, None])
+        assert_equal(m.mean_jacobian_over(idx, w), -(Z.T @ X) / len(idx))
+        assert_equal(m.jacobian_bilinear(idx, w, U, V), -((U @ Z.T) * (V @ X.T)))
 
 
 def build_fd_models():
