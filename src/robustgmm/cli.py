@@ -162,8 +162,6 @@ _HYPER_KEYS = {
     "R0": "",
     "c1": "4.0",
     "c2": "2.0",
-    "rescale": "true",
-    "gamma_scale": "0.1",
     "slack": f"{PRACTICE_SLACK:g}",
     "bound_mode": "",  # empty: practice for plugin hyper, theory for fixed
 }
@@ -229,19 +227,23 @@ def _build_design(resolved: dict):
     """Load the CSV and derive the design for the requested model kind.
 
     Returns (design dataset, model kind for the solver, base dataset for ATE
-    reporting or None).
+    reporting or None). An unreadable input or unusable columns are config
+    errors.
     """
     kind = resolved["model"]
-    base = load_csv(_require(resolved, "input"), _columns_from(resolved))
-    if kind in ("linear", "logistic"):
-        return base, kind, None
-    if kind == "hte":
-        return hte_design(base, "treatment_only"), "linear", base
-    if kind == "hte-full":
-        return hte_design(base, "full"), "linear", base
-    if kind == "scalar":
-        intercept = _parse_bool(resolved["intercept"])
-        return scalar_treatment_design(base, intercept=intercept), "linear", base
+    try:
+        base = load_csv(_require(resolved, "input"), _columns_from(resolved))
+        if kind in ("linear", "logistic"):
+            return base, kind, None
+        if kind == "hte":
+            return hte_design(base, "treatment_only"), "linear", base
+        if kind == "hte-full":
+            return hte_design(base, "full"), "linear", base
+        if kind == "scalar":
+            intercept = _parse_bool(resolved["intercept"])
+            return scalar_treatment_design(base, intercept=intercept), "linear", base
+    except (ValueError, KeyError, OSError) as err:
+        raise ConfigError(str(err)) from None
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
@@ -262,18 +264,13 @@ def cmd_estimate(args) -> int:
     eps = _parse_float(_require(resolved, "eps"), "eps")
     if not 0.0 <= eps < 0.5:
         raise ConfigError(f"eps must be < 0.5 and nonnegative, got {eps}")
-    try:
-        design, solver_kind, base = _build_design(resolved)
-    except (ValueError, KeyError, OSError) as err:
-        raise ConfigError(str(err)) from None
+    design, solver_kind, base = _build_design(resolved)
 
     w, report = robust_linear_estimate(
         design,
         eps,
         RandomSource(_parse_int(resolved["seed"], "seed")),
         hyper=_hyper_value(resolved),
-        rescale=_parse_bool(resolved["rescale"]),
-        gamma_scale=_parse_float(resolved["gamma_scale"], "gamma_scale"),
         delta=_parse_float(resolved["delta"], "delta"),
         model_kind=solver_kind,
         slack=_parse_float(resolved["slack"], "slack"),
@@ -336,14 +333,18 @@ _PRESETS = {
 }
 
 
-def _sweep_common(resolved: dict, kind: str) -> dict:
+def _sweep_common(resolved: dict, kind: str, grid: dict) -> dict:
+    """SweepConfig fields both sweeps share; grid holds eps_grid and reps."""
     return {
         "kind": kind,
+        "eps_grid": tuple(
+            _parse_float(tok, "eps_grid") for tok in _split_list(grid["eps_grid"])
+        ),
+        "repetitions": _parse_int(grid["reps"], "reps"),
+        "seed": _parse_int(resolved["seed"], "seed"),
         "estimators": tuple(_split_list(resolved["estimators"])),
         "attack": resolved["attack"],
         "hyper": _hyper_value(resolved),
-        "rescale": _parse_bool(resolved["rescale"]),
-        "gamma_scale": _parse_float(resolved["gamma_scale"], "gamma_scale"),
         "delta": _parse_float(resolved["delta"], "delta"),
         "slack": _parse_float(resolved["slack"], "slack"),
         "bound_mode": _bound_mode(resolved),
@@ -379,15 +380,10 @@ def cmd_synth_sweep(args) -> int:
             merged[key] = resolved[key]
     try:
         cfg = SweepConfig(
-            eps_grid=tuple(
-                _parse_float(tok, "eps_grid") for tok in _split_list(merged["eps_grid"])
-            ),
-            repetitions=_parse_int(merged["reps"], "reps"),
-            seed=_parse_int(resolved["seed"], "seed"),
             n=_parse_int(merged["n"], "n"),
             d=_parse_int(merged["d"], "d"),
             instrument=resolved["instrument"],
-            **_sweep_common(resolved, "synthetic"),
+            **_sweep_common(resolved, "synthetic", merged),
         )
     except ValueError as err:
         raise ConfigError(str(err)) from None
@@ -415,16 +411,10 @@ def cmd_semi_sweep(args) -> int:
     resolved = _resolve(args, _SEMI_SPEC)
     try:
         cfg = SweepConfig(
-            eps_grid=tuple(
-                _parse_float(tok, "eps_grid")
-                for tok in _split_list(resolved["eps_grid"])
-            ),
-            repetitions=_parse_int(resolved["reps"], "reps"),
-            seed=_parse_int(resolved["seed"], "seed"),
             data_path=_require(resolved, "input"),
             columns=_columns_from(resolved),
             intercept=_parse_bool(resolved["intercept"]),
-            **_sweep_common(resolved, "semi"),
+            **_sweep_common(resolved, "semi", resolved),
         )
     except ValueError as err:
         raise ConfigError(str(err)) from None
@@ -445,10 +435,7 @@ def cmd_diagnose(args) -> int:
     resolved = _resolve(args, _DIAGNOSE_SPEC)
     if not args.out:
         raise ConfigError("--out is required for diagnose")
-    try:
-        design, solver_kind, _ = _build_design(resolved)
-    except (ValueError, KeyError, OSError) as err:
-        raise ConfigError(str(err)) from None
+    design, solver_kind, _ = _build_design(resolved)
     model = model_class(solver_kind)(design)
     try:
         w_ref = two_stage_least_squares(design)

@@ -75,6 +75,13 @@ _MISSING_MARKERS = {"", "na", "nan", "null"}
 # settings.
 PRACTICE_SLACK = 2.0
 
+# The plug-in learner tolerance keeps the sqrt(eps) scaling of the default
+# criticality rate sigma * L**1.5 * sqrt(eps) at a tenth of its size, for
+# tighter learner stops. The practice stop in gmm_sever is usually tighter
+# still: at 1 or 10 times the rate, 2 of the 20 desk sweep cells move and
+# none of the 30 semi sweep cells do.
+PLUGIN_GAMMA_SCALE = 0.1
+
 
 # ---------------------------------------------------------------------------
 # data generation
@@ -441,15 +448,13 @@ def derive_hyperparams(
     eps: float,
     rng: RandomSource,
     delta: float = 0.05,
-    gamma_scale: float = 0.1,
 ) -> HyperParams:
     """Plug-in hyperparameters from diagnostics on the (corrupted) design.
 
     Safety factors: x2 on L, /2 on lam. The noise scale uses the MAD-based
     diagnostic so planted outliers cannot inflate it, the search radius
-    is four times the classical IV estimate's norm, and gamma is a
-    small fraction of the default criticality rate (same sqrt(eps) scaling,
-    tighter learner stops).
+    is four times the classical IV estimate's norm, and gamma is
+    PLUGIN_GAMMA_SCALE times the default criticality rate.
     """
     model = LinearIVModel(design)
     S = ActiveSet.full(design.n)
@@ -464,7 +469,7 @@ def derive_hyperparams(
     lam = min(lam, L)
     sigma = math.sqrt(diag["noise_second_moment_robust"] / L)
     eps_hp = min(max(eps, 0.0), 0.499)
-    gamma = gamma_scale * sigma * L**1.5 * math.sqrt(eps_hp)
+    gamma = PLUGIN_GAMMA_SCALE * sigma * L**1.5 * math.sqrt(eps_hp)
     return HyperParams(
         eps=eps_hp,
         lam=lam,
@@ -531,8 +536,6 @@ def robust_linear_estimate(
     eps: float,
     rng: RandomSource,
     hyper: Union[HyperParams, str] = "plugin",
-    rescale: bool = True,
-    gamma_scale: float = 0.1,
     delta: float = 0.05,
     model_kind: str = "linear",
     slack: float = PRACTICE_SLACK,
@@ -567,18 +570,10 @@ def robust_linear_estimate(
 
     if hyper != "plugin":
         raise ValueError(f"hyper must be 'plugin' or a HyperParams, got {hyper!r}")
-    if rescale:
-        wx = _block_transform(design.X)
-        wz = _block_transform(design.Z)
-        scaled = Dataset(
-            X=design.X @ wx, Y=design.Y, Z=design.Z @ wz, T=design.T
-        )
-    else:
-        wx = np.eye(design.d)
-        scaled = design
-    hp = derive_hyperparams(
-        scaled, eps, rng.child("hp"), delta=delta, gamma_scale=gamma_scale
-    )
+    wx = _block_transform(design.X)
+    wz = _block_transform(design.Z)
+    scaled = Dataset(X=design.X @ wx, Y=design.Y, Z=design.Z @ wz, T=design.T)
+    hp = derive_hyperparams(scaled, eps, rng.child("hp"), delta=delta)
     report = iterated_gmm_sever(
         make_model(scaled), hp, rng.child("est"), slack=slack, bound_mode=bound_mode
     )
@@ -613,8 +608,6 @@ class SweepConfig:
     columns: Optional[Mapping] = None
     intercept: bool = True
     hyper: Union[HyperParams, str] = "plugin"
-    rescale: bool = True
-    gamma_scale: float = 0.1
     delta: float = 0.05
     slack: float = PRACTICE_SLACK
     bound_mode: str = "practice"
@@ -701,8 +694,6 @@ def _run_cell(cfg: SweepConfig, master_seed: int, eps: float, rep: int):
                         eps,
                         cell_rng.child(f"robust/{name}"),
                         hyper=cfg.hyper,
-                        rescale=cfg.rescale,
-                        gamma_scale=cfg.gamma_scale,
                         delta=cfg.delta,
                         slack=cfg.slack,
                         bound_mode=cfg.bound_mode,

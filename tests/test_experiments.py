@@ -25,6 +25,7 @@ from robustgmm import (
     gen_synthetic_hte,
     hte_design,
     load_csv,
+    robust_linear_estimate,
     run_sweep,
     save_dataset_csv,
     scalar_treatment_design,
@@ -325,6 +326,12 @@ def test_derive_hyperparams_contract(rng):
     assert hp.sched == RadiusSchedule.practice()
     clamped = derive_hyperparams(data, 0.7, rng)
     assert clamped.eps == 0.499
+
+
+def test_robust_estimate_rejects_unknown_model_kind(rng):
+    data, _ = make_linear_dataset(seed=21, n=50, d=2)
+    with pytest.raises(ValueError, match="model_kind must be 'linear' or 'logistic'"):
+        robust_linear_estimate(data, 0.1, rng, model_kind="probit")
 
 
 # ---------------------------------------------------------------------------
