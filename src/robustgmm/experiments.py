@@ -77,9 +77,10 @@ PRACTICE_SLACK = 2.0
 
 # The plug-in learner tolerance keeps the sqrt(eps) scaling of the default
 # criticality rate sigma * L**1.5 * sqrt(eps) at a tenth of its size, for
-# tighter learner stops. The practice stop in gmm_sever is usually tighter
-# still: at 1 or 10 times the rate, 2 of the 20 desk sweep cells move and
-# none of the 30 semi sweep cells do.
+# tighter learner stops. gmm_sever's practice mode stops at the tighter of
+# this and its own PRACTICE_LEARNER_TOL level, so the factor rarely binds:
+# at 1 or 10 times the rate, 2 of the 20 cells of the committed desk sweep
+# move and none of the 30 semi sweep cells do.
 PLUGIN_GAMMA_SCALE = 0.1
 
 
