@@ -426,7 +426,6 @@ _DIAGNOSE_SPEC = {
     "input": None,
     "model": "linear",
     "intercept": "true",
-    "n_directions": "200",
     **_COLUMN_KEYS,
 }
 
@@ -441,17 +440,7 @@ def cmd_diagnose(args) -> int:
         w_ref = two_stage_least_squares(design)
     except EstimationError:
         w_ref = np.zeros(design.d)
-    rng = RandomSource(_parse_int(resolved["seed"], "seed"))
-    try:
-        diag = diagnose_assumptions(
-            model,
-            ActiveSet.full(design.n),
-            w_ref,
-            rng=rng.child("diagnose"),
-            n_directions=_parse_int(resolved["n_directions"], "n_directions"),
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    diag = diagnose_assumptions(model, ActiveSet.full(design.n), w_ref)
     lines = [f"n={design.n}", f"d={design.d}", f"p={design.p}"]
     lines.append(f"w_ref={','.join(format_float(v) for v in w_ref)}")
     lines.extend(f"{key}={format_float(diag[key])}" for key in sorted(diag))

@@ -3,10 +3,10 @@
 Everything downstream (filtering, the sever loop, the experiment harness)
 speaks in terms of these types: an immutable `Dataset`, an `ActiveSet` of
 surviving sample indices, `HyperParams` bundling the problem constants,
-and `MomentModel`, the batched moment/Jacobian contract. Its five kernels
-(`moments`, `residuals`, `jacobian_dot`, `mean_jacobian_over` and
-`jacobian_bilinear`) each take an index array, and a single sample i is
-the batch `idx=np.array([i])`. Both shipped models are single-index,
+and `MomentModel`, the batched moment/Jacobian contract. Its four kernels
+(`moments`, `residuals`, `jacobian_dot` and `mean_jacobian_over`) each
+take an index array, and a single sample i is the batch
+`idx=np.array([i])`. Both shipped models are single-index,
 g_i(w) = Z_i (Y_i - f(X_i . w)): `models.SingleIndexIVModel` writes the
 kernels once, so a new link is two methods.
 """
@@ -237,7 +237,9 @@ class EstimateReport:
 
     radius_trace  : tuple of (outer round, radius); the last entry is the
                     candidate radius that triggered termination.
-    filter_events : tuple of (outer round, filter kind, removed count).
+    filter_events : tuple of (outer round, filter kind, removed count) for
+                    every pass that removed rows; kind is "response" (the
+                    practice residual screen), "jacobian" or "moment".
     diagnostics   : named scalar checks (degeneracy flags, precondition
                     values, learner convergence counters, ...).
     """
@@ -283,16 +285,6 @@ class MomentModel(ABC):
     @abstractmethod
     def mean_jacobian_over(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
         """(1/len(idx)) sum of d g_i / d w, shape (moment_dim, param_dim)."""
-
-    @abstractmethod
-    def jacobian_bilinear(
-        self, idx: np.ndarray, w: np.ndarray, U: np.ndarray, V: np.ndarray
-    ) -> np.ndarray:
-        """Entries U[k] . (d g_i / d w) V[k], shape (len(U), len(idx)).
-
-        U is (K, moment_dim) and V is (K, param_dim); one row pair per
-        direction, without forming the per-sample Jacobian tensor.
-        """
 
 
 def _check_active(model: MomentModel, S: ActiveSet) -> np.ndarray:

@@ -28,7 +28,6 @@ from .core import (
     mean_jacobian,
 )
 from .models import (
-    LinearIVModel,
     hte_design,
     logistic,
     model_class,
@@ -359,111 +358,82 @@ def dataset_columns(data: Dataset) -> Mapping:
 # diagnostics and the plug-in hyperparameter rule
 
 
-# Directions evaluated per blocked kernel call in diagnose_assumptions: a
-# block of K directions holds a few (K, n) arrays, so 8 keeps the memory
-# peak near the single-direction loop's at the speed of larger blocks.
-_DIAGNOSE_BLOCK = 8
+def _top_eigenpair(sym: np.ndarray):
+    """Largest eigenvalue of a symmetric matrix and a unit eigenvector for it."""
+    evals, evecs = np.linalg.eigh(sym)
+    return float(evals[-1]), evecs[:, -1]
 
 
-def _sorted_row_medians(s: np.ndarray) -> np.ndarray:
-    """np.median along axis 1 of an array whose rows are already sorted."""
-    half = s.shape[1] // 2
-    if s.shape[1] % 2:
-        return s[:, half]
-    return (s[:, half - 1] + s[:, half]) / 2.0
-
-
-def diagnose_assumptions(
-    model,
-    S: ActiveSet,
-    w_ref: np.ndarray,
-    rng: Optional[RandomSource] = None,
-    n_directions: int = 200,
-) -> dict:
+def diagnose_assumptions(model, S: ActiveSet, w_ref: np.ndarray) -> dict:
     """Empirical analogues of the identification and regularity constants.
 
     jacobian_sigma_min          smallest singular value of the mean Jacobian
-    jacobian_second_moment_sup  sup over sampled unit (u, v) of
+    jacobian_second_moment_sup  sup over unit (u, v) of
                                 E_S (u . grad g_i v)^2   (an L^2 analogue)
-    noise_second_moment_sup     sup over sampled unit u of E_S (u . g_i)^2
-                                (a sigma^2 L analogue)
-    noise_second_moment_robust  same, MAD-based so outliers do not inflate it
+    noise_second_moment_sup     sup over unit u of E_S (u . g_i)^2, the top
+                                eigenvalue of E_S g g^T  (a sigma^2 L analogue)
+    noise_second_moment_robust  (1.4826 MAD of the residuals)^2 times the top
+                                eigenvalue of E_S Z Z^T, so outliers do not
+                                inflate it
     moment_norm                 || E_S g(w_ref) ||
 
-    The n_directions pairs (u, v) come from one rng.normal((n_directions,
-    p + d)) draw, which is the same stream, in the same order, as drawing
-    u then v per direction. They are evaluated in blocks of 8 directions:
-    model.jacobian_bilinear gives the Jacobian terms and one (block, |S|)
-    product gives the moment projections.
-    Raises ValueError when n_directions < 1, since no direction means no
-    sup.
+    model is single-index, so grad g_i = -s_i x_i^T with s_i its
+    sloped_instruments row and the Jacobian sup is that of
+    E_S (u . s_i)^2 (x_i . v)^2. It is climbed by alternating exact steps,
+    each the top eigenvector of a weighted Gram matrix: v for the current
+    u, then u for that v. Each step can only raise the value, so the
+    ascent starts from the top eigenvector of E_S s s^T and stops once a
+    step gains less than 1e-10 relative.
     """
-    if n_directions < 1:
-        raise ValueError(f"n_directions must be at least 1, got {n_directions}")
-    rng = rng if rng is not None else RandomSource(0x00D1A6)
     w_ref = np.asarray(w_ref, dtype=np.float64)
     idx = S.indices
+    n = len(idx)
     J = mean_jacobian(model, S, w_ref)
     svals = np.linalg.svd(J, compute_uv=False)
     g = model.moments(idx, w_ref)
 
-    p = model.moment_dim
-    draws = rng.normal((n_directions, p + model.param_dim))
-    U, V = draws[:, :p], draws[:, p:]
-    U /= np.linalg.norm(U, axis=1, keepdims=True)
-    V /= np.linalg.norm(V, axis=1, keepdims=True)
-
+    s = model.sloped_instruments(idx, w_ref)
+    X = model.data.X[idx]
+    _, u = _top_eigenpair(s.T @ s / n)
     jac_sup = 0.0
-    noise_sup = 0.0
-    noise_rob = 0.0
-    for start in range(0, n_directions, _DIAGNOSE_BLOCK):
-        Ub = U[start : start + _DIAGNOSE_BLOCK]
-        Vb = V[start : start + _DIAGNOSE_BLOCK]
-        # Work in place so that a block holds one (K, |S|) array at a time;
-        # the median absolute deviation ignores row order, so both medians
-        # can sort proj itself.
-        jac = model.jacobian_bilinear(idx, w_ref, Ub, Vb)
-        jac_sup = max(jac_sup, float(np.mean(np.square(jac, out=jac), axis=1).max()))
-        del jac
-        proj = Ub @ g.T
-        noise_sup = max(noise_sup, float(np.mean(proj * proj, axis=1).max()))
-        proj.sort(axis=1)
-        med = _sorted_row_medians(proj)
-        proj -= med[:, None]
-        np.abs(proj, out=proj)
-        proj.sort(axis=1)
-        mad = _sorted_row_medians(proj)
-        noise_rob = max(noise_rob, float(((1.4826 * mad) ** 2).max()))
+    while True:
+        _, v = _top_eigenpair((X * np.square(s @ u)[:, None]).T @ X / n)
+        top, u = _top_eigenpair((s * np.square(X @ v)[:, None]).T @ s / n)
+        gain = top - jac_sup
+        jac_sup = max(jac_sup, top)
+        if gain <= 1e-10 * jac_sup:
+            break
 
+    r = model.residuals(idx, w_ref)
+    mad = float(np.median(np.abs(r - np.median(r))))
+    Z = model.data.Z[idx]
     return {
         "jacobian_sigma_min": float(svals[-1]),
         "jacobian_second_moment_sup": jac_sup,
-        "noise_second_moment_sup": noise_sup,
-        "noise_second_moment_robust": noise_rob,
+        "noise_second_moment_sup": _top_eigenpair(g.T @ g / n)[0],
+        "noise_second_moment_robust": (1.4826 * mad) ** 2
+        * _top_eigenpair(Z.T @ Z / n)[0],
         "moment_norm": float(np.linalg.norm(g.mean(axis=0))),
     }
 
 
-def derive_hyperparams(
-    design: Dataset,
-    eps: float,
-    rng: RandomSource,
-    delta: float = 0.05,
-) -> HyperParams:
-    """Plug-in hyperparameters from diagnostics on the (corrupted) design.
+def derive_hyperparams(model, eps: float, delta: float = 0.05) -> HyperParams:
+    """Plug-in hyperparameters from diagnostics of the model being fit.
 
+    model is the single-index model on the (corrupted, rescaled) design,
+    so a logistic fit gets logistic constants. The reference point is the
+    classical IV estimate of model.data (zero when it is undefined).
     Safety factors: x2 on L, /2 on lam. The noise scale uses the MAD-based
     diagnostic so planted outliers cannot inflate it, the search radius
     is four times the classical IV estimate's norm, and gamma is
     PLUGIN_GAMMA_SCALE times the default criticality rate.
     """
-    model = LinearIVModel(design)
-    S = ActiveSet.full(design.n)
+    design = model.data
     try:
         w_ref = two_stage_least_squares(design)
     except EstimationError:
         w_ref = np.zeros(design.d)
-    diag = diagnose_assumptions(model, S, w_ref, rng=rng)
+    diag = diagnose_assumptions(model, ActiveSet.full(design.n), w_ref)
 
     L = 2.0 * math.sqrt(max(diag["jacobian_second_moment_sup"], 1e-300))
     lam = max(0.5 * diag["jacobian_sigma_min"], 1e-8 * max(L, 1.0))
@@ -574,9 +544,10 @@ def robust_linear_estimate(
     wx = _block_transform(design.X)
     wz = _block_transform(design.Z)
     scaled = Dataset(X=design.X @ wx, Y=design.Y, Z=design.Z @ wz, T=design.T)
-    hp = derive_hyperparams(scaled, eps, rng.child("hp"), delta=delta)
+    model = make_model(scaled)
+    hp = derive_hyperparams(model, eps, delta=delta)
     report = iterated_gmm_sever(
-        make_model(scaled), hp, rng.child("est"), slack=slack, bound_mode=bound_mode
+        model, hp, rng.child("est"), slack=slack, bound_mode=bound_mode
     )
     return wx @ report.w_hat, report
 

@@ -1,7 +1,7 @@
 """Instrumental-variable moment models and classical baseline estimators.
 
 The robust stack only sees the MomentModel interface. Both shipped models
-are single-index: SingleIndexIVModel writes the five kernels once for
+are single-index: SingleIndexIVModel writes the four kernels once for
 g_i(w) = Z_i (Y_i - f(X_i . w)), and linear IV and logistic IV each supply
 only the link f and the slope-weighted instruments f'(X_i . w) Z_i, so a
 new link is two methods. Heterogeneous treatment effects are linear IV on
@@ -49,7 +49,7 @@ class SingleIndexIVModel(MomentModel):
     """Moments g_i(w) = Z_i (Y_i - f(X_i . w)) for a link f.
 
     The per-sample Jacobian is the rank-one -f'(X_i . w) Z_i X_i^T, so all
-    five kernels follow from two pieces a subclass supplies: the link f
+    four kernels follow from two pieces a subclass supplies: the link f
     and the slope-weighted instrument rows f'(X_i . w) Z_i. No kernel calls
     another kernel, so one call evaluates X[idx] @ w at most once.
     """
@@ -91,11 +91,6 @@ class SingleIndexIVModel(MomentModel):
 
     def mean_jacobian_over(self, idx, w):
         return -(self.sloped_instruments(idx, w).T @ self.data.X[idx]) / len(idx)
-
-    def jacobian_bilinear(self, idx, w, U, V):
-        out = U @ self.sloped_instruments(idx, w).T
-        out *= V @ self.data.X[idx].T
-        return np.negative(out, out=out)
 
 
 class LinearIVModel(SingleIndexIVModel):

@@ -84,8 +84,10 @@ class SeverResult:
     """One sever run: estimate, surviving samples, and per-round filter log.
 
     events is a tuple of (round, kind, removed, mean_score) with kind in
-    {"jacobian", "moment"}; learner_flags records tolerance_met per learner
-    call, in order.
+    {"response", "jacobian", "moment"}; a "response" event is the practice
+    residual screen, always round 0, and its last field is the largest
+    residual deviation in MADs. learner_flags records tolerance_met per
+    learner call, in order.
     """
 
     w: np.ndarray

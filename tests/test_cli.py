@@ -1,3 +1,4 @@
+import itertools
 import math
 from pathlib import Path
 
@@ -266,7 +267,19 @@ def test_committed_results_reproduce(tmp_path, monkeypatch):
         assert main(argv + ["--out", str(tmp_path / f"{stem}.csv")]) == 0
         for name in (f"{stem}.csv", f"{stem}.agg.csv"):
             committed = (REPO_ROOT / "results" / name).read_bytes()
-            assert (tmp_path / name).read_bytes() == committed, name
+            got = (tmp_path / name).read_bytes()
+            assert got == committed, f"results/{name}: {first_difference(got, committed)}"
+
+
+def first_difference(got: bytes, want: bytes) -> str:
+    """The first line, 1-based with its line ending, where got and want differ."""
+    pairs = itertools.zip_longest(
+        got.splitlines(keepends=True), want.splitlines(keepends=True)
+    )
+    for lineno, (a, b) in enumerate(pairs, start=1):
+        if a != b:
+            return f"line {lineno} reads {a!r}, committed {b!r}"
+    return "no line differs"
 
 
 def test_semi_sweep_requires_input(tmp_path, capsys):
@@ -325,7 +338,7 @@ def test_diagnose_rejects_no_directions(linear_csv, tmp_path, capsys):
          "--set", f"input={path}", "--set", "n_directions=0", *COLS]
     )
     assert code == 1
-    assert "n_directions" in capsys.readouterr().err
+    assert "unknown config key 'n_directions'" in capsys.readouterr().err
 
 
 def test_selfcheck_all_pass(capsys):

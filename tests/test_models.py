@@ -121,11 +121,6 @@ def test_batched_paths_match_per_sample(cls, rng):
     np.testing.assert_allclose(
         m.mean_jacobian_over(idx, w), np.mean(jacs, axis=0), atol=1e-14
     )
-    U, V = rng.normal((3, 4)), rng.normal((3, 3))
-    bilinear = [[U[k] @ jac @ V[k] for jac in jacs] for k in range(3)]
-    np.testing.assert_allclose(
-        m.jacobian_bilinear(idx, w, U, V), np.array(bilinear), atol=1e-13
-    )
     if cls is LinearIVModel:
         # the batched linear kernels keep these exact operation orders, which
         # the committed results/*.csv depend on bit for bit
@@ -135,7 +130,6 @@ def test_batched_paths_match_per_sample(cls, rng):
         assert_equal(m.moments(idx, w), Z * (Y - X @ w)[:, None])
         assert_equal(m.jacobian_dot(idx, w, u), -X * (Z @ u)[:, None])
         assert_equal(m.mean_jacobian_over(idx, w), -(Z.T @ X) / len(idx))
-        assert_equal(m.jacobian_bilinear(idx, w, U, V), -((U @ Z.T) * (V @ X.T)))
 
 
 def build_fd_models():
