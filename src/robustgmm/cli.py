@@ -422,7 +422,6 @@ def cmd_semi_sweep(args) -> int:
 
 
 _DIAGNOSE_SPEC = {
-    "seed": "0",
     "input": None,
     "model": "linear",
     "intercept": "true",

@@ -373,17 +373,19 @@ def diagnose_assumptions(model, S: ActiveSet, w_ref: np.ndarray) -> dict:
     noise_second_moment_sup     sup over unit u of E_S (u . g_i)^2, the top
                                 eigenvalue of E_S g g^T  (a sigma^2 L analogue)
     noise_second_moment_robust  (1.4826 MAD of the residuals)^2 times the top
-                                eigenvalue of E_S Z Z^T, so outliers do not
-                                inflate it
+                                eigenvalue of E_S Z Z^T, so response outliers
+                                do not inflate it (outliers in Z still can)
     moment_norm                 || E_S g(w_ref) ||
 
     model is single-index, so grad g_i = -s_i x_i^T with s_i its
     sloped_instruments row and the Jacobian sup is that of
-    E_S (u . s_i)^2 (x_i . v)^2. It is climbed by alternating exact steps,
-    each the top eigenvector of a weighted Gram matrix: v for the current
-    u, then u for that v. Each step can only raise the value, so the
-    ascent starts from the top eigenvector of E_S s s^T and stops once a
-    step gains less than 1e-10 relative.
+    E_S (u . s_i)^2 (x_i . v)^2. It is climbed by a deterministic ascent
+    of alternating steps, each the top eigenvector of a weighted Gram
+    matrix: v for the current u, then u for that v. Each step can only
+    raise the value, so the ascent starts from the top eigenvector of
+    E_S s s^T and stops once a step gains less than 1e-10 relative. It
+    ends at a local maximum from that one start, so the value is a lower
+    bound on the sup, not a certified global one.
     """
     w_ref = np.asarray(w_ref, dtype=np.float64)
     idx = S.indices
@@ -424,7 +426,7 @@ def derive_hyperparams(model, eps: float, delta: float = 0.05) -> HyperParams:
     so a logistic fit gets logistic constants. The reference point is the
     classical IV estimate of model.data (zero when it is undefined).
     Safety factors: x2 on L, /2 on lam. The noise scale uses the MAD-based
-    diagnostic so planted outliers cannot inflate it, the search radius
+    diagnostic so response outliers cannot inflate it, the search radius
     is four times the classical IV estimate's norm, and gamma is
     PLUGIN_GAMMA_SCALE times the default criticality rate.
     """

@@ -341,6 +341,17 @@ def test_diagnose_rejects_no_directions(linear_csv, tmp_path, capsys):
     assert "unknown config key 'n_directions'" in capsys.readouterr().err
 
 
+def test_diagnose_rejects_seed_key(linear_csv, tmp_path, capsys):
+    # diagnose draws no random numbers, so seed is not one of its keys
+    path, _, _ = linear_csv
+    code = main(
+        ["diagnose", "--out", str(tmp_path / "diag.out"),
+         "--set", f"input={path}", "--set", "seed=abc", *COLS]
+    )
+    assert code == 1
+    assert "unknown config key 'seed'" in capsys.readouterr().err
+
+
 def test_selfcheck_all_pass(capsys):
     assert main(["selfcheck"]) == 0
     out_lines = capsys.readouterr().out.strip().splitlines()
