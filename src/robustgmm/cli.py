@@ -474,7 +474,7 @@ def _check_jacobians(rng: RandomSource) -> bool:
 
 
 def _check_top_eigenvector(rng: RandomSource) -> bool:
-    v, mu = top_eigenvector(np.array([[2.0, 1.0], [1.0, 2.0]]), rng)
+    v, mu = top_eigenvector(np.array([[2.0, 1.0], [1.0, 2.0]]))
     return abs(mu - 3.0) < 1e-8 and abs(abs(v @ np.array([1.0, 1.0]) / math.sqrt(2)) - 1.0) < 1e-6
 
 

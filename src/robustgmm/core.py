@@ -6,9 +6,12 @@ surviving sample indices, `HyperParams` bundling the problem constants,
 and `MomentModel`, the batched moment/Jacobian contract. Its four kernels
 (`moments`, `residuals`, `jacobian_dot` and `mean_jacobian_over`) each
 take an index array, and a single sample i is the batch
-`idx=np.array([i])`. Both shipped models are single-index,
-g_i(w) = Z_i (Y_i - f(X_i . w)): `models.SingleIndexIVModel` writes the
-kernels once, so a new link is two methods.
+`idx=np.array([i])`. The class attribute `affine` marks models whose
+moments are affine in w (linear IV), for which the sever learner evaluates
+its objective from sufficient statistics built once per call. Both shipped
+models are single-index, g_i(w) = Z_i (Y_i - f(X_i . w)):
+`models.SingleIndexIVModel` writes the kernels once, so a new link is two
+methods.
 """
 
 from __future__ import annotations
@@ -256,7 +259,13 @@ class MomentModel(ABC):
 
     Every hook takes an integer array idx of sample indices; one sample i
     is the batch np.array([i]).
+
+    affine : every g_i is affine in w, so the mean Jacobian does not depend
+             on w. The sever learner then evaluates its objective from the
+             mean moment at 0 and the mean Jacobian, built once per call.
     """
+
+    affine: bool = False
 
     @property
     @abstractmethod

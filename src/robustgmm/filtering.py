@@ -1,12 +1,13 @@
 """Randomized spectral outlier filter.
 
 One pass scores every active sample by its squared projection onto the top
-covariance direction and, only when the average score exceeds a slack
-multiple of the caller's variance bound, removes the samples above a
-uniformly drawn threshold. Ties at the threshold are kept; the comparison
-is strict. Because the threshold is uniform on [0, max score), the expected
-removed mass is biased toward genuine outliers, which is what makes repeated
-application safe for the good samples.
+covariance direction, found by an exact eigendecomposition, and, only when
+the average score exceeds a slack multiple of the caller's variance bound,
+removes the samples above a uniformly drawn threshold. Ties at the
+threshold are kept; the comparison is strict. Because the threshold is
+uniform on [0, max score), the expected removed mass is biased toward
+genuine outliers, which is what makes repeated application safe for the
+good samples.
 """
 
 from __future__ import annotations
@@ -112,7 +113,12 @@ def spectral_filter(
         raise ValueError("slack must be positive")
 
     mean, cov = sample_mean_cov(vals)
-    direction, _ = top_eigenvector(cov, rng)
+    # The direction was once found by a power iteration that drew its start
+    # vector here. The draw is kept so that the threshold below stays at the
+    # same place in the stream: every seeded result, and the acceptance
+    # battery, stay as they were.
+    rng.normal(vals.shape[1])
+    direction, _ = top_eigenvector(cov)
     scores = (vals - mean) @ direction
     scores = scores * scores
     mean_score = float(scores.mean())

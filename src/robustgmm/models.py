@@ -96,6 +96,8 @@ class SingleIndexIVModel(MomentModel):
 class LinearIVModel(SingleIndexIVModel):
     """Identity link: g_i(w) = Z_i (Y_i - X_i . w), Jacobian -Z_i X_i^T."""
 
+    affine = True
+
     def link(self, t):
         return t
 

@@ -1,5 +1,9 @@
 """Deterministic randomness, covariance kernels, and the constrained learner.
 
+The top eigenpair of a covariance comes from one dense eigh call: the
+matrices here are k x k with k the moment or parameter dimension, where an
+exact solve is cheaper than any iteration and has no convergence tolerance.
+
 The learner is a spectral projected-gradient method: Barzilai-Borwein step
 seeding with an Armijo backtracking safeguard and radial projection onto the
 feasible ball. It only promises an approximate critical point (criticality
@@ -83,12 +87,12 @@ def sample_mean_cov(values: np.ndarray):
     return mean, cov
 
 
-def top_eigenvector(A: np.ndarray, rng: RandomSource, max_iter: int = 1000):
-    """Leading eigenpair of a symmetric PSD matrix by power iteration.
+def top_eigenvector(A: np.ndarray):
+    """Leading eigenpair of a symmetric matrix by a dense eigendecomposition.
 
-    Returns (unit vector, Rayleigh quotient). Stops when successive Rayleigh
-    quotients agree to 1e-12 * trace(A). A matrix of exact zeros returns the
-    first standard basis vector with eigenvalue 0.
+    Returns (unit vector, largest eigenvalue) from np.linalg.eigh; the
+    vector's sign is whatever eigh returns. A matrix of exact zeros returns
+    the first standard basis vector with eigenvalue 0.
     """
     A = np.asarray(A, dtype=np.float64)
     k = A.shape[0]
@@ -98,37 +102,12 @@ def top_eigenvector(A: np.ndarray, rng: RandomSource, max_iter: int = 1000):
     asym = float(np.abs(A - A.T).max()) if A.size else 0.0
     if asym > 1e-10 * max(1.0, scale):
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    A = 0.5 * (A + A.T)
-    e1 = np.zeros(k)
-    e1[0] = 1.0
     if scale == 0.0:
+        e1 = np.zeros(k)
+        e1[0] = 1.0
         return e1, 0.0
-    trace = float(np.trace(A))
-    tol = 1e-12 * max(trace, np.finfo(np.float64).tiny)
-
-    v = rng.normal(k)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:  # astronomically unlikely; any deterministic start works
-        v = e1.copy()
-        nv = 1.0
-    v = v / nv
-    mu = float(v @ (A @ v))
-    for _ in range(max_iter):
-        w = A @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # start vector fell exactly in the nullspace; restart
-            v = rng.normal(k)
-            v = v / np.linalg.norm(v)
-            mu = float(v @ (A @ v))
-            continue
-        v = w / nw
-        mu_new = float(v @ (A @ v))
-        if abs(mu_new - mu) < tol:
-            mu = mu_new
-            break
-        mu = mu_new
-    return v, mu
+    vals, vecs = np.linalg.eigh(0.5 * (A + A.T))
+    return vecs[:, -1], float(vals[-1])
 
 
 @dataclass

@@ -98,8 +98,24 @@ class SeverResult:
 
 
 def _moment_objective(model: MomentModel, S: ActiveSet):
-    """f(w) = ||E_S g(w)||^2 with gradient 2 (E_S grad g)^T (E_S g)."""
+    """f(w) = ||E_S g(w)||^2 with gradient 2 (E_S grad g)^T (E_S g).
+
+    For an affine model E_S g(w) = u0 + J w, with u0 = E_S g(0) and J the
+    constant mean Jacobian; both are built here once, so an evaluation
+    costs O(pd) rather than a pass over the active rows.
+    """
     idx = S.indices
+
+    if model.affine:
+        zero = np.zeros(model.param_dim)
+        u0 = model.moments(idx, zero).mean(axis=0)
+        J = model.mean_jacobian_over(idx, zero)
+
+        def objective_grad(w: np.ndarray):
+            u = u0 + J @ w
+            return float(u @ u), 2.0 * (J.T @ u)
+
+        return objective_grad
 
     def objective_grad(w: np.ndarray):
         u = model.moments(idx, w).mean(axis=0)

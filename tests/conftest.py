@@ -7,10 +7,10 @@ from robustgmm import Dataset, RandomSource
 class ForcedUniform(RandomSource):
     """RandomSource whose scalar uniform draws are pinned to a constant.
 
-    The spectral filter consumes normals (power-iteration start) and then a
-    single uniform (the removal threshold fraction); pinning the uniform
-    makes the removal set exactly predictable while the eigenvector search
-    stays honest.
+    The spectral filter consumes k normals (kept so the stream matches the
+    former power-iteration start) and then a single uniform (the removal
+    threshold fraction); pinning the uniform makes the removal set exactly
+    predictable.
     """
 
     def __init__(self, seed: int, forced: float):

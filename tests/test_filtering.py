@@ -77,6 +77,23 @@ def test_argmax_always_removed_when_fired(rng):
     assert 40 in out.removed.indices.tolist()
 
 
+def test_fired_threshold_and_direction_are_pinned():
+    # the filter draws k normals, then one uniform for the threshold fraction
+    src = RandomSource(77)
+    vals = np.vstack([src.normal((40, 3)) * 0.1, [[5.0, 2.0, -1.0]]])
+    out = spectral_filter(vals, ActiveSet(np.arange(41)), 1e-6, src.child("f"), slack=1.0)
+    assert out.threshold is not None
+
+    mean = vals.mean(axis=0)
+    cov = (vals - mean).T @ (vals - mean) / len(vals)
+    top = np.linalg.eigh(cov)[1][:, -1]
+    assert min(np.linalg.norm(out.direction - top), np.linalg.norm(out.direction + top)) <= 1e-12
+    scores = ((vals - mean) @ top) ** 2
+    c = src.child("f")
+    c.normal(3)
+    assert out.threshold == pytest.approx(c.uniform() * scores.max(), rel=1e-12)
+
+
 def test_no_removal_is_stable_under_repetition(rng):
     vals = rng.normal((50, 4))
     active = ActiveSet(np.arange(50))

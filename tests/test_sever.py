@@ -11,11 +11,15 @@ from robustgmm import (
     FilterExhaustedError,
     HyperParams,
     LinearIVModel,
+    LogisticIVModel,
     RandomSource,
     SeverResult,
     amplified_gmm_sever,
     corrupt_negation,
+    finite_diff_jacobian,
+    gen_synthetic_hte,
     gmm_sever,
+    hte_design,
     iterated_gmm_sever,
     load_csv,
     robust_linear_estimate,
@@ -50,6 +54,54 @@ def tiny_norm_data(seed=11, n=30):
 
 
 TRACE_HP = dict(eps=0.01, lam=1.0, L=1.0, sigma=0.5, R0=10.0, gamma=0.01)
+
+
+# ---------------------------------------------------------------------------
+# _moment_objective
+
+
+LINEAR_DESIGNS = {
+    "hte": hte_design,
+    "hte-full": lambda data: hte_design(data, "full"),
+    "scalar": scalar_treatment_design,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("design", sorted(LINEAR_DESIGNS))
+def test_affine_objective_matches_kernels(design, seed):
+    src = RandomSource(seed)
+    data, _ = gen_synthetic_hte(200, 3, src.child("data"))
+    model = LinearIVModel(LINEAR_DESIGNS[design](data))
+    assert model.affine
+    n = model.n_samples
+    sets = {
+        "full": ActiveSet.full(n),
+        "subset": ActiveSet(src.subset(n, 120)),
+        "one-row": ActiveSet(np.array([int(src.integers(0, n))])),
+    }
+    for name, S in sets.items():
+        fn = sever_mod._moment_objective(model, S)
+        for k in range(3):
+            w = src.child(f"w-{name}-{k}").normal(model.param_dim)
+            u = model.moments(S.indices, w).mean(axis=0)
+            grad = 2.0 * (model.mean_jacobian_over(S.indices, w).T @ u)
+            f_got, grad_got = fn(w)
+            assert abs(f_got - u @ u) <= 1e-12 * (u @ u), name
+            assert np.linalg.norm(grad_got - grad) <= 1e-12 * np.linalg.norm(grad), name
+
+
+def test_logistic_objective_keeps_kernel_path():
+    data, _ = make_linear_dataset(seed=4, n=150, d=3, noise=0.5)
+    model = LogisticIVModel(data)
+    assert not model.affine
+    S = ActiveSet(RandomSource(4).subset(150, 100))
+    fn = sever_mod._moment_objective(model, S)
+    for k in range(3):
+        w = RandomSource(k).normal(3) * 0.5
+        _, grad = fn(w)
+        fd = finite_diff_jacobian(lambda v: fn(v)[0], w, 1e-6)
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
