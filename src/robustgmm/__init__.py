@@ -28,7 +28,6 @@ from .core import (
 from .experiments import (
     CARD_STANDIN_COLUMNS,
     ESTIMATOR_NAMES,
-    PRACTICE_SLACK,
     SweepConfig,
     SweepRow,
     aggregate_rows,
@@ -75,6 +74,7 @@ from .sever import (
     PRACTICE_JAC_SLACK_FACTOR,
     PRACTICE_LEARNER_TOL,
     PRACTICE_RESPONSE_CAP,
+    PRACTICE_SLACK,
     SeverResult,
     amplified_gmm_sever,
     gmm_sever,
@@ -99,10 +99,10 @@ __all__ = [
     "LinearIVModel",
     "LogisticIVModel",
     "MomentModel",
-    "PRACTICE_SLACK",
     "PRACTICE_JAC_SLACK_FACTOR",
     "PRACTICE_LEARNER_TOL",
     "PRACTICE_RESPONSE_CAP",
+    "PRACTICE_SLACK",
     "RadiusSchedule",
     "RandomSource",
     "SeverResult",

@@ -26,7 +26,6 @@ from .core import (
 from .experiments import (
     CARD_STANDIN_COLUMNS,
     ESTIMATOR_NAMES,
-    PRACTICE_SLACK,
     SweepConfig,
     aggregate_rows,
     corrupt_negation,
@@ -162,8 +161,6 @@ _HYPER_KEYS = {
     "R0": "",
     "c1": "4.0",
     "c2": "2.0",
-    "slack": f"{PRACTICE_SLACK:g}",
-    "bound_mode": "",  # empty: practice for plugin hyper, theory for fixed
 }
 
 
@@ -182,15 +179,6 @@ def _require(resolved: dict, key: str) -> str:
     if not value:
         raise ConfigError(f"key {key!r} is required")
     return value
-
-
-def _bound_mode(resolved: dict) -> str:
-    mode = resolved.get("bound_mode", "")
-    if not mode:
-        return "theory" if resolved["hyper"] == "fixed" else "practice"
-    if mode not in ("theory", "practice"):
-        raise ConfigError(f"bound_mode must be 'theory' or 'practice', got {mode!r}")
-    return mode
 
 
 def _fixed_hyperparams(resolved: dict) -> HyperParams:
@@ -273,8 +261,6 @@ def cmd_estimate(args) -> int:
         hyper=_hyper_value(resolved),
         delta=_parse_float(resolved["delta"], "delta"),
         model_kind=solver_kind,
-        slack=_parse_float(resolved["slack"], "slack"),
-        bound_mode=_bound_mode(resolved),
     )
 
     removed = np.setdiff1d(np.arange(design.n), report.final_set.indices)
@@ -346,8 +332,6 @@ def _sweep_common(resolved: dict, kind: str, grid: dict) -> dict:
         "attack": resolved["attack"],
         "hyper": _hyper_value(resolved),
         "delta": _parse_float(resolved["delta"], "delta"),
-        "slack": _parse_float(resolved["slack"], "slack"),
-        "bound_mode": _bound_mode(resolved),
         "stamp_runtime": _parse_bool(resolved["stamp_runtime"]),
     }
 
@@ -487,7 +471,7 @@ def _check_learner_projection(rng: RandomSource) -> bool:
         return float(diff @ diff), 2.0 * diff
 
     prob = CriticalPointProblem(fg, center, 1.0, 1e-9)
-    res = projected_gradient_critical_point(prob, rng)
+    res = projected_gradient_critical_point(prob)
     return bool(np.linalg.norm(res.x - a / 5.0) <= 1e-6)
 
 

@@ -36,10 +36,9 @@ from .models import (
     two_stage_least_squares,
 )
 from .numerics import RandomSource
-from .sever import iterated_gmm_sever
+from .sever import PRACTICE_SLACK, iterated_gmm_sever
 
 __all__ = [
-    "PRACTICE_SLACK",
     "gen_synthetic_hte",
     "gen_card_standin",
     "write_card_standin",
@@ -62,17 +61,6 @@ __all__ = [
 
 ESTIMATOR_NAMES = ("iterated-gmm-sever", "classical-iv", "two-stage-huber")
 _MISSING_MARKERS = {"", "na", "nan", "null"}
-
-# Filter slack used by the plug-in experiment pipeline, which runs the
-# sever loop with bound_mode="practice": each pass compares the variance
-# along its top direction (the top covariance eigenvalue) against the mean
-# of the remaining eigenvalues, so slack is the tolerated top-to-bulk
-# spectral ratio before samples are removed. Clean designs stay near 1.4
-# on raw moments even with heavy tails, while planted corruptions at
-# eps >= 0.05 push the ratio past 4; 2.0 leaves a 1.4x clean margin and
-# removes measurably more of the planted mass at high eps than looser
-# settings.
-PRACTICE_SLACK = 2.0
 
 # The plug-in learner tolerance keeps the sqrt(eps) scaling of the default
 # criticality rate sigma * L**1.5 * sqrt(eps) at a tenth of its size, for
@@ -511,8 +499,6 @@ def robust_linear_estimate(
     hyper: Union[HyperParams, str] = "plugin",
     delta: float = 0.05,
     model_kind: str = "linear",
-    slack: float = PRACTICE_SLACK,
-    bound_mode: str = "practice",
 ):
     """Iterated robust GMM fit of a linear or logistic IV design.
 
@@ -526,19 +512,20 @@ def robust_linear_estimate(
     collinear raw columns (a squared term next to its base, an intercept
     next to a binary column) would read as corruption, while whitening a
     well-conditioned block would normalize planted corruption directions
-    away along with the clean structure. The sever loop defaults to the
-    practice bounds because the certified worst-case bounds evaluated at
-    plug-in constants sit far above any realistic score variance and never
-    fire on corruptions of ordinary norm. An explicit HyperParams is taken
-    to describe the raw design and is used as-is, without rescaling.
-    Returns (w, EstimateReport).
+    away along with the clean structure. The plug-in fit runs the practice
+    bounds at PRACTICE_SLACK, because the certified worst-case bounds
+    evaluated at plug-in constants sit far above any realistic score
+    variance and never fire on corruptions of ordinary norm.
+
+    An explicit HyperParams is taken to describe the raw design and is used
+    as-is, without rescaling, under the paper's certified (theory) bounds
+    at FILTER_SLACK. To run either bound policy on other constants, call
+    iterated_gmm_sever directly. Returns (w, EstimateReport).
     """
     make_model = model_class(model_kind)
 
     if isinstance(hyper, HyperParams):
-        report = iterated_gmm_sever(
-            make_model(design), hyper, rng.child("est"), slack=slack, bound_mode=bound_mode
-        )
+        report = iterated_gmm_sever(make_model(design), hyper, rng.child("est"))
         return report.w_hat, report
 
     if hyper != "plugin":
@@ -549,7 +536,7 @@ def robust_linear_estimate(
     model = make_model(scaled)
     hp = derive_hyperparams(model, eps, delta=delta)
     report = iterated_gmm_sever(
-        model, hp, rng.child("est"), slack=slack, bound_mode=bound_mode
+        model, hp, rng.child("est"), slack=PRACTICE_SLACK, bound_mode="practice"
     )
     return wx @ report.w_hat, report
 
@@ -566,7 +553,8 @@ class SweepConfig:
     against the true effect vector; kind "semi" loads a fixed design from
     data_path (or uses an in-memory stand-in when data_path is None at the
     call site) and records the fitted ATE. estimators must be a subset of
-    ESTIMATOR_NAMES. hyper is "plugin" or a fixed HyperParams.
+    ESTIMATOR_NAMES. hyper is "plugin" or a fixed HyperParams, and it also
+    picks the robust estimator's filter bounds (see robust_linear_estimate).
     """
 
     kind: str
@@ -583,8 +571,6 @@ class SweepConfig:
     intercept: bool = True
     hyper: Union[HyperParams, str] = "plugin"
     delta: float = 0.05
-    slack: float = PRACTICE_SLACK
-    bound_mode: str = "practice"
     stamp_runtime: bool = False
 
     def __post_init__(self):
@@ -604,10 +590,6 @@ class SweepConfig:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
         if self.attack not in ("all-ones", "negation", "none"):
             raise ValueError(f"unknown attack {self.attack!r}")
-        if self.bound_mode not in ("theory", "practice"):
-            raise ValueError(
-                f"bound_mode must be 'theory' or 'practice', got {self.bound_mode!r}"
-            )
         if self.kind == "synthetic" and self.attack == "negation":
             raise ValueError("negation attack applies to semi-synthetic designs")
         if self.kind == "semi" and self.attack == "all-ones":
@@ -669,8 +651,6 @@ def _run_cell(cfg: SweepConfig, master_seed: int, eps: float, rep: int):
                         cell_rng.child(f"robust/{name}"),
                         hyper=cfg.hyper,
                         delta=cfg.delta,
-                        slack=cfg.slack,
-                        bound_mode=cfg.bound_mode,
                     )
             if cfg.kind == "synthetic":
                 value = float(np.linalg.norm(w - theta))

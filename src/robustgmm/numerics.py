@@ -182,9 +182,7 @@ def feasible_descent_norm(
     return float(np.linalg.norm(descent))
 
 
-def projected_gradient_critical_point(
-    prob: CriticalPointProblem, rng: RandomSource
-) -> LearnerResult:
+def projected_gradient_critical_point(prob: CriticalPointProblem) -> LearnerResult:
     """Find a gamma-approximate critical point of f over the feasible ball.
 
     Spectral projected gradient: the Barzilai-Borwein quotient seeds the step

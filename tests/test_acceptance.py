@@ -173,7 +173,7 @@ def test_criterion_04_learner_contract():
             return float(diff @ H @ diff), 2.0 * (H @ diff)
 
         prob = CriticalPointProblem(fg, center, radius, gamma)
-        res = projected_gradient_critical_point(prob, sub.child("run"))
+        res = projected_gradient_critical_point(prob)
         assert np.linalg.norm(res.x - center) <= radius + 1e-12
         _, grad = fg(res.x)
         crit = feasible_descent_norm(grad, res.x, center, radius)
@@ -186,15 +186,13 @@ def test_criterion_04_learner_contract():
     interior = projected_gradient_critical_point(
         CriticalPointProblem(
             lambda w: fg_simple(w, np.array([0.2, -0.1])), np.zeros(2), 1.0, 1e-9
-        ),
-        src.child("interior"),
+        )
     )
     interior_err = float(np.linalg.norm(interior.x - [0.2, -0.1]))
     boundary = projected_gradient_critical_point(
         CriticalPointProblem(
             lambda w: fg_simple(w, np.array([3.0, 4.0])), np.zeros(2), 1.0, 1e-9
-        ),
-        src.child("boundary"),
+        )
     )
     boundary_err = float(np.linalg.norm(boundary.x - [0.6, 0.8]))
     ok = worst_excess <= 1e-9 and interior_err <= 1e-6 and boundary_err <= 1e-6

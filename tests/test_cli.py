@@ -144,10 +144,14 @@ def test_estimate_error_exits(linear_csv, tmp_path, capsys):
     assert "expected a number" in capsys.readouterr().err
     assert main(base + ["--set", "eps=0.1", "--set", "mystery=1"]) == 1
     assert "unknown config key" in capsys.readouterr().err
-    # the plug-in path always rescales at a fixed gamma scale: removed keys
-    for removed in ("rescale=false", "gamma_scale=0.2"):
+    # removed keys: the plug-in path always rescales at a fixed gamma scale,
+    # and hyper alone picks the filter bounds and their slack
+    for removed in ("rescale=false", "gamma_scale=0.2", "slack=2", "bound_mode=practice"):
         assert main(base + ["--set", "eps=0.1", "--set", removed]) == 1
         assert "unknown config key" in capsys.readouterr().err
+    sweep = ["synth-sweep", "--out", str(tmp_path / "s.csv"), "--set", "slack=2"]
+    assert main(sweep) == 1
+    assert "unknown config key" in capsys.readouterr().err
     assert main(["estimate", "--set", f"input={path}", "--set", "eps=0.1", *COLS]) == 1
     assert "--out is required" in capsys.readouterr().err
     assert main(["estimate", "--out", str(out), "--set", "eps=0.1"]) == 1

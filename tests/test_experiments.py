@@ -10,6 +10,7 @@ from robustgmm import (
     ActiveSet,
     CARD_STANDIN_COLUMNS,
     Dataset,
+    HyperParams,
     LinearIVModel,
     LogisticIVModel,
     RadiusSchedule,
@@ -24,6 +25,7 @@ from robustgmm import (
     gen_card_standin,
     gen_synthetic_hte,
     hte_design,
+    iterated_gmm_sever,
     load_csv,
     robust_linear_estimate,
     run_sweep,
@@ -398,6 +400,20 @@ def test_robust_estimate_rejects_unknown_model_kind(rng):
         robust_linear_estimate(data, 0.1, rng, model_kind="probit")
 
 
+def test_robust_estimate_fixed_hyper_runs_theory_bounds(rng):
+    # an explicit HyperParams gets the sever defaults: certified bounds at
+    # FILTER_SLACK, the policy the CLI's hyper=fixed also runs
+    data, _ = make_linear_dataset(seed=4, n=200, d=2, noise=0.1)
+    Y = data.Y.copy()
+    Y[[3, 17, 29, 101]] += 50.0
+    design = Dataset(X=data.X, Y=Y, Z=data.Z)
+    hp = HyperParams(eps=0.05, lam=0.3, L=4.0, sigma=1.0, R0=10.0, gamma=1e-6)
+    w, report = robust_linear_estimate(design, 0.05, rng, hyper=hp)
+    want = iterated_gmm_sever(LinearIVModel(design), hp, rng.child("est"))
+    np.testing.assert_array_equal(w, want.w_hat)
+    np.testing.assert_array_equal(report.final_set.indices, want.final_set.indices)
+
+
 # ---------------------------------------------------------------------------
 # block reparameterization
 
@@ -452,8 +468,6 @@ def test_sweep_config_validation():
         SweepConfig(
             kind="semi", eps_grid=(0.1,), repetitions=1, seed=0, attack="all-ones"
         )
-    with pytest.raises(ValueError, match="bound_mode"):
-        SweepConfig(**{**ok, "bound_mode": "loose"})
 
 
 def tiny_synth_config(**overrides):

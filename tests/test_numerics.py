@@ -160,21 +160,21 @@ def quadratic(a):
     return fg
 
 
-def test_learner_interior_minimizer(rng):
+def test_learner_interior_minimizer():
     prob = CriticalPointProblem(quadratic([0.2, -0.3]), np.zeros(2), 1.0, 1e-8)
-    res = projected_gradient_critical_point(prob, rng)
+    res = projected_gradient_critical_point(prob)
     assert res.tolerance_met
     assert np.linalg.norm(res.x - [0.2, -0.3]) <= 1e-6
 
 
-def test_learner_boundary_projection(rng):
+def test_learner_boundary_projection():
     # minimizer (3,4) outside the unit ball projects to (0.6, 0.8)
     prob = CriticalPointProblem(quadratic([3.0, 4.0]), np.zeros(2), 1.0, 1e-9)
-    res = projected_gradient_critical_point(prob, rng)
+    res = projected_gradient_critical_point(prob)
     assert np.linalg.norm(res.x - [0.6, 0.8]) <= 1e-6
 
 
-def test_learner_exactly_identified_gmm_closed_form(rng):
+def test_learner_exactly_identified_gmm_closed_form():
     data, w_true = make_linear_dataset(seed=21, n=60, d=3, noise=0.2)
     model = LinearIVModel(data)
     S = np.arange(60)
@@ -186,31 +186,31 @@ def test_learner_exactly_identified_gmm_closed_form(rng):
     oracle = np.linalg.solve(data.Z.T @ data.X, data.Z.T @ data.Y)
     radius = 2.0 * float(np.linalg.norm(oracle)) + 1.0
     prob = CriticalPointProblem(fg, np.zeros(3), radius, 1e-12)
-    res = projected_gradient_critical_point(prob, rng)
+    res = projected_gradient_critical_point(prob)
     assert np.linalg.norm(res.x - oracle) <= 1e-5
 
 
-def test_learner_zero_radius_returns_center(rng):
+def test_learner_zero_radius_returns_center():
     center = np.array([1.0, 2.0])
     prob = CriticalPointProblem(quadratic([5.0, 5.0]), center, 0.0, 1e-8)
-    res = projected_gradient_critical_point(prob, rng)
+    res = projected_gradient_critical_point(prob)
     np.testing.assert_array_equal(res.x, center)
     assert res.tolerance_met
 
 
-def test_learner_warm_start_is_projected(rng):
+def test_learner_warm_start_is_projected():
     prob = CriticalPointProblem(
         quadratic([0.0, 0.0]), np.zeros(2), 1.0, 1e-8, x0=np.array([10.0, 0.0])
     )
-    res = projected_gradient_critical_point(prob, rng)
+    res = projected_gradient_critical_point(prob)
     assert np.linalg.norm(res.x) <= 1.0 + 1e-12
 
 
-def test_learner_reports_unmet_tolerance(rng):
+def test_learner_reports_unmet_tolerance():
     prob = CriticalPointProblem(
         quadratic([50.0, 0.0]), np.zeros(2), 100.0, 1e-14, max_iters=1
     )
-    res = projected_gradient_critical_point(prob, rng)
+    res = projected_gradient_critical_point(prob)
     assert not res.tolerance_met
     assert np.linalg.norm(res.x) <= 100.0 + 1e-12
 
@@ -225,7 +225,7 @@ def test_learner_always_feasible_and_critical_on_quadratics(seed):
     radius = 0.5 + 2.0 * float(src.uniform())
     gamma = 1e-7
     prob = CriticalPointProblem(quadratic(a), center, radius, gamma)
-    res = projected_gradient_critical_point(prob, src.child("learn"))
+    res = projected_gradient_critical_point(prob)
     assert np.linalg.norm(res.x - center) <= radius + 1e-12
     _, grad = quadratic(a)(res.x)
     assert feasible_descent_norm(grad, res.x, center, radius) <= gamma * (1 + 1e-9)
