@@ -2,13 +2,14 @@
 
 Under eps-strong contamination (an adversary replaces up to an eps fraction
 of samples after seeing the data), classical moment estimators can be driven
-arbitrarily far from the truth. This package implements an iterated
-filter-and-reoptimize estimator whose error degrades as O(sqrt(eps)):
-a spectral outlier filter with randomized thresholding, a trust-region
-moment learner, probability amplification over independent repetitions, and
-a radius-halving outer loop -- plus IV moment models (linear, logistic,
-heterogeneous treatment effects), adversarial corruption generators,
-classical baselines, and a sweep harness with a CLI.
+arbitrarily far from the truth. This package implements the paper's
+iterated filter-and-reoptimize estimator, whose error degrades as
+O(sqrt(eps)) under fixed constants: a spectral outlier filter with
+randomized thresholding, a trust-region moment learner, probability
+amplification, and a radius-halving outer loop. The default plug-in fit
+runs one response screen and amplified filter loop, without the radius loop.
+Also: IV moment models (linear, logistic, heterogeneous treatment
+effects), corruption generators, classical baselines, and a sweep CLI.
 """
 
 from .core import (

@@ -259,7 +259,6 @@ def cmd_estimate(args) -> int:
         eps,
         RandomSource(_parse_int(resolved["seed"], "seed")),
         hyper=_hyper_value(resolved),
-        delta=_parse_float(resolved["delta"], "delta"),
         model_kind=solver_kind,
     )
 
@@ -331,7 +330,6 @@ def _sweep_common(resolved: dict, kind: str, grid: dict) -> dict:
         "estimators": tuple(_split_list(resolved["estimators"])),
         "attack": resolved["attack"],
         "hyper": _hyper_value(resolved),
-        "delta": _parse_float(resolved["delta"], "delta"),
         "stamp_runtime": _parse_bool(resolved["stamp_runtime"]),
     }
 

@@ -138,8 +138,8 @@ class RadiusSchedule:
                  + c2 * ((L**2 / lam**2) * R * sqrt(eps)
                          + sigma * (L**1.5 / lam**2) * sqrt(eps))
 
-    `practice` keeps the contraction usable at desk scale; `theory` carries
-    the constant under which the formal guarantee is proved.
+    The defaults keep the contraction usable at desk scale; `theory`
+    carries the constant under which the formal guarantee is proved.
     """
 
     c1: float = 4.0
@@ -148,10 +148,6 @@ class RadiusSchedule:
     def __post_init__(self):
         if self.c1 <= 0 or self.c2 <= 0:
             raise ValueError("schedule coefficients must be positive")
-
-    @classmethod
-    def practice(cls) -> "RadiusSchedule":
-        return cls(c1=4.0, c2=2.0)
 
     @classmethod
     def theory(cls) -> "RadiusSchedule":
@@ -236,15 +232,17 @@ class HyperParams:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Outcome of a full iterated robust estimation run.
+    """Outcome of a robust estimation run; len(final_set) is the kept count.
 
     radius_trace  : tuple of (outer round, radius); the last entry is the
-                    candidate radius that triggered termination.
+                    candidate radius that triggered termination. Empty for
+                    a plug-in fit, which runs no radius loop (its events
+                    are round 1).
     filter_events : tuple of (outer round, filter kind, removed count) for
                     every pass that removed rows; kind is "response" (the
                     practice residual screen), "jacobian" or "moment".
-    diagnostics   : named scalar checks (degeneracy flags, precondition
-                    values, learner convergence counters, ...).
+    diagnostics   : gamma and learner_tolerance_unmet, plus the radius
+                    loop's counters and flags for fixed constants.
     """
 
     w_hat: np.ndarray

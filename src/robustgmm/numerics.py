@@ -187,8 +187,9 @@ def projected_gradient_critical_point(prob: CriticalPointProblem) -> LearnerResu
 
     Spectral projected gradient: the Barzilai-Borwein quotient seeds the step
     size, Armijo backtracking (constant 1e-4, halving) accepts it. Returns
-    the best iterate seen with tolerance_met=False if the iteration budget
-    runs out; the returned point always lies in the ball.
+    the best iterate seen, always in the ball, with tolerance_met=False once
+    the budget runs out or no step makes progress; iterations counts the
+    accepted steps.
     """
     center, radius = prob.center, prob.radius
     if radius == 0.0:
@@ -233,10 +234,12 @@ def projected_gradient_critical_point(prob: CriticalPointProblem) -> LearnerResu
         crit = feasible_descent_norm(g_x, x, center, radius)
         if crit < best_crit:
             best_x, best_crit = x.copy(), crit
+    else:
+        it = max_iters
 
     if crit <= prob.gamma:
-        return LearnerResult(x, True, max_iters, crit)
-    return LearnerResult(best_x, False, max_iters, best_crit)
+        return LearnerResult(x, True, it, crit)
+    return LearnerResult(best_x, False, it, best_crit)
 
 
 def finite_diff_jacobian(

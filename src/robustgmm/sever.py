@@ -3,8 +3,9 @@
 gmm_sever alternates a constrained learner on f(w) = ||mean moment||^2 with
 two spectral filter passes (projected Jacobians, then raw moments) and
 restarts the learner whenever a pass removes samples. amplified_gmm_sever
-repeats that with fresh randomness until a run keeps enough samples.
-iterated_gmm_sever shrinks the search radius geometrically around successive
+repeats that with fresh randomness until a run keeps enough samples; a
+plug-in fit is one practice-mode amplified run. For fixed constants
+iterated_gmm_sever also shrinks the search radius around successive
 estimates until the radius recursion stops contracting.
 """
 
@@ -314,8 +315,6 @@ def iterated_gmm_sever(
     model: MomentModel,
     hp: HyperParams,
     rng: RandomSource,
-    slack: float = FILTER_SLACK,
-    bound_mode: str = "theory",
 ) -> EstimateReport:
     """Full robust estimate: amplified sever runs with a shrinking radius.
 
@@ -323,7 +322,8 @@ def iterated_gmm_sever(
     estimate, and shrinks the radius by the configured affine recursion.
     Terminates when the recursion stops halving; if that happens on the very
     first round the single-shot estimate is returned with the diagnostic
-    schedule_degenerate set (eps too large for the given L and lam).
+    schedule_degenerate set (eps too large for the given L and lam). Every
+    run uses gmm_sever's certified (theory) bounds at FILTER_SLACK.
     """
     d = model.param_dim
     gamma = hp.resolved_gamma()
@@ -346,7 +346,7 @@ def iterated_gmm_sever(
 
     while True:
         result = amplified_gmm_sever(
-            model, inner_hp, w, radius, rng.child(f"outer-{t}"), slack, bound_mode
+            model, inner_hp, w, radius, rng.child(f"outer-{t}")
         )
         events.extend(
             (t, kind, removed) for (_, kind, removed, _) in result.events if removed
@@ -367,7 +367,6 @@ def iterated_gmm_sever(
         "gamma": gamma,
         "delta_inner": inner_hp.delta,
         "outer_rounds": float(t),
-        "final_set_size": float(len(final_set)),
         "learner_tolerance_unmet": float(unmet),
         "theory_precondition_lhs": hp.theory_precondition_lhs,
         "theory_precondition_ok": 1.0 if hp.theory_precondition_ok else 0.0,

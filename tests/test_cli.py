@@ -7,6 +7,7 @@ import pytest
 
 from robustgmm import (
     CARD_STANDIN_COLUMNS,
+    Dataset,
     ate_from_params,
     load_csv,
     save_dataset_csv,
@@ -70,8 +71,10 @@ def test_estimate_writes_report_and_matches_iv(linear_csv, tmp_path):
     assert int(report["final_set_size"]) + len(
         [i for i in report["removed_indices"].split(",") if i]
     ) == 300
-    assert report["radius_trace"].startswith("1:")
-    assert "diag.outer_rounds" in report and "diag.gamma" in report
+    # the plug-in fit is one sever loop: no radius iteration to report
+    assert report["radius_trace"] == ""
+    assert "diag.gamma" in report and "diag.outer_rounds" not in report
+    assert "diag.final_set_size" not in report
 
 
 def test_estimate_rerun_is_byte_identical(linear_csv, tmp_path):
@@ -96,7 +99,8 @@ def test_estimate_fixed_hyperparams_theory_mode(linear_csv, tmp_path):
     assert code == 0
     report = parse_report(out)
     assert "w_hat" in report and "diag.outer_rounds" in report
-    assert float(report["diag.final_set_size"]) == 300.0
+    assert report["radius_trace"].startswith("1:")
+    assert int(report["final_set_size"]) == 300
 
 
 def test_estimate_scalar_model_reports_ate(tmp_path):
@@ -156,6 +160,19 @@ def test_estimate_error_exits(linear_csv, tmp_path, capsys):
     assert "--out is required" in capsys.readouterr().err
     assert main(["estimate", "--out", str(out), "--set", "eps=0.1"]) == 1
     assert "required" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_estimate_unidentified_design_exits_2(tmp_path, capsys):
+    data, _ = make_linear_dataset(seed=22, n=300, d=2, noise=0.3)
+    Z = data.Z.copy()
+    Z[:, 1] = 0.0
+    path = tmp_path / "flat.csv"
+    save_dataset_csv(path, Dataset(X=data.X, Y=data.Y, Z=Z))
+    out = tmp_path / "flat.out"
+    argv = ["estimate", "--out", str(out), "--set", f"input={path}", "--set", "eps=0.1"]
+    assert main(argv + COLS) == 2
+    assert "weak or collinear instruments" in capsys.readouterr().err
     assert not out.exists()
 
 

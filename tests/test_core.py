@@ -92,7 +92,7 @@ def test_radius_schedule_validates():
         RadiusSchedule(c1=0.0)
     with pytest.raises(ValueError):
         RadiusSchedule(c2=-1.0)
-    assert RadiusSchedule.practice().c2 == 2.0
+    assert RadiusSchedule().c2 == 2.0
     assert RadiusSchedule.theory().c2 == 2412.0
 
 

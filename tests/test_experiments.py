@@ -13,10 +13,10 @@ from robustgmm import (
     HyperParams,
     LinearIVModel,
     LogisticIVModel,
-    RadiusSchedule,
     RandomSource,
     SweepConfig,
     SweepRow,
+    WeakInstrumentsError,
     aggregate_rows,
     corrupt_all_ones,
     corrupt_negation,
@@ -373,7 +373,6 @@ def test_derive_hyperparams_contract():
     assert hp.eps == 0.1 and hp.sigma > 0 and hp.gamma > 0
     w_iv = two_stage_least_squares(data)
     assert hp.R0 == pytest.approx(4.0 * max(1.0, float(np.linalg.norm(w_iv))))
-    assert hp.sched == RadiusSchedule.practice()
     assert derive_hyperparams(model, 0.1) == hp
     clamped = derive_hyperparams(model, 0.7)
     assert clamped.eps == 0.499
@@ -392,6 +391,20 @@ def test_derive_hyperparams_diagnoses_the_given_model():
         L[cls] = derive_hyperparams(model, 0.1).L
         assert L[cls] == 2.0 * math.sqrt(sup)
     assert L[LogisticIVModel] != pytest.approx(L[LinearIVModel], rel=0.1)
+
+
+@pytest.mark.parametrize("flaw", ["zero", "duplicate"])
+def test_plugin_fit_rejects_unidentified_instruments(flaw, rng):
+    # classical IV is undefined here, so the plug-in rule has no reference
+    # point; it must say so rather than fit around w = 0 and strip rows
+    data, _ = make_linear_dataset(seed=22, n=500, d=2, noise=0.5)
+    Z = data.Z.copy()
+    Z[:, 1] = 0.0 if flaw == "zero" else Z[:, 0]
+    design = Dataset(X=data.X, Y=data.Y, Z=Z)
+    with pytest.raises(WeakInstrumentsError):
+        derive_hyperparams(LinearIVModel(design), 0.1)
+    with pytest.raises(WeakInstrumentsError):
+        robust_linear_estimate(design, 0.1, rng)
 
 
 def test_robust_estimate_rejects_unknown_model_kind(rng):

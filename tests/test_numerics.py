@@ -215,6 +215,19 @@ def test_learner_reports_unmet_tolerance():
     assert np.linalg.norm(res.x) <= 100.0 + 1e-12
 
 
+def test_learner_counts_iterations_when_no_step_progresses():
+    # the reported gradient is never a descent direction of the value, so
+    # every Armijo check fails and no step is ever taken
+    def fg(w):
+        return float(w @ w), np.array([1.0, 0.0])
+
+    prob = CriticalPointProblem(fg, np.zeros(2), 1.0, 1e-8, max_iters=50)
+    res = projected_gradient_critical_point(prob)
+    assert not res.tolerance_met
+    assert res.iterations == 0
+    np.testing.assert_array_equal(res.x, np.zeros(2))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_learner_always_feasible_and_critical_on_quadratics(seed):

@@ -15,6 +15,7 @@ from robustgmm import (
     RandomSource,
     SeverResult,
     amplified_gmm_sever,
+    corrupt_all_ones,
     corrupt_negation,
     finite_diff_jacobian,
     gen_synthetic_hte,
@@ -22,11 +23,13 @@ from robustgmm import (
     hte_design,
     iterated_gmm_sever,
     load_csv,
+    logistic,
     robust_linear_estimate,
     scalar_treatment_design,
     spectral_filter,
     two_stage_least_squares,
 )
+import robustgmm.experiments as experiments_mod
 import robustgmm.sever as sever_mod
 
 from conftest import make_linear_dataset
@@ -418,7 +421,7 @@ def test_iterated_noiseless_converges_to_truth(rng):
     hp = HyperParams(eps=0.04, lam=2.0, L=2.0, sigma=0.0, R0=4.0, gamma=1e-6)
     report = iterated_gmm_sever(LinearIVModel(data), hp, rng)
     assert np.linalg.norm(report.w_hat - w_true) <= 1e-3
-    assert report.diagnostics["final_set_size"] == 40.0
+    assert len(report.final_set) == 40
     assert report.diagnostics["outer_rounds"] >= 5.0
 
 
@@ -449,3 +452,65 @@ def test_practice_jacobian_pass_spares_clean_negation_rows():
     assert not np.isin(planted, report.final_set.indices).any()
     assert [kind for (_, kind, _) in report.filter_events] == ["response"]
     assert abs(w[0] - two_stage_least_squares(design)[0]) <= 0.01
+
+
+def count_calls(monkeypatch, owner, name, log):
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        try:
+            result = inner(*args, **kwargs)
+        except FilterExhaustedError as err:
+            log.append(err)
+            raise
+        log.append(result)
+        return result
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def forbid_radius_loop(monkeypatch):
+    def radius_loop(*args, **kwargs):
+        raise AssertionError("the plug-in fit entered the radius loop")
+
+    monkeypatch.setattr(sever_mod, "iterated_gmm_sever", radius_loop)
+    monkeypatch.setattr(experiments_mod, "iterated_gmm_sever", radius_loop)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.01, 0.3])
+@pytest.mark.parametrize("model_kind", ["linear", "logistic"])
+def test_plugin_fit_is_one_sever_run(monkeypatch, model_kind, eps):
+    # no run aborts or strips rows on these designs, so nothing is retried
+    data, w_true = make_linear_dataset(seed=8, n=400, d=2, noise=0.5)
+    if model_kind == "logistic":
+        src = RandomSource(9)
+        Y = (src.uniform(400) < logistic(data.X @ w_true)).astype(np.float64)
+        data = Dataset(X=data.X, Y=Y, Z=data.Z)
+    amplified, runs = [], []
+    count_calls(monkeypatch, sever_mod, "amplified_gmm_sever", amplified)
+    count_calls(monkeypatch, sever_mod, "gmm_sever", runs)
+    forbid_radius_loop(monkeypatch)
+    w, report = robust_linear_estimate(
+        data, eps, RandomSource(5), model_kind=model_kind
+    )
+    assert len(amplified) == 1 and len(runs) == 1
+    assert report.radius_trace == ()
+    assert set(report.diagnostics) == {"gamma", "learner_tolerance_unmet"}
+    assert np.isfinite(w).all()
+
+
+def test_plugin_fit_retries_an_exhausted_run(monkeypatch):
+    # A desk-preset cell (master seed 31006, eps=0.3, rep 2) whose first
+    # practice run strips the sample set to 263 of 2000 rows; the plug-in
+    # fit must repeat it on a fresh stream instead of failing the cell.
+    cell_rng = RandomSource(31006).child("eps=0.3/rep=2")
+    base, _ = gen_synthetic_hte(2000, 10, cell_rng.child("dgp"))
+    base, _ = corrupt_all_ones(base, 0.3, cell_rng.child("attack"))
+    runs = []
+    count_calls(monkeypatch, sever_mod, "gmm_sever", runs)
+    forbid_radius_loop(monkeypatch)
+    _, report = robust_linear_estimate(
+        hte_design(base), 0.3, cell_rng.child("robust/iterated-gmm-sever")
+    )
+    assert isinstance(runs[0], FilterExhaustedError) and len(runs) == 2
+    assert len(report.final_set) == len(runs[1].S) == 1767
