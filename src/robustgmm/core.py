@@ -138,8 +138,8 @@ class RadiusSchedule:
                  + c2 * ((L**2 / lam**2) * R * sqrt(eps)
                          + sigma * (L**1.5 / lam**2) * sqrt(eps))
 
-    The defaults keep the contraction usable at desk scale; `theory`
-    carries the constant under which the formal guarantee is proved.
+    The defaults keep the contraction usable at desk scale; the formal
+    guarantee is proved with c1 = 4, c2 = 2412.
     """
 
     c1: float = 4.0
@@ -148,10 +148,6 @@ class RadiusSchedule:
     def __post_init__(self):
         if self.c1 <= 0 or self.c2 <= 0:
             raise ValueError("schedule coefficients must be positive")
-
-    @classmethod
-    def theory(cls) -> "RadiusSchedule":
-        return cls(c1=4.0, c2=2412.0)
 
     def next_radius(self, radius: float, hp: "HyperParams", gamma: float) -> float:
         lam2 = hp.lam**2

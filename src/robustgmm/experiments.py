@@ -14,7 +14,7 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -37,7 +37,7 @@ from .models import (
     two_stage_least_squares,
 )
 from .numerics import RandomSource
-from .sever import PRACTICE_SLACK, iterated_gmm_sever
+from .sever import iterated_gmm_sever
 
 __all__ = [
     "gen_synthetic_hte",
@@ -63,13 +63,21 @@ __all__ = [
 ESTIMATOR_NAMES = ("iterated-gmm-sever", "classical-iv", "two-stage-huber")
 _MISSING_MARKERS = {"", "na", "nan", "null"}
 
-# The plug-in learner tolerance keeps the sqrt(eps) scaling of the default
-# criticality rate sigma * L**1.5 * sqrt(eps) at a tenth of its size, for
-# tighter learner stops. gmm_sever's practice mode stops at the tighter of
-# this and its own PRACTICE_LEARNER_TOL level, so the factor rarely binds:
-# at 1 or 10 times the rate, 2 of the 20 cells of the committed desk sweep
-# move and none of the 30 semi sweep cells do.
+# The plug-in learner tolerance gamma is the tighter of two levels. One is
+# PLUGIN_GAMMA_SCALE times the default criticality rate
+# sigma * L**1.5 * sqrt(eps). The other is the gradient norm 2 lam^2 times
+# PRACTICE_LEARNER_TOL times max(1, R0): near the optimum the gradient is
+# roughly 2 J^T J (w - w*), so a gradient below that level pins the
+# parameter within that fraction of the search radius. The certified
+# analysis only needs gamma-criticality, but on weakly identified designs a
+# gamma-critical point can sit far along the flat valley of
+# ||mean moment||^2 while the filter has nothing to remove. The second
+# level is the one that binds: over the plug-in fits of desk sweep seeds
+# 1001-1003 (60 fits) and semi sweep seeds 9000-9002 (90 fits) the scaled
+# rate sits 110-3600x above it on the desk preset and 32-65x above it on
+# the semi design, so PLUGIN_GAMMA_SCALE moves none of those fits.
 PLUGIN_GAMMA_SCALE = 0.1
+PRACTICE_LEARNER_TOL = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +425,9 @@ def derive_hyperparams(model, eps: float) -> HyperParams:
     raises its WeakInstrumentsError.
     Safety factors: x2 on L, /2 on lam. The noise scale uses the MAD-based
     diagnostic so response outliers cannot inflate it, the search radius
-    is four times the classical IV estimate's norm, and gamma is
-    PLUGIN_GAMMA_SCALE times the default criticality rate.
+    is four times the classical IV estimate's norm, and gamma is the
+    tighter of PLUGIN_GAMMA_SCALE times the default criticality rate and
+    the PRACTICE_LEARNER_TOL gradient level, the one the learner uses.
     """
     design = model.data
     w_ref = two_stage_least_squares(design)
@@ -430,7 +439,7 @@ def derive_hyperparams(model, eps: float) -> HyperParams:
     sigma = math.sqrt(diag["noise_second_moment_robust"] / L)
     eps_hp = min(max(eps, 0.0), 0.499)
     gamma = PLUGIN_GAMMA_SCALE * sigma * L**1.5 * math.sqrt(eps_hp)
-    return HyperParams(
+    hp = HyperParams(
         eps=eps_hp,
         lam=lam,
         L=L,
@@ -438,6 +447,8 @@ def derive_hyperparams(model, eps: float) -> HyperParams:
         R0=4.0 * max(1.0, float(np.linalg.norm(w_ref))),
         gamma=gamma if gamma > 0 else None,
     )
+    tight = 2.0 * hp.lam**2 * PRACTICE_LEARNER_TOL * max(1.0, hp.R0)
+    return replace(hp, gamma=min(hp.resolved_gamma(), tight))
 
 
 def _whitener(columns: np.ndarray) -> np.ndarray:
@@ -509,14 +520,14 @@ def robust_linear_estimate(
     next to a binary column) would read as corruption, while whitening a
     well-conditioned block would normalize planted corruption directions
     away along with the clean structure. The plug-in fit is one
-    amplified_gmm_sever run with the practice bounds at PRACTICE_SLACK,
-    since certified bounds at plug-in constants never fire on corruptions
-    of ordinary norm, and without the radius loop, since plug-in
-    L / lam >= 4 keeps the radius recursion from halving.
+    amplified_gmm_sever run under the practice policy, since certified
+    bounds at plug-in constants never fire on corruptions of ordinary
+    norm, and without the radius loop, since plug-in L / lam >= 4 keeps
+    the radius recursion from halving.
 
     An explicit HyperParams is taken to describe the raw design and is used
     as-is, without rescaling, in iterated_gmm_sever under the paper's
-    certified (theory) bounds at FILTER_SLACK. Returns (w, EstimateReport).
+    certified (theory) policy. Returns (w, EstimateReport).
     """
     make_model = model_class(model_kind)
 
@@ -535,9 +546,7 @@ def robust_linear_estimate(
     # first-round label keeps results/*.csv byte-identical
     run_rng = rng.child("est").child("outer-1")
     w0 = np.zeros(model.param_dim)
-    res = sever.amplified_gmm_sever(
-        model, hp, w0, hp.R0, run_rng, PRACTICE_SLACK, "practice"
-    )
+    res = sever.amplified_gmm_sever(model, hp, w0, hp.R0, run_rng, practice=True)
     events = tuple((1, kind, m) for (_, kind, m, _) in res.events if m)
     unmet = float(res.learner_flags.count(False))
     diagnostics = {"gamma": hp.resolved_gamma(), "learner_tolerance_unmet": unmet}

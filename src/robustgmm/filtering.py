@@ -56,7 +56,8 @@ def robust_score_bound(values: np.ndarray, active: ActiveSet) -> float:
 
     One-dimensional scores have no bulk to compare against; they fall back
     to the scaled median of the squared centered scores, which resists
-    tails but assumes a roughly Gaussian center.
+    tails but assumes a roughly Gaussian center. The bulk is clamped at 0:
+    on a singular covariance eigvalsh roundoff can leave it slightly below.
     """
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim != 2:
@@ -70,7 +71,7 @@ def robust_score_bound(values: np.ndarray, active: ActiveSet) -> float:
         tau = (vals[:, 0] - mean[0]) ** 2
         return float(np.median(tau)) / _CHI2_1_MEDIAN
     eig = np.linalg.eigvalsh(cov)
-    return float(np.mean(eig[:-1]))
+    return max(float(np.mean(eig[:-1])), 0.0)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ gmm_sever alternates a constrained learner on f(w) = ||mean moment||^2 with
 two spectral filter passes (projected Jacobians, then raw moments) and
 restarts the learner whenever a pass removes samples. amplified_gmm_sever
 repeats that with fresh randomness until a run keeps enough samples; a
-plug-in fit is one practice-mode amplified run. For fixed constants
-iterated_gmm_sever also shrinks the search radius around successive
-estimates until the radius recursion stops contracting.
+plug-in fit is one amplified run under the practice policy. For fixed
+constants iterated_gmm_sever also shrinks the search radius around
+successive estimates until the radius recursion stops contracting.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .numerics import (
 __all__ = [
     "ACCEPT_EPS_MULT",
     "PRACTICE_JAC_SLACK_FACTOR",
-    "PRACTICE_LEARNER_TOL",
     "PRACTICE_RESPONSE_CAP",
     "PRACTICE_SLACK",
     "SeverResult",
@@ -43,8 +42,8 @@ __all__ = [
     "iterated_gmm_sever",
 ]
 
-# Filter slack of the plug-in pipeline, which runs the sever loop with
-# bound_mode="practice": each pass compares the variance along its top
+# Filter slack of the practice policy (gmm_sever with practice=True), which
+# the plug-in pipeline runs: each pass compares the variance along its top
 # direction (the top covariance eigenvalue) against the mean of the
 # remaining eigenvalues, so slack is the tolerated top-to-bulk spectral
 # ratio before samples are removed. Clean designs stay near 1.4 on raw
@@ -53,8 +52,8 @@ __all__ = [
 # measurably more of the planted mass at high eps than looser settings.
 PRACTICE_SLACK = 2.0
 
-# Under bound_mode "practice" the projected-Jacobian pass fires at this
-# multiple of the caller's slack. Jacobian rows are feature rows scaled by
+# Under the practice policy the projected-Jacobian pass fires at this
+# multiple of PRACTICE_SLACK. Jacobian rows are feature rows scaled by
 # a projected instrument, so their covariance is anisotropic even on clean
 # rows: on the semi-synthetic negation design, once the response screen
 # has removed every planted row, the top-to-bulk eigenvalue ratio of the
@@ -63,19 +62,10 @@ PRACTICE_SLACK = 2.0
 # inside that range strips clean rows pass after pass and can exhaust the
 # sample set; at 5 times PRACTICE_SLACK (10) the pass stays quiet on
 # clean rows, while the moment pass, which does most of the planted-row
-# removal on synthetic designs, keeps the caller's slack.
+# removal on synthetic designs, keeps PRACTICE_SLACK.
 PRACTICE_JAC_SLACK_FACTOR = 5.0
 
-# Under bound_mode "practice" the learner is stopped at the tighter of the
-# configured gamma and the gradient norm 2 lambda^2 times this fraction of
-# max(1, R): near the optimum the gradient is roughly 2 J^T J (w - w*), so
-# a gradient below that level pins the parameter within the fraction of the
-# search radius. The certified analysis only needs gamma-criticality, but on
-# weakly identified designs a gamma-critical point can sit far along the
-# flat valley of ||mean moment||^2 while the filter has nothing to remove.
-PRACTICE_LEARNER_TOL = 1e-3
-
-# Under bound_mode "practice", residuals at the ball center more than this
+# Under the practice policy, residuals at the ball center more than this
 # many median absolute deviations from their median are removed before the
 # filter loop starts. Response-side corruptions large enough to flip the
 # fitted sign sit hundreds of scaled deviations out while clean heavy-tailed
@@ -143,26 +133,28 @@ def gmm_sever(
     w0: np.ndarray,
     R: float,
     rng: RandomSource,
-    slack: float = FILTER_SLACK,
-    bound_mode: str = "theory",
+    practice: bool = False,
 ) -> SeverResult:
     """Run the filter-until-stable sever loop on the full sample.
 
-    bound_mode picks the variance bound handed to each filter pass:
-    "theory" uses the certified worst-case bounds L^2 ||u||^2 (projected
-    Jacobians) and sigma^2 L + 4 L^2 R^2 (raw moments), which hold for every
-    parameter in the search ball; "practice" self-calibrates each pass to
-    the bulk of the score covariance spectrum (mean of the non-top
-    eigenvalues, the Jacobian pass at PRACTICE_JAC_SLACK_FACTOR times the
-    slack), firing only when one direction stands out against the rest.
+    practice picks the filter policy. The default (theory) policy hands
+    each pass the certified worst-case bound, L^2 ||u||^2 for projected
+    Jacobians and sigma^2 L + 4 L^2 R^2 for raw moments, which holds for
+    every parameter in the search ball, at FILTER_SLACK. practice=True
+    screens response outliers first (PRACTICE_RESPONSE_CAP) and
+    self-calibrates each pass to the bulk of the score covariance spectrum
+    (mean of the non-top eigenvalues) at PRACTICE_SLACK, the Jacobian pass
+    at PRACTICE_JAC_SLACK_FACTOR times that, firing only when one direction
+    stands out against the rest.
     The worst-case bounds can exceed the variance the good rows actually
     show by orders of magnitude on real designs (the R^2 term in
     particular), hiding structured corruptions of ordinary norm; the bulk
     spectrum instead tracks the clean rows at the current iterate, at the
     price of a blind spot for corruptions spread evenly across directions.
 
-    Aborts with FilterExhaustedError once fewer than max(1, ceil(2n/3))
-    samples survive; each learner restart is warm-started from the previous
+    The learner stops at hp.resolved_gamma() under both policies. Aborts
+    with FilterExhaustedError once fewer than max(1, ceil(2n/3)) samples
+    survive; each learner restart is warm-started from the previous
     critical point.
     """
     n = model.n_samples
@@ -171,8 +163,6 @@ def gmm_sever(
         raise ValueError(f"w0 has shape {w0.shape}, expected ({model.param_dim},)")
     if R < 0:
         raise ValueError("radius must be nonnegative")
-    if bound_mode not in ("theory", "practice"):
-        raise ValueError(f"bound_mode must be 'theory' or 'practice', got {bound_mode!r}")
 
     S = ActiveSet.full(n)
     floor = max(1, math.ceil(2 * n / 3))
@@ -185,17 +175,14 @@ def gmm_sever(
         return kept
 
     gamma = hp.resolved_gamma()
-    if bound_mode == "practice":
-        gamma = min(
-            gamma, 2.0 * hp.lam**2 * PRACTICE_LEARNER_TOL * max(1.0, R)
-        )
+    slack = PRACTICE_SLACK if practice else FILTER_SLACK
     moment_bound = hp.sigma**2 * hp.L + 4.0 * hp.L**2 * R**2
     events = []
     flags = []
     warm: Optional[np.ndarray] = None
     rounds = 0
 
-    if bound_mode == "practice":
+    if practice:
         while True:
             res = model.residuals(S.indices, w0)
             med = float(np.median(res))
@@ -226,7 +213,7 @@ def gmm_sever(
         moment_scores = model.moments(S.indices, w)
         u = moment_scores.mean(axis=0)
         jac_active = True
-        if bound_mode == "practice":
+        if practice:
             # The bulk-spectrum bound is scale-free, so projected-Jacobian
             # scores taken along a mean moment that is pure roundoff (the
             # learner can zero an exactly identified system to machine
@@ -239,7 +226,7 @@ def gmm_sever(
 
         if jac_active:
             jac_scores = model.jacobian_dot(S.indices, w, u)
-            if bound_mode == "practice":
+            if practice:
                 jac_bound = robust_score_bound(jac_scores, S)
                 jac_slack = slack * PRACTICE_JAC_SLACK_FACTOR
             else:
@@ -254,10 +241,7 @@ def gmm_sever(
                 warm = w
                 continue
 
-        if bound_mode == "practice":
-            mom_bound = robust_score_bound(moment_scores, S)
-        else:
-            mom_bound = moment_bound
+        mom_bound = robust_score_bound(moment_scores, S) if practice else moment_bound
         out = spectral_filter(
             moment_scores, S, mom_bound, rng.child(f"mom-{rounds}"), slack
         )
@@ -276,8 +260,7 @@ def amplified_gmm_sever(
     w0: np.ndarray,
     R: float,
     rng: RandomSource,
-    slack: float = FILTER_SLACK,
-    bound_mode: str = "theory",
+    practice: bool = False,
 ) -> SeverResult:
     """Repeat gmm_sever with fresh child streams until a run keeps enough.
 
@@ -294,9 +277,7 @@ def amplified_gmm_sever(
 
     for rep in range(max_reps):
         try:
-            result = gmm_sever(
-                model, hp, w0, R, rng.child(f"rep-{rep}"), slack, bound_mode
-            )
+            result = gmm_sever(model, hp, w0, R, rng.child(f"rep-{rep}"), practice)
         except FilterExhaustedError as err:
             abort = err
             continue
@@ -323,7 +304,7 @@ def iterated_gmm_sever(
     Terminates when the recursion stops halving; if that happens on the very
     first round the single-shot estimate is returned with the diagnostic
     schedule_degenerate set (eps too large for the given L and lam). Every
-    run uses gmm_sever's certified (theory) bounds at FILTER_SLACK.
+    run uses gmm_sever's certified (theory) policy.
     """
     d = model.param_dim
     gamma = hp.resolved_gamma()

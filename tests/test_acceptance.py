@@ -13,27 +13,31 @@ import numpy as np
 import pytest
 
 from robustgmm import (
-    ActiveSet,
     CARD_STANDIN_COLUMNS,
-    CriticalPointProblem,
     LinearIVModel,
     LogisticIVModel,
     RandomSource,
-    SweepConfig,
-    aggregate_rows,
-    corrupt_negation,
-    finite_diff_jacobian,
-    gen_synthetic_hte,
-    hte_design,
     load_csv,
-    projected_gradient_critical_point,
-    run_sweep,
     scalar_treatment_design,
-    spectral_filter,
     two_stage_least_squares,
 )
 from robustgmm.cli import main as cli_main
-from robustgmm.numerics import feasible_descent_norm
+from robustgmm.core import ActiveSet
+from robustgmm.experiments import (
+    SweepConfig,
+    aggregate_rows,
+    corrupt_negation,
+    gen_synthetic_hte,
+    run_sweep,
+)
+from robustgmm.filtering import spectral_filter
+from robustgmm.models import hte_design
+from robustgmm.numerics import (
+    CriticalPointProblem,
+    feasible_descent_norm,
+    finite_diff_jacobian,
+    projected_gradient_critical_point,
+)
 
 from conftest import make_linear_dataset
 

@@ -8,13 +8,14 @@ import pytest
 from robustgmm import (
     CARD_STANDIN_COLUMNS,
     Dataset,
+    RandomSource,
     ate_from_params,
     load_csv,
-    save_dataset_csv,
     scalar_treatment_design,
     two_stage_least_squares,
 )
 from robustgmm.cli import main
+from robustgmm.experiments import save_dataset_csv
 
 from conftest import make_linear_dataset
 
@@ -161,6 +162,22 @@ def test_estimate_error_exits(linear_csv, tmp_path, capsys):
     assert main(["estimate", "--out", str(out), "--set", "eps=0.1"]) == 1
     assert "required" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_estimate_on_singular_scores_ends_cleanly(tmp_path, capsys):
+    # three rows make every score covariance singular: the run must end in
+    # a fit or an estimation failure, not an uncaught exception
+    src = RandomSource(3)
+    X = src.normal((300, 2))
+    Z = X + 0.3 * src.normal((300, 2))
+    Y = X @ np.array([1.0, -1.0]) + 0.1 * src.normal(300)
+    path = tmp_path / "three.csv"
+    save_dataset_csv(path, Dataset(X=X[:3], Y=Y[:3], Z=Z[:3]))
+    out = tmp_path / "fit.txt"
+    code = main(["estimate", "--set", f"input={path}", "--set", "eps=0.1", *COLS,
+                 "--out", str(out)])
+    assert code in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_estimate_unidentified_design_exits_2(tmp_path, capsys):

@@ -5,18 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustgmm import (
+from robustgmm import Dataset, HyperParams, LinearIVModel, RandomSource
+from robustgmm.core import (
     ActiveSet,
-    Dataset,
-    HyperParams,
-    LinearIVModel,
     RadiusSchedule,
-    RandomSource,
     THEORY_PRECONDITION_BOUND,
-    finite_diff_jacobian,
     mean_jacobian,
     mean_moment,
 )
+from robustgmm.numerics import finite_diff_jacobian
 
 from conftest import make_linear_dataset
 
@@ -93,7 +90,6 @@ def test_radius_schedule_validates():
     with pytest.raises(ValueError):
         RadiusSchedule(c2=-1.0)
     assert RadiusSchedule().c2 == 2.0
-    assert RadiusSchedule.theory().c2 == 2412.0
 
 
 def test_radius_schedule_arithmetic():

@@ -7,35 +7,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustgmm import (
-    ActiveSet,
     CARD_STANDIN_COLUMNS,
     Dataset,
     HyperParams,
     LinearIVModel,
     LogisticIVModel,
     RandomSource,
-    SweepConfig,
-    SweepRow,
     WeakInstrumentsError,
-    aggregate_rows,
-    corrupt_all_ones,
-    corrupt_negation,
-    derive_hyperparams,
-    diagnose_assumptions,
-    gen_card_standin,
-    gen_synthetic_hte,
-    hte_design,
     iterated_gmm_sever,
     load_csv,
     robust_linear_estimate,
-    run_sweep,
-    save_dataset_csv,
     scalar_treatment_design,
     two_stage_least_squares,
+)
+from robustgmm.core import ActiveSet
+from robustgmm.experiments import (
+    PLUGIN_GAMMA_SCALE,
+    PRACTICE_LEARNER_TOL,
+    SweepConfig,
+    SweepRow,
+    _block_transform,
+    aggregate_rows,
+    corrupt_all_ones,
+    corrupt_negation,
+    dataset_columns,
+    derive_hyperparams,
+    diagnose_assumptions,
+    format_float,
+    gen_card_standin,
+    gen_synthetic_hte,
+    run_sweep,
+    save_dataset_csv,
     write_aggregate_csv,
     write_rows_csv,
 )
-from robustgmm.experiments import _block_transform, dataset_columns, format_float
+from robustgmm.models import hte_design
+import robustgmm.sever as sever_mod
 
 from conftest import make_linear_dataset
 
@@ -391,6 +398,31 @@ def test_derive_hyperparams_diagnoses_the_given_model():
         L[cls] = derive_hyperparams(model, 0.1).L
         assert L[cls] == 2.0 * math.sqrt(sup)
     assert L[LogisticIVModel] != pytest.approx(L[LinearIVModel], rel=0.1)
+
+
+def test_plugin_gamma_is_the_tighter_learner_tolerance(monkeypatch):
+    # the scaled criticality rate is too loose to pin the fit; the plug-in
+    # rule caps it at the PRACTICE_LEARNER_TOL gradient level, and the
+    # learner stops at exactly the gamma the report shows
+    data, _ = make_linear_dataset(seed=3, n=200, d=2, noise=0.5)
+    hp = derive_hyperparams(LinearIVModel(data), 0.01)
+    rate = PLUGIN_GAMMA_SCALE * hp.sigma * hp.L**1.5 * math.sqrt(hp.eps)
+    level = 2.0 * hp.lam**2 * PRACTICE_LEARNER_TOL * max(1.0, hp.R0)
+    assert rate > level
+    assert hp.gamma == min(rate, level)
+
+    seen = []
+    learner = sever_mod.projected_gradient_critical_point
+
+    def spy(prob):
+        seen.append(prob.gamma)
+        return learner(prob)
+
+    monkeypatch.setattr(sever_mod, "projected_gradient_critical_point", spy)
+    oracle = np.linalg.solve(data.Z.T @ data.X, data.Z.T @ data.Y)
+    w, report = robust_linear_estimate(data, 0.01, RandomSource(3))
+    assert np.linalg.norm(w - oracle) <= 0.05
+    assert seen and set(seen) == {report.diagnostics["gamma"]}
 
 
 @pytest.mark.parametrize("flaw", ["zero", "duplicate"])

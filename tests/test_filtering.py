@@ -3,13 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustgmm import (
-    FILTER_SLACK,
-    ActiveSet,
-    RandomSource,
-    robust_score_bound,
-    spectral_filter,
-)
+from robustgmm import RandomSource
+from robustgmm.core import ActiveSet
+from robustgmm.filtering import FILTER_SLACK, robust_score_bound, spectral_filter
 
 from conftest import ForcedUniform
 
@@ -171,6 +167,18 @@ def test_score_bound_ignores_one_spiked_direction(rng):
     vals = np.vstack([base, spike])
     got = robust_score_bound(vals, ActiveSet(np.arange(420)))
     assert got < 2.0
+
+
+def test_score_bound_is_nonnegative_on_rank_deficient_scores():
+    # rank-one scores have an all-zero bulk, which eigvalsh roundoff can
+    # leave slightly negative; the bound must stay one spectral_filter takes
+    active = ActiveSet(np.arange(6))
+    for seed in range(20):
+        src = RandomSource(seed)
+        vals = np.outer(src.normal(6), src.normal(3))
+        bound = robust_score_bound(vals, active)
+        assert bound >= 0.0
+        spectral_filter(vals, active, bound, src.child("f"))
 
 
 def test_score_bound_validation():

@@ -12,14 +12,11 @@ from robustgmm import (
     RandomSource,
     WeakInstrumentsError,
     ate_from_params,
-    finite_diff_jacobian,
-    hte_design,
-    logistic,
     scalar_treatment_design,
-    two_stage_huber,
     two_stage_least_squares,
 )
-from robustgmm.models import logistic_deriv
+from robustgmm.models import hte_design, logistic, logistic_deriv, two_stage_huber
+from robustgmm.numerics import finite_diff_jacobian
 
 from conftest import make_linear_dataset
 

@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustgmm import (
+from robustgmm import LinearIVModel, RandomSource
+from robustgmm.numerics import (
     CriticalPointProblem,
-    LinearIVModel,
-    RandomSource,
+    feasible_descent_norm,
     finite_diff_jacobian,
     projected_gradient_critical_point,
     sample_mean_cov,
     top_eigenvector,
 )
-from robustgmm.numerics import feasible_descent_norm
 
 from conftest import make_linear_dataset
 

@@ -4,31 +4,25 @@ import numpy as np
 import pytest
 
 from robustgmm import (
-    ActiveSet,
     CARD_STANDIN_COLUMNS,
     Dataset,
-    FILTER_SLACK,
     FilterExhaustedError,
     HyperParams,
     LinearIVModel,
     LogisticIVModel,
     RandomSource,
-    SeverResult,
-    amplified_gmm_sever,
-    corrupt_all_ones,
-    corrupt_negation,
-    finite_diff_jacobian,
-    gen_synthetic_hte,
-    gmm_sever,
-    hte_design,
     iterated_gmm_sever,
     load_csv,
-    logistic,
     robust_linear_estimate,
     scalar_treatment_design,
-    spectral_filter,
     two_stage_least_squares,
 )
+from robustgmm.core import ActiveSet
+from robustgmm.experiments import corrupt_all_ones, corrupt_negation, gen_synthetic_hte
+from robustgmm.filtering import spectral_filter
+from robustgmm.models import hte_design, logistic
+from robustgmm.numerics import finite_diff_jacobian
+from robustgmm.sever import SeverResult, amplified_gmm_sever, gmm_sever
 import robustgmm.experiments as experiments_mod
 import robustgmm.sever as sever_mod
 
@@ -182,8 +176,6 @@ def test_gmm_sever_validation(rng):
         gmm_sever(model, hp, np.zeros(3), 1.0, rng)
     with pytest.raises(ValueError, match="nonnegative"):
         gmm_sever(model, hp, np.zeros(2), -1.0, rng)
-    with pytest.raises(ValueError, match="bound_mode"):
-        gmm_sever(model, hp, np.zeros(2), 1.0, rng, bound_mode="exact")
 
 
 def test_filter_exhausted_raises(rng):
@@ -206,7 +198,7 @@ def test_gmm_sever_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# bound_mode="practice" mechanisms
+# practice-policy mechanisms
 
 
 def test_practice_clean_data_untouched():
@@ -219,7 +211,7 @@ def test_practice_clean_data_untouched():
             np.zeros(3),
             10.0,
             RandomSource(seed).child("p"),
-            bound_mode="practice",
+            practice=True,
         )
         assert len(res.S) == 400
 
@@ -230,9 +222,7 @@ def test_practice_response_precap_removes_gross_outliers(rng):
     Y[[3, 17, 29]] += 1e5
     spiked = Dataset(X=data.X, Y=Y, Z=data.Z)
     hp = HyperParams(eps=0.1, lam=0.3, L=4.0, sigma=1.0, R0=10.0, gamma=1e-6)
-    res = gmm_sever(
-        LinearIVModel(spiked), hp, np.zeros(2), 10.0, rng, bound_mode="practice"
-    )
+    res = gmm_sever(LinearIVModel(spiked), hp, np.zeros(2), 10.0, rng, practice=True)
     survivors = set(res.S.indices.tolist())
     assert not survivors & {3, 17, 29}
     precap = [e for e in res.events if e[1] == "response"]
@@ -243,39 +233,22 @@ def test_practice_response_precap_removes_gross_outliers(rng):
 def test_practice_zero_mean_moment_skips_jacobian_pass(rng):
     # instrument rows in exact +/- pairs force the mean moment to 0 for every
     # parameter; the projected-Jacobian pass has no direction to test
-    src = RandomSource(6)
-    X_half = src.normal((5, 2))
-    Z_half = src.normal((5, 2))
-    w_true = np.array([1.0, -2.0])
-    Y_half = X_half @ w_true
-    data = Dataset(
-        X=np.vstack([X_half, X_half]),
-        Y=np.concatenate([Y_half, Y_half]),
-        Z=np.vstack([Z_half, -Z_half]),
-    )
     hp = HyperParams(eps=0.1, lam=0.3, L=4.0, sigma=1.0, R0=5.0, gamma=1e-6)
     w0 = np.array([0.3, 0.3])
-    res = gmm_sever(
-        LinearIVModel(data), hp, w0, 5.0, rng, bound_mode="practice"
-    )
-    assert all(kind != "jacobian" for _, kind, _, _ in res.events)
-    np.testing.assert_array_equal(res.w, w0)  # objective is identically zero
-
-
-def test_practice_tightens_oversized_gamma(rng):
-    # a gamma too loose to move the learner still yields an accurate fit in
-    # practice mode, while theory mode stops at the (critical) center
-    data, _ = make_linear_dataset(seed=3, n=200, d=2, noise=0.5)
-    oracle = np.linalg.solve(data.Z.T @ data.X, data.Z.T @ data.Y)
-    R = 2.0 * float(np.linalg.norm(oracle)) + 1.0
-    hp = HyperParams(eps=0.01, lam=0.5, L=5.0, sigma=1.0, R0=R, gamma=1e6)
-    model = LinearIVModel(data)
-    loose = gmm_sever(model, hp, np.zeros(2), R, rng.child("t"))
-    np.testing.assert_array_equal(loose.w, np.zeros(2))
-    tight = gmm_sever(
-        model, hp, np.zeros(2), R, rng.child("p"), bound_mode="practice"
-    )
-    assert np.linalg.norm(tight.w - oracle) <= 0.05
+    w_true = np.array([1.0, -2.0])
+    for seed in (6, 7, 8):
+        src = RandomSource(seed)
+        X_half = src.normal((20, 2))
+        Z_half = src.normal((20, 2))
+        Y_half = X_half @ w_true
+        data = Dataset(
+            X=np.vstack([X_half, X_half]),
+            Y=np.concatenate([Y_half, Y_half]),
+            Z=np.vstack([Z_half, -Z_half]),
+        )
+        res = gmm_sever(LinearIVModel(data), hp, w0, 5.0, rng, practice=True)
+        assert all(kind != "jacobian" for _, kind, _, _ in res.events)
+        np.testing.assert_array_equal(res.w, w0)  # objective is identically zero
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +261,7 @@ def stub_model(n=10):
 
 
 def install_stub(monkeypatch, outcomes, calls):
-    def fake(model, hp, w0, R, rng, slack, bound_mode):
+    def fake(model, hp, w0, R, rng, practice):
         calls.append(rng.seed)
         out = outcomes[min(len(calls) - 1, len(outcomes) - 1)]
         if isinstance(out, Exception):
