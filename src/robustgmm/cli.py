@@ -337,6 +337,8 @@ def _sweep_common(resolved: dict, kind: str, grid: dict) -> dict:
 def _emit_sweep(args, command: str, resolved: dict, cfg: SweepConfig) -> int:
     if not args.out:
         raise ConfigError(f"--out is required for {command}")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     rng = RandomSource(cfg.seed)
     rows = run_sweep(cfg, rng, jobs=args.jobs)
     header = _stamp(command, resolved)

@@ -687,12 +687,16 @@ def run_sweep(cfg: SweepConfig, rng: RandomSource, jobs: int = 1):
 
     Cells are seeded by labeled children of rng, so any row can be re-run in
     isolation and the table is identical for a given master seed regardless
-    of jobs. Rows come back ordered by (eps, estimator, repetition).
+    of jobs. Rows come back ordered by (eps, estimator, repetition). The
+    pool holds at most one worker per cell.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     cells = [(eps, rep) for eps in cfg.eps_grid for rep in range(cfg.repetitions)]
     master_seed = rng.seed
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_run_cell, cfg, master_seed, eps, rep)
                 for eps, rep in cells

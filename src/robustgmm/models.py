@@ -206,60 +206,89 @@ def _huber_scale_delta(resid: np.ndarray) -> float:
     return 1.345 * max(scale, floor)
 
 
-def _huber_irls(A, b, delta, tol=1e-8, max_iter=500):
-    """Minimize mean Huber loss of b - A x by iteratively reweighted LS."""
-    x = np.linalg.lstsq(A, b, rcond=None)[0]
+def _huber_irls(A, B, delta, stage, tol=1e-8, max_iter=500):
+    """Minimize mean Huber loss of each column of B - A X by stacked IRLS.
+
+    Each column b_j of B (n, k) is its own IRLS fit, with its own delta
+    (1.345 x MAD scale unless one delta is given), gradient tolerance, stall
+    test |dx| <= 1e-15 and iteration budget. A round serves every column
+    still iterating with one residual gemm and one batched solve of their
+    stacked weighted normal equations. Returns X (p, k) and per-column flags
+    ok (k,); a column that misses tol returns its final iterate or, when
+    that is worse, its best one. Raises WeakInstrumentsError, naming the
+    stage, when A is rank deficient.
+    """
+    n, p = A.shape
+    X0, _, rank, _ = np.linalg.lstsq(A, B, rcond=None)
+    if rank < p:
+        raise WeakInstrumentsError(f"Huber {stage}: rank {rank} for {p} coefficients")
+    # row-major (k, n) copies: row j is column j's problem
+    At = np.ascontiguousarray(A.T)
+    Bt = np.ascontiguousarray(B.T)
+    X = np.ascontiguousarray(X0.T)
+    k = len(Bt)
     if delta is None:
-        delta = _huber_scale_delta(b - A @ x)
-    n = A.shape[0]
-    best_x, best_g = x, np.inf
+        deltas = np.array([_huber_scale_delta(r) for r in Bt - X @ At])
+    else:
+        deltas = np.full(k, float(delta))
+
+    def residuals_and_grads(rows):
+        R = Bt[rows] - X[rows] @ At
+        dl = deltas[rows, None]
+        return R, dl, np.linalg.norm(np.clip(R, -dl, dl) @ A / n, axis=1)
+
+    best_x, best_g = X.copy(), np.full(k, np.inf)
+    ok = np.zeros(k, dtype=bool)
+    live = np.arange(k)
     for _ in range(max_iter):
-        r = b - A @ x
-        psi = np.clip(r, -delta, delta)
-        grad_norm = float(np.linalg.norm(A.T @ psi / n))
-        if grad_norm < best_g:
-            best_x, best_g = x, grad_norm
-        if grad_norm <= tol:
-            return x, True
-        absr = np.abs(r)
-        wts = np.where(absr <= delta, 1.0, delta / np.maximum(absr, 1e-300))
-        Aw = A * wts[:, None]
-        x_new = np.linalg.lstsq(Aw.T @ A, Aw.T @ b, rcond=None)[0]
-        if np.allclose(x_new, x, rtol=0.0, atol=1e-15):
-            x = x_new
+        if live.size == 0:
             break
-        x = x_new
-    r = b - A @ x
-    grad_norm = float(np.linalg.norm(A.T @ np.clip(r, -delta, delta) / n))
-    if grad_norm <= tol:
-        return x, True
-    if grad_norm < best_g:
-        return x, False
-    return best_x, False
+        R, dl, grad = residuals_and_grads(live)
+        improved = grad < best_g[live]
+        best_x[live[improved]] = X[live[improved]]
+        best_g[live[improved]] = grad[improved]
+        met = grad <= tol
+        ok[live[met]] = True
+        live, R, dl = live[~met], R[~met], dl[~met]
+        W = dl / np.maximum(np.abs(R), dl)
+        # one (p, n) product per column: a stacked (k, p, n) weighted copy
+        # of A was slower and costs k times the memory
+        gram = np.empty((live.size, p, p))
+        for j, wj in enumerate(W):
+            gram[j] = (At * wj) @ A
+        rhs = (W * Bt[live]) @ A
+        x_new = np.linalg.solve(gram, rhs[..., None])[..., 0]
+        stalled = np.all(np.abs(x_new - X[live]) <= 1e-15, axis=1)
+        X[live] = x_new
+        live = live[~stalled]
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        _, _, grad = residuals_and_grads(rest)
+        ok[rest[grad <= tol]] = True
+        worse = rest[(grad > tol) & ~(grad < best_g[rest])]
+        X[worse] = best_x[worse]
+    return X.T, ok
 
 
 def two_stage_huber(design: Dataset, huber_delta=None) -> np.ndarray:
     """Huberized 2SLS: both regression stages minimize Huber loss via IRLS.
 
-    huber_delta=None picks 1.345 x a MAD-based residual scale per stage.
+    huber_delta=None picks 1.345 x a MAD-based residual scale per column and
+    stage. The first stage fits every column of X in one stacked IRLS.
     Non-convergence within 500 IRLS iterations returns the best iterate and
-    emits a warning.
+    emits a warning; rank-deficient instruments or fitted regressors raise
+    WeakInstrumentsError.
     """
     Z, X, Y = design.Z, design.X, design.Y
     if design.p < design.d:
         raise WeakInstrumentsError(
             f"under-identified: {design.p} instruments for {design.d} parameters"
         )
-    fitted = np.empty_like(X)
-    all_ok = True
-    for j in range(design.d):
-        coef, ok = _huber_irls(Z, X[:, j], huber_delta)
-        all_ok = all_ok and ok
-        fitted[:, j] = Z @ coef
-    w, ok = _huber_irls(fitted, Y, huber_delta)
-    if not (ok and all_ok):
+    coef, ok_first = _huber_irls(Z, X, huber_delta, "first stage")
+    w, ok_second = _huber_irls(Z @ coef, Y[:, None], huber_delta, "second stage")
+    if not (ok_first.all() and ok_second.all()):
         warnings.warn("Huber IRLS did not reach gradient tolerance in 500 iterations")
-    return w
+    return w[:, 0]
 
 
 def ate_from_params(w: np.ndarray, data: Dataset, mode: str) -> float:

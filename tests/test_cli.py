@@ -1,5 +1,6 @@
 import itertools
 import math
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from robustgmm import (
     scalar_treatment_design,
     two_stage_least_squares,
 )
+from robustgmm import experiments
 from robustgmm.cli import main
 from robustgmm.experiments import save_dataset_csv
 
@@ -270,6 +272,43 @@ def test_synth_sweep_byte_identical_and_jobs_invariant(tmp_path):
     assert (tmp_path / "a.agg.csv").read_bytes() == (tmp_path / "b.agg.csv").read_bytes()
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_sweep_jobs_validated_and_pool_sized_by_cells(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    argv = ["synth-sweep", "--seed", "4", *SMALL_SWEEP,
+            "--set", "estimators=classical-iv"]
+    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+    assert main(argv + ["--out", str(serial)]) == 0
+    # two cells: a pool of 8 would fork 6 idle workers
+    assert main(argv + ["--out", str(pooled), "--jobs", "8"]) == 0
+    assert RecordingPool.sizes == [2]
+    assert pooled.read_bytes() == serial.read_bytes()
+    for jobs in ("0", "-3"):
+        assert main(argv + ["--out", str(tmp_path / "x.csv"), "--jobs", jobs]) == 1
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert RecordingPool.sizes == [2]
+
+
 def test_synth_sweep_bad_preset(tmp_path, capsys):
     assert main(["synth-sweep", "--out", str(tmp_path / "o.csv"),
                  "--set", "preset=huge"]) == 1
@@ -290,6 +329,32 @@ def test_semi_sweep_negation_smoke(tmp_path):
     design = scalar_treatment_design(load_csv(DATA_CSV, CARD_STANDIN_COLUMNS))
     clean = float(two_stage_least_squares(design)[0])
     assert float(rows[0][3]) == pytest.approx(-clean, rel=1e-6)
+
+
+def test_semi_sweep_huber_on_duplicated_covariate_fails_rows(tmp_path, capsys):
+    # Z and X both repeat a covariate column, so the Huber first stage is rank
+    # deficient; attack=none because negation's own 2SLS would raise first
+    lines = DATA_CSV.read_text().splitlines()
+    header = lines[0].split(",")
+    exper = header.index("exper")
+    dup = tmp_path / "dup.csv"
+    dup.write_text("\n".join(
+        [lines[0] + ",exper_copy"]
+        + [line + "," + line.split(",")[exper] for line in lines[1:]]
+    ) + "\n")
+    out = tmp_path / "huber.csv"
+    code = main(
+        ["semi-sweep", "--seed", "6", "--out", str(out),
+         "--set", f"input={dup}", "--set", "eps_grid=0.05,0.1",
+         "--set", "reps=1", "--set", "attack=none",
+         "--set", "estimators=two-stage-huber",
+         "--set", "col_covariates=exper,expersq,exper_copy"]
+    )
+    assert code == 2
+    assert "every sweep cell failed" in capsys.readouterr().err
+    rows = read_rows(out)
+    assert len(rows) == 2
+    assert all(r[1] == "two-stage-huber" and r[3] == "failed" for r in rows)
 
 
 def test_committed_results_reproduce(tmp_path, monkeypatch):

@@ -15,7 +15,16 @@ from robustgmm import (
     scalar_treatment_design,
     two_stage_least_squares,
 )
-from robustgmm.models import hte_design, logistic, logistic_deriv, two_stage_huber
+from robustgmm import models
+from robustgmm.experiments import corrupt_all_ones, gen_synthetic_hte
+from robustgmm.models import (
+    _huber_irls,
+    _huber_scale_delta,
+    hte_design,
+    logistic,
+    logistic_deriv,
+    two_stage_huber,
+)
 from robustgmm.numerics import finite_diff_jacobian
 
 from conftest import make_linear_dataset
@@ -266,6 +275,103 @@ def test_huber_under_identified_raises():
     data, _ = make_linear_dataset(seed=12, n=30, d=3, p=2)
     with pytest.raises(WeakInstrumentsError):
         two_stage_huber(data)
+
+
+def reference_huber_column(A, b, delta=None, tol=1e-8, max_iter=500):
+    """One column's IRLS fit, written as a plain loop (the stacked reference)."""
+    x = np.linalg.lstsq(A, b, rcond=None)[0]
+    if delta is None:
+        delta = _huber_scale_delta(b - A @ x)
+    n = A.shape[0]
+
+    def grad_norm(x):
+        return float(np.linalg.norm(A.T @ np.clip(b - A @ x, -delta, delta) / n))
+
+    best_x, best_g = x, np.inf
+    for _ in range(max_iter):
+        g = grad_norm(x)
+        if g < best_g:
+            best_x, best_g = x, g
+        if g <= tol:
+            return x, True
+        absr = np.abs(b - A @ x)
+        wts = np.where(absr <= delta, 1.0, delta / np.maximum(absr, 1e-300))
+        Aw = A * wts[:, None]
+        x_new = np.linalg.lstsq(Aw.T @ A, Aw.T @ b, rcond=None)[0]
+        stalled = np.allclose(x_new, x, rtol=0.0, atol=1e-15)
+        x = x_new
+        if stalled:
+            break
+    g = grad_norm(x)
+    if g <= tol:
+        return x, True
+    return (x, False) if g < best_g else (best_x, False)
+
+
+def desk_first_stage(seed=5, eps=0.2):
+    rng = RandomSource(seed)
+    base, _ = gen_synthetic_hte(2000, 10, rng.child("dgp"), "bernoulli01")
+    base, _ = corrupt_all_ones(base, eps, rng.child("attack"))
+    design = hte_design(base)
+    return design.Z, design.X
+
+
+@pytest.mark.parametrize("max_iter", [500, 1])
+def test_stacked_huber_irls_matches_single_column_fits(max_iter):
+    Z, X = desk_first_stage()
+    coef, ok = _huber_irls(Z, X, None, "first stage", max_iter=max_iter)
+    assert coef.shape == (Z.shape[1], X.shape[1]) and ok.shape == (X.shape[1],)
+    for j in range(X.shape[1]):
+        single, ok_single = _huber_irls(Z, X[:, [j]], None, "first stage", max_iter=max_iter)
+        ref, ok_ref = reference_huber_column(Z, X[:, j], max_iter=max_iter)
+        scale = np.linalg.norm(ref)
+        assert np.linalg.norm(coef[:, j] - single[:, 0]) <= 1e-12 * scale
+        assert np.linalg.norm(coef[:, j] - ref) <= 1e-12 * scale
+        assert ok[j] == ok_single[0] == ok_ref
+    # 500 rounds converge every column; one round leaves every one by the budget
+    assert ok.all() if max_iter == 500 else not ok.any()
+
+
+def test_stacked_huber_irls_returns_each_columns_best_iterate():
+    # a small fixed delta makes some first steps raise the gradient norm, so
+    # after one round those columns return their start and the rest their step
+    src = RandomSource(15)
+    A = src.normal((40, 3))
+    B = A @ src.normal((3, 40)) + src.normal((40, 40))
+    coef, ok = _huber_irls(A, B, 0.05, "first stage", max_iter=1)
+    start = np.linalg.lstsq(A, B, rcond=None)[0]
+    kept_start = np.all(np.abs(coef - start) <= 1e-12, axis=0)
+    assert not ok.any() and kept_start.any() and not kept_start.all()
+    for j in range(B.shape[1]):
+        ref, _ = reference_huber_column(A, B[:, j], delta=0.05, max_iter=1)
+        assert np.linalg.norm(coef[:, j] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_two_stage_huber_warns_when_a_column_misses_tolerance(monkeypatch):
+    Z, X = desk_first_stage()
+    design = Dataset(X=X, Y=X @ np.linspace(-1.0, 1.0, X.shape[1]), Z=Z)
+    stacked = models._huber_irls
+    monkeypatch.setattr(
+        models, "_huber_irls", lambda *args: stacked(*args, max_iter=1)
+    )
+    with pytest.warns(UserWarning, match="did not reach gradient tolerance"):
+        two_stage_huber(design)
+
+
+def test_huber_rank_deficient_designs_raise():
+    src = RandomSource(14)
+    X = src.normal((200, 3))
+    Z = X + 0.5 * src.normal((200, 3))
+    Y = X @ np.array([1.0, -1.0, 0.5]) + 0.1 * src.normal(200)
+    # overidentified, p=4 and d=3, with one instrument column repeated
+    duplicated = Dataset(X=X, Y=Y, Z=np.hstack([Z, Z[:, [2]]]))
+    with pytest.raises(WeakInstrumentsError, match="first stage"):
+        two_stage_huber(duplicated)
+    # a zero regressor column leaves the fitted regressors rank deficient
+    X_zero = X.copy()
+    X_zero[:, 1] = 0.0
+    with pytest.raises(WeakInstrumentsError, match="second stage"):
+        two_stage_huber(Dataset(X=X_zero, Y=Y, Z=Z))
 
 
 # ---------------------------------------------------------------------------
