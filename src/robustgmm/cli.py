@@ -16,13 +16,7 @@ import sys
 
 import numpy as np
 
-from .core import (
-    ActiveSet,
-    Dataset,
-    EstimationError,
-    HyperParams,
-    RadiusSchedule,
-)
+from .core import ActiveSet, Dataset, EstimationError, HyperParams
 from .experiments import (
     CARD_STANDIN_COLUMNS,
     ESTIMATOR_NAMES,
@@ -55,6 +49,7 @@ from .numerics import (
     projected_gradient_critical_point,
     top_eigenvector,
 )
+from .sever import next_radius
 
 __all__ = ["main"]
 
@@ -159,8 +154,6 @@ _HYPER_KEYS = {
     "gamma": "",
     "delta": "0.05",
     "R0": "",
-    "c1": "4.0",
-    "c2": "2.0",
 }
 
 
@@ -192,10 +185,6 @@ def _fixed_hyperparams(resolved: dict) -> HyperParams:
             R0=_parse_float(_require(resolved, "R0"), "R0"),
             gamma=_parse_float(gamma_raw, "gamma") if gamma_raw else None,
             delta=_parse_float(resolved["delta"], "delta"),
-            sched=RadiusSchedule(
-                c1=_parse_float(resolved["c1"], "c1"),
-                c2=_parse_float(resolved["c2"], "c2"),
-            ),
         )
     except ValueError as err:
         raise ConfigError(str(err)) from None
@@ -207,6 +196,12 @@ def _hyper_value(resolved: dict):
     if hyper == "fixed":
         return _fixed_hyperparams(resolved)
     if hyper == "plugin":
+        for key in ("lam", "L", "sigma", "R0", "gamma", "delta"):
+            if resolved[key] != _HYPER_KEYS[key]:
+                raise ConfigError(
+                    f"key {key!r} is read only with hyper=fixed; "
+                    "hyper=plugin derives it from the data"
+                )
         return "plugin"
     raise ConfigError(f"hyper must be 'plugin' or 'fixed', got {hyper!r}")
 
@@ -519,8 +514,7 @@ def _check_negation_identity(rng: RandomSource) -> bool:
 
 def _check_radius_schedule(rng: RandomSource) -> bool:
     hp = HyperParams(eps=0.04, lam=1.0, L=1.0, sigma=1.0, R0=10.0, gamma=0.01)
-    sched = RadiusSchedule(c1=4.0, c2=2.0)
-    got = sched.next_radius(10.0, hp, 0.01)
+    got = next_radius(10.0, hp)
     want = 4.0 * 0.01 + 2.0 * (10.0 * 0.2 + 0.2)
     return abs(got - want) < 1e-12
 

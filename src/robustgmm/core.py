@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,7 +29,6 @@ __all__ = [
     "FilterExhaustedError",
     "Dataset",
     "ActiveSet",
-    "RadiusSchedule",
     "HyperParams",
     "EstimateReport",
     "MomentModel",
@@ -130,34 +129,6 @@ class ActiveSet:
         return bool(np.isin(self.indices, other.indices).all())
 
 
-@dataclass(frozen=True)
-class RadiusSchedule:
-    """Coefficients of the affine radius recursion
-
-        R_next = c1 * gamma / lam**2
-                 + c2 * ((L**2 / lam**2) * R * sqrt(eps)
-                         + sigma * (L**1.5 / lam**2) * sqrt(eps))
-
-    The defaults keep the contraction usable at desk scale; the formal
-    guarantee is proved with c1 = 4, c2 = 2412.
-    """
-
-    c1: float = 4.0
-    c2: float = 2.0
-
-    def __post_init__(self):
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ValueError("schedule coefficients must be positive")
-
-    def next_radius(self, radius: float, hp: "HyperParams", gamma: float) -> float:
-        lam2 = hp.lam**2
-        root_eps = math.sqrt(hp.eps)
-        return self.c1 * gamma / lam2 + self.c2 * (
-            (hp.L**2 / lam2) * radius * root_eps
-            + hp.sigma * (hp.L**1.5 / lam2) * root_eps
-        )
-
-
 # Precondition constant for the formal error guarantee: the analysis needs
 # (L^2 / lam^2) * sqrt(eps) below this before the contraction argument holds.
 THEORY_PRECONDITION_BOUND = 1.0 / 9648.0
@@ -171,10 +142,11 @@ class HyperParams:
     lam    : lower bound on the smallest singular value of the mean Jacobian
     L      : directional second-moment bound on per-sample Jacobians
     sigma  : moment noise scale at the target parameter
-    gamma  : learner criticality tolerance; None selects sigma * L**1.5 * sqrt(eps)
+    gamma  : learner criticality tolerance; None is replaced at construction
+             by sigma * L**1.5 * sqrt(eps), floored at 1e-10 * max(1, lam**2 * R0)
+             so the stopping rule stays meaningful in noiseless or eps = 0 runs
     delta  : failure probability budget for amplification, in (0, 1)
     R0     : initial search radius around the origin
-    sched  : radius recursion coefficients
     """
 
     eps: float
@@ -184,7 +156,6 @@ class HyperParams:
     R0: float
     gamma: Optional[float] = None
     delta: float = 0.05
-    sched: RadiusSchedule = field(default_factory=RadiusSchedule)
 
     def __post_init__(self):
         if not 0.0 <= self.eps < 0.5:
@@ -202,20 +173,12 @@ class HyperParams:
             raise ValueError("R0 must be positive")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.gamma is not None and self.gamma <= 0:
+        if self.gamma is None:
+            floor = 1e-10 * max(1.0, self.lam**2 * self.R0)
+            rate = self.sigma * self.L**1.5 * math.sqrt(self.eps)
+            object.__setattr__(self, "gamma", max(rate, floor))
+        elif self.gamma <= 0:
             raise ValueError("gamma must be positive when given")
-
-    def resolved_gamma(self) -> float:
-        """Criticality tolerance with the default formula and a numerical floor.
-
-        The floor keeps the learner's stopping rule meaningful when the
-        default sigma * L**1.5 * sqrt(eps) collapses to zero (noiseless or
-        eps = 0 runs).
-        """
-        if self.gamma is not None:
-            return self.gamma
-        floor = 1e-10 * max(1.0, self.lam**2 * self.R0)
-        return max(self.sigma * self.L**1.5 * math.sqrt(self.eps), floor)
 
     @property
     def theory_precondition_lhs(self) -> float:

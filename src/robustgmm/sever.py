@@ -40,6 +40,7 @@ __all__ = [
     "gmm_sever",
     "amplified_gmm_sever",
     "iterated_gmm_sever",
+    "next_radius",
 ]
 
 # Filter slack of the practice policy (gmm_sever with practice=True), which
@@ -75,6 +76,12 @@ PRACTICE_JAC_SLACK_FACTOR = 5.0
 # at the center, where shifts show at full size. Residuals are continuous
 # when responses are, so the scale estimate has no point masses to break it.
 PRACTICE_RESPONSE_CAP = 60.0
+
+# Coefficients of the radius recursion in next_radius. They keep the
+# contraction usable at desk scale; the formal guarantee is proved with
+# c1 = 4 and c2 = 2412.
+RADIUS_C1 = 4.0
+RADIUS_C2 = 2.0
 
 # amplified_gmm_sever accepts a repetition as soon as its final set keeps at
 # least (1 - ACCEPT_EPS_MULT * eps) * n samples.
@@ -152,10 +159,9 @@ def gmm_sever(
     spectrum instead tracks the clean rows at the current iterate, at the
     price of a blind spot for corruptions spread evenly across directions.
 
-    The learner stops at hp.resolved_gamma() under both policies. Aborts
-    with FilterExhaustedError once fewer than max(1, ceil(2n/3)) samples
-    survive; each learner restart is warm-started from the previous
-    critical point.
+    The learner stops at hp.gamma under both policies. Aborts with
+    FilterExhaustedError once fewer than max(1, ceil(2n/3)) samples survive;
+    each learner restart is warm-started from the previous critical point.
     """
     n = model.n_samples
     w0 = np.asarray(w0, dtype=np.float64)
@@ -174,7 +180,6 @@ def gmm_sever(
             )
         return kept
 
-    gamma = hp.resolved_gamma()
     slack = PRACTICE_SLACK if practice else FILTER_SLACK
     moment_bound = hp.sigma**2 * hp.L + 4.0 * hp.L**2 * R**2
     events = []
@@ -204,7 +209,7 @@ def gmm_sever(
             objective_grad=_moment_objective(model, S),
             center=w0,
             radius=R,
-            gamma=gamma,
+            gamma=hp.gamma,
             x0=warm,
         )
         learned = projected_gradient_critical_point(prob)
@@ -292,6 +297,21 @@ def amplified_gmm_sever(
     return best
 
 
+def next_radius(radius: float, hp: HyperParams) -> float:
+    """Affine radius recursion of the outer loop:
+
+        R_next = RADIUS_C1 * gamma / lam**2
+                 + RADIUS_C2 * ((L**2 / lam**2) * R * sqrt(eps)
+                                + sigma * (L**1.5 / lam**2) * sqrt(eps))
+    """
+    lam2 = hp.lam**2
+    root_eps = math.sqrt(hp.eps)
+    return RADIUS_C1 * hp.gamma / lam2 + RADIUS_C2 * (
+        (hp.L**2 / lam2) * radius * root_eps
+        + hp.sigma * (hp.L**1.5 / lam2) * root_eps
+    )
+
+
 def iterated_gmm_sever(
     model: MomentModel,
     hp: HyperParams,
@@ -300,14 +320,13 @@ def iterated_gmm_sever(
     """Full robust estimate: amplified sever runs with a shrinking radius.
 
     Starts from the origin with radius R0, re-centers on each accepted
-    estimate, and shrinks the radius by the configured affine recursion.
+    estimate, and shrinks the radius by next_radius.
     Terminates when the recursion stops halving; if that happens on the very
     first round the single-shot estimate is returned with the diagnostic
     schedule_degenerate set (eps too large for the given L and lam). Every
     run uses gmm_sever's certified (theory) policy.
     """
     d = model.param_dim
-    gamma = hp.resolved_gamma()
 
     # split the failure budget across the planned outer rounds
     if hp.sigma > 0 and hp.eps > 0:
@@ -315,7 +334,7 @@ def iterated_gmm_sever(
         planned = math.ceil(math.log2(ratio)) if ratio > 1 else 1
     else:
         planned = 1
-    inner_hp = replace(hp, gamma=gamma, delta=hp.delta / max(1, planned))
+    inner_hp = replace(hp, delta=hp.delta / max(1, planned))
 
     w = np.zeros(d)
     radius = hp.R0
@@ -333,7 +352,7 @@ def iterated_gmm_sever(
             (t, kind, removed) for (_, kind, removed, _) in result.events if removed
         )
         unmet += sum(1 for ok in result.learner_flags if not ok)
-        radius_next = hp.sched.next_radius(radius, hp, gamma)
+        radius_next = next_radius(radius, hp)
         trace.append((t + 1, radius_next))
         if radius_next > radius / 2.0:
             if t == 1:
@@ -345,7 +364,7 @@ def iterated_gmm_sever(
         t += 1
 
     diagnostics = {
-        "gamma": gamma,
+        "gamma": hp.gamma,
         "delta_inner": inner_hp.delta,
         "outer_rounds": float(t),
         "learner_tolerance_unmet": float(unmet),

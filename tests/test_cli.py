@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -152,8 +155,10 @@ def test_estimate_error_exits(linear_csv, tmp_path, capsys):
     assert main(base + ["--set", "eps=0.1", "--set", "mystery=1"]) == 1
     assert "unknown config key" in capsys.readouterr().err
     # removed keys: the plug-in path always rescales at a fixed gamma scale,
-    # and hyper alone picks the filter bounds and their slack
-    for removed in ("rescale=false", "gamma_scale=0.2", "slack=2", "bound_mode=practice"):
+    # hyper alone picks the filter bounds and their slack, and the radius
+    # recursion has fixed coefficients
+    for removed in ("rescale=false", "gamma_scale=0.2", "slack=2", "bound_mode=practice",
+                    "c1=4", "c2=2"):
         assert main(base + ["--set", "eps=0.1", "--set", removed]) == 1
         assert "unknown config key" in capsys.readouterr().err
     sweep = ["synth-sweep", "--out", str(tmp_path / "s.csv"), "--set", "slack=2"]
@@ -163,6 +168,26 @@ def test_estimate_error_exits(linear_csv, tmp_path, capsys):
     assert "--out is required" in capsys.readouterr().err
     assert main(["estimate", "--out", str(out), "--set", "eps=0.1"]) == 1
     assert "required" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "synth-sweep"])
+def test_plugin_rejects_fixed_only_keys(command, tmp_path, capsys):
+    # hyper=plugin derives these constants, so a value given for one of them
+    # would be silently ignored
+    out = tmp_path / "o.csv"
+    if command == "estimate":
+        base = ["estimate", "--set", f"input={DATA_CSV}", "--set", "model=scalar",
+                "--set", "eps=0.05", "--set", "col_instruments=nearc4",
+                "--set", f"col_response={CARD_STANDIN_COLUMNS['response']}",
+                "--set", f"col_treatment={CARD_STANDIN_COLUMNS['treatment']}",
+                "--set", "col_covariates=exper,expersq"]
+    else:
+        base = ["synth-sweep", "--set", "preset=desk"]
+    for item in ("lam=5", "L=1", "sigma=9", "R0=0.1", "gamma=1", "delta=0.001"):
+        assert main(base + ["--out", str(out), "--set", item]) == 1
+        key = item.partition("=")[0]
+        assert f"key {key!r} is read only with hyper=fixed" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -432,6 +457,27 @@ def test_logistic_model_dispatch(tmp_path):
         assert all(math.isfinite(v) for v in diag[model].values())
     assert (diag["logistic"]["jacobian_second_moment_sup"]
             != diag["linear"]["jacobian_second_moment_sup"])
+
+
+def test_diagnose_on_overflowing_gram_exits_2(tmp_path):
+    # at this scale the Jacobian-sup ascent's weighted Gram matrices overflow
+    # float64; the ascent must stop with an estimation failure, not spin on
+    # NaN eigenvalues
+    src = RandomSource(3)
+    X = src.normal((300, 2))
+    Z = X + 0.3 * src.normal((300, 2))
+    Y = X @ np.array([1.0, -1.0]) + 0.1 * src.normal(300)
+    path = tmp_path / "huge.csv"
+    save_dataset_csv(path, Dataset(X=X * 1e80, Y=Y * 1e80, Z=Z * 1e80))
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "robustgmm", "diagnose", "--out", str(tmp_path / "d.out"),
+         "--set", f"input={path}", *COLS],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2
+    assert "overflow" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_diagnose_rejects_no_directions(linear_csv, tmp_path, capsys):

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from robustgmm import Dataset, HyperParams, LinearIVModel, RandomSource
 from robustgmm.core import (
     ActiveSet,
-    RadiusSchedule,
     THEORY_PRECONDITION_BOUND,
     mean_jacobian,
     mean_moment,
 )
 from robustgmm.numerics import finite_diff_jacobian
+from robustgmm.sever import next_radius
 
 from conftest import make_linear_dataset
 
@@ -81,22 +81,13 @@ def test_active_set_full_and_subset():
 
 
 # ---------------------------------------------------------------------------
-# RadiusSchedule / HyperParams
-
-
-def test_radius_schedule_validates():
-    with pytest.raises(ValueError):
-        RadiusSchedule(c1=0.0)
-    with pytest.raises(ValueError):
-        RadiusSchedule(c2=-1.0)
-    assert RadiusSchedule().c2 == 2.0
+# radius recursion / HyperParams
 
 
 def test_radius_schedule_arithmetic():
     # hand-checked: 4*0.01 + 2*((1*10)*0.1 + 0.5*1*0.1) = 0.04 + 2*1.05
     hp = HyperParams(eps=0.01, lam=1.0, L=1.0, sigma=0.5, R0=10.0, gamma=0.01)
-    sched = RadiusSchedule(c1=4.0, c2=2.0)
-    assert sched.next_radius(10.0, hp, 0.01) == pytest.approx(2.14, rel=1e-12)
+    assert next_radius(10.0, hp) == pytest.approx(2.14, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -123,11 +114,11 @@ def test_hyperparams_validation(kwargs, match):
 
 def test_hyperparams_gamma_default_and_floor():
     hp = HyperParams(eps=0.04, lam=1.0, L=4.0, sigma=0.5, R0=1.0)
-    assert hp.resolved_gamma() == pytest.approx(0.5 * 8.0 * 0.2)
+    assert hp.gamma == pytest.approx(0.5 * 8.0 * 0.2)
     noiseless = HyperParams(eps=0.0, lam=1.0, L=4.0, sigma=0.0, R0=1.0)
-    assert noiseless.resolved_gamma() == pytest.approx(1e-10)
+    assert noiseless.gamma == pytest.approx(1e-10)
     explicit = HyperParams(eps=0.0, lam=1.0, L=4.0, sigma=0.0, R0=1.0, gamma=0.3)
-    assert explicit.resolved_gamma() == 0.3
+    assert explicit.gamma == 0.3
 
 
 def test_hyperparams_theory_precondition_flag():

@@ -22,7 +22,6 @@ from robustgmm import (
 )
 from robustgmm.core import ActiveSet
 from robustgmm.experiments import (
-    PLUGIN_GAMMA_SCALE,
     PRACTICE_LEARNER_TOL,
     SweepConfig,
     SweepRow,
@@ -401,15 +400,15 @@ def test_derive_hyperparams_diagnoses_the_given_model():
 
 
 def test_plugin_gamma_is_the_tighter_learner_tolerance(monkeypatch):
-    # the scaled criticality rate is too loose to pin the fit; the plug-in
+    # the default criticality rate is too loose to pin the fit; the plug-in
     # rule caps it at the PRACTICE_LEARNER_TOL gradient level, and the
     # learner stops at exactly the gamma the report shows
     data, _ = make_linear_dataset(seed=3, n=200, d=2, noise=0.5)
     hp = derive_hyperparams(LinearIVModel(data), 0.01)
-    rate = PLUGIN_GAMMA_SCALE * hp.sigma * hp.L**1.5 * math.sqrt(hp.eps)
+    rate = hp.sigma * hp.L**1.5 * math.sqrt(hp.eps)
     level = 2.0 * hp.lam**2 * PRACTICE_LEARNER_TOL * max(1.0, hp.R0)
     assert rate > level
-    assert hp.gamma == min(rate, level)
+    assert hp.gamma == level
 
     seen = []
     learner = sever_mod.projected_gradient_critical_point
