@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: estimate, synth-sweep, semi-sweep, diagnose, selfcheck.
+Subcommands: estimate, synth-sweep, semi-sweep, diagnose, selfcheck; each
+accepts only the flags its run reads (see _COMMANDS).
 Configuration is a flat key=value file overlaid by repeatable --set flags
 (last one wins); unknown keys are rejected. Every output file starts with
 the resolved configuration as '#' comment lines, and is byte-reproducible
@@ -29,8 +30,9 @@ from .experiments import (
     load_csv,
     robust_linear_estimate,
     run_sweep,
-    write_rows_csv,
     write_aggregate_csv,
+    write_lines,
+    write_rows_csv,
 )
 from .filtering import spectral_filter
 from .models import (
@@ -127,8 +129,9 @@ def _resolve(args, spec: dict) -> dict:
             if key not in spec:
                 raise ConfigError(f"unknown config key {key!r}")
             resolved[key] = value
-    if args.seed is not None:
-        resolved["seed"] = str(args.seed)
+    seed = getattr(args, "seed", None)  # diagnose takes no --seed
+    if seed is not None:
+        resolved["seed"] = str(seed)
     return resolved
 
 
@@ -144,18 +147,6 @@ _COLUMN_KEYS = {
     "col_instruments": "z1",
     "col_covariates": "x1",
 }
-
-_HYPER_KEYS = {
-    "hyper": "plugin",
-    "eps": None,  # required
-    "lam": "",
-    "L": "",
-    "sigma": "",
-    "gamma": "",
-    "delta": "0.05",
-    "R0": "",
-}
-
 
 def _columns_from(resolved: dict) -> dict:
     treatment = resolved.get("col_treatment", "")
@@ -197,7 +188,7 @@ def _hyper_value(resolved: dict):
         return _fixed_hyperparams(resolved)
     if hyper == "plugin":
         for key in ("lam", "L", "sigma", "R0", "gamma", "delta"):
-            if resolved[key] != _HYPER_KEYS[key]:
+            if resolved[key] != _ESTIMATE_SPEC[key]:
                 raise ConfigError(
                     f"key {key!r} is read only with hyper=fixed; "
                     "hyper=plugin derives it from the data"
@@ -236,14 +227,19 @@ _ESTIMATE_SPEC = {
     "model": "linear",
     "intercept": "true",
     **_COLUMN_KEYS,
-    **_HYPER_KEYS,
+    "hyper": "plugin",
+    "eps": None,  # required
+    "lam": "",
+    "L": "",
+    "sigma": "",
+    "gamma": "",
+    "delta": "0.05",
+    "R0": "",
 }
 
 
 def cmd_estimate(args) -> int:
     resolved = _resolve(args, _ESTIMATE_SPEC)
-    if not args.out:
-        raise ConfigError("--out is required for estimate")
     eps = _parse_float(_require(resolved, "eps"), "eps")
     if not 0.0 <= eps < 0.5:
         raise ConfigError(f"eps must be < 0.5 and nonnegative, got {eps}")
@@ -271,16 +267,8 @@ def cmd_estimate(args) -> int:
     )
     for key in sorted(report.diagnostics):
         lines.append(f"diag.{key}={format_float(report.diagnostics[key])}")
-    _write_lines(args.out, _stamp("estimate", resolved), lines)
+    write_lines(args.out, lines, _stamp("estimate", resolved))
     return 0
-
-
-def _write_lines(path, header_lines, lines) -> None:
-    with open(path, "w", newline="\n") as handle:
-        for line in header_lines:
-            handle.write(f"# {line}\n")
-        for line in lines:
-            handle.write(f"{line}\n")
 
 
 _SYNTH_SPEC = {
@@ -292,9 +280,7 @@ _SYNTH_SPEC = {
     "reps": "",
     "estimators": ",".join(ESTIMATOR_NAMES),
     "attack": "all-ones",
-    "instrument": "bernoulli01",
     "stamp_runtime": "false",
-    **_HYPER_KEYS,
 }
 
 _PRESETS = {
@@ -324,16 +310,11 @@ def _sweep_common(resolved: dict, kind: str, grid: dict) -> dict:
         "seed": _parse_int(resolved["seed"], "seed"),
         "estimators": tuple(_split_list(resolved["estimators"])),
         "attack": resolved["attack"],
-        "hyper": _hyper_value(resolved),
         "stamp_runtime": _parse_bool(resolved["stamp_runtime"]),
     }
 
 
 def _emit_sweep(args, command: str, resolved: dict, cfg: SweepConfig) -> int:
-    if not args.out:
-        raise ConfigError(f"--out is required for {command}")
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     rng = RandomSource(cfg.seed)
     rows = run_sweep(cfg, rng, jobs=args.jobs)
     header = _stamp(command, resolved)
@@ -361,7 +342,6 @@ def cmd_synth_sweep(args) -> int:
         cfg = SweepConfig(
             n=_parse_int(merged["n"], "n"),
             d=_parse_int(merged["d"], "d"),
-            instrument=resolved["instrument"],
             **_sweep_common(resolved, "synthetic", merged),
         )
     except ValueError as err:
@@ -382,7 +362,6 @@ _SEMI_SPEC = {
     "col_instruments": ",".join(CARD_STANDIN_COLUMNS["instruments"]),
     "col_covariates": ",".join(CARD_STANDIN_COLUMNS["covariates"]),
     "stamp_runtime": "false",
-    **_HYPER_KEYS,
 }
 
 
@@ -410,8 +389,6 @@ _DIAGNOSE_SPEC = {
 
 def cmd_diagnose(args) -> int:
     resolved = _resolve(args, _DIAGNOSE_SPEC)
-    if not args.out:
-        raise ConfigError("--out is required for diagnose")
     design, solver_kind, _ = _build_design(resolved)
     model = model_class(solver_kind)(design)
     try:
@@ -422,7 +399,7 @@ def cmd_diagnose(args) -> int:
     lines = [f"n={design.n}", f"d={design.d}", f"p={design.p}"]
     lines.append(f"w_ref={','.join(format_float(v) for v in w_ref)}")
     lines.extend(f"{key}={format_float(diag[key])}" for key in sorted(diag))
-    _write_lines(args.out, _stamp("diagnose", resolved), lines)
+    write_lines(args.out, lines, _stamp("diagnose", resolved))
     return 0
 
 
@@ -544,27 +521,47 @@ def cmd_selfcheck(args) -> int:
     return 0 if all_ok else 2
 
 
+def _parse_jobs(raw: str) -> int:
+    try:
+        jobs = int(raw)
+    except ValueError:
+        raise ConfigError(f"--jobs expects an integer, got {raw!r}") from None
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
+    return jobs
+
+
+_FLAGS = {
+    "--config": {"help": "flat key=value config file"},
+    "--set": {
+        "action": "append",
+        "metavar": "KEY=VALUE",
+        "help": "override one config key (repeatable, wins over --config)",
+    },
+    "--seed": {"type": int, "help": "64-bit master seed"},
+    "--out": {"required": True, "help": "output file path"},
+    "--jobs": {"type": _parse_jobs, "default": 1, "help": "parallel sweep cells"},
+}
+
+_SWEEP_FLAGS = ("--config", "--set", "--seed", "--out", "--jobs")
+
+# each subcommand parses only the flags its run reads
+_COMMANDS = {
+    "estimate": (cmd_estimate, ("--config", "--set", "--seed", "--out")),
+    "synth-sweep": (cmd_synth_sweep, _SWEEP_FLAGS),
+    "semi-sweep": (cmd_semi_sweep, _SWEEP_FLAGS),
+    "diagnose": (cmd_diagnose, ("--config", "--set", "--out")),
+    "selfcheck": (cmd_selfcheck, ("--seed",)),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="robustgmm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func in (
-        ("estimate", cmd_estimate),
-        ("synth-sweep", cmd_synth_sweep),
-        ("semi-sweep", cmd_semi_sweep),
-        ("diagnose", cmd_diagnose),
-        ("selfcheck", cmd_selfcheck),
-    ):
+    for name, (func, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None, help="64-bit master seed")
-        p.add_argument("--out", default=None, help="output file path")
-        p.add_argument(
-            "--set",
-            action="append",
-            metavar="KEY=VALUE",
-            help="override one config key (repeatable, wins over --config)",
-        )
-        p.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(func=func)
     return parser
 

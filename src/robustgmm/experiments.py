@@ -15,7 +15,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -57,6 +57,7 @@ __all__ = [
     "aggregate_rows",
     "write_rows_csv",
     "write_aggregate_csv",
+    "write_lines",
     "format_float",
 ]
 
@@ -83,20 +84,14 @@ PRACTICE_LEARNER_TOL = 1e-3
 # data generation
 
 
-def gen_synthetic_hte(
-    n: int, d: int, rng: RandomSource, instrument: str = "bernoulli01"
-):
+def gen_synthetic_hte(n: int, d: int, rng: RandomSource):
     """Heterogeneous-treatment-effect DGP with an endogenous treatment.
 
-    theta ~ N(0, I_d), X ~ N(0, I_d) rows, scalar instrument Z, confounder
-    U ~ N(0, 1). Treatment T is Bernoulli with success probability
-    s(Z + sqrt(d) * U * mean(X)), response Y = <X, theta> T + U. The
-    confounder enters both T and Y, so treated-only regression is biased and
-    the instrument is needed.
-
-    instrument: "bernoulli01" (Z in {0,1}, fair coin), "pm_one" (Z in
-    {-1,+1}), or "constant" (Z = 1, which destroys identification on
-    purpose for degeneracy checks).
+    theta ~ N(0, I_d), X ~ N(0, I_d) rows, scalar instrument Z in {0, 1}
+    (a fair coin), confounder U ~ N(0, 1). Treatment T is Bernoulli with
+    success probability s(Z + sqrt(d) * U * mean(X)), response
+    Y = <X, theta> T + U. The confounder enters both T and Y, so
+    treated-only regression is biased and the instrument is needed.
 
     Returns (Dataset, theta).
     """
@@ -104,14 +99,7 @@ def gen_synthetic_hte(
         raise ValueError("n and d must be positive")
     theta = rng.normal(d)
     X = rng.normal((n, d))
-    if instrument == "bernoulli01":
-        z = (rng.uniform(n) < 0.5).astype(np.float64)
-    elif instrument == "pm_one":
-        z = 2.0 * (rng.uniform(n) < 0.5).astype(np.float64) - 1.0
-    elif instrument == "constant":
-        z = np.ones(n)
-    else:
-        raise ValueError(f"unknown instrument flavor {instrument!r}")
+    z = (rng.uniform(n) < 0.5).astype(np.float64)
     U = rng.normal(n)
     xbar = X.mean(axis=1)
     p_treat = logistic(z + math.sqrt(d) * U * xbar)
@@ -161,10 +149,8 @@ def gen_card_standin(rng: RandomSource, n: int = 3010):
 def write_card_standin(path, seed: int = 20260815, n: int = 3010) -> None:
     cols = gen_card_standin(RandomSource(seed), n)
     names = list(cols)
-    with open(path, "w", newline="\n") as handle:
-        handle.write(",".join(names) + "\n")
-        for i in range(n):
-            handle.write(",".join(format_float(cols[c][i]) for c in names) + "\n")
+    rows = (",".join(format_float(cols[c][i]) for c in names) for i in range(n))
+    write_lines(path, [",".join(names), *rows])
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +300,15 @@ def load_csv(path, columns: Mapping) -> Dataset:
     return Dataset(X=X, Y=Y, Z=Z, T=T)
 
 
+def write_lines(path, lines: Iterable[str], header_lines: Iterable[str] = ()) -> None:
+    """Write the header lines as '# ' comments, then the lines, one per line."""
+    with open(path, "w", newline="\n") as handle:
+        for line in header_lines:
+            handle.write(f"# {line}\n")
+        for line in lines:
+            handle.write(f"{line}\n")
+
+
 def format_float(x: float) -> str:
     """17 significant digits: enough to reproduce any float64 exactly."""
     if math.isnan(x):
@@ -334,10 +329,8 @@ def save_dataset_csv(path, data: Dataset) -> None:
     for j in range(data.d):
         names.append(f"x{j + 1}")
         cols.append(data.X[:, j])
-    with open(path, "w", newline="\n") as handle:
-        handle.write(",".join(names) + "\n")
-        for i in range(data.n):
-            handle.write(",".join(format_float(col[i]) for col in cols) + "\n")
+    rows = (",".join(format_float(col[i]) for col in cols) for i in range(data.n))
+    write_lines(path, [",".join(names), *rows])
 
 
 def dataset_columns(data: Dataset) -> Mapping:
@@ -532,11 +525,15 @@ def robust_linear_estimate(
 
     An explicit HyperParams is taken to describe the raw design and is used
     as-is, without rescaling, in iterated_gmm_sever under the paper's
-    certified (theory) policy. Returns (w, EstimateReport).
+    certified (theory) policy; that fit runs at hyper.eps, so an eps that
+    differs from it raises ValueError. Returns (w, EstimateReport); both
+    paths store the returned w as report.w_hat, in the design's coordinates.
     """
     make_model = model_class(model_kind)
 
     if isinstance(hyper, HyperParams):
+        if eps != hyper.eps:
+            raise ValueError(f"eps {eps} differs from the HyperParams eps {hyper.eps}")
         report = iterated_gmm_sever(make_model(design), hyper, rng.child("est"))
         return report.w_hat, report
 
@@ -555,7 +552,8 @@ def robust_linear_estimate(
     events = tuple((1, kind, m) for (_, kind, m, _) in res.events if m)
     unmet = float(res.learner_flags.count(False))
     diagnostics = {"gamma": hp.gamma, "learner_tolerance_unmet": unmet}
-    return wx @ res.w, EstimateReport(res.w, res.S, (), events, diagnostics)
+    w = wx @ res.w
+    return w, EstimateReport(w, res.S, (), events, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +568,8 @@ class SweepConfig:
     against the true effect vector; kind "semi" loads a fixed design from
     data_path (or uses an in-memory stand-in when data_path is None at the
     call site) and records the fitted ATE. estimators must be a subset of
-    ESTIMATOR_NAMES. hyper is "plugin" or a fixed HyperParams, and it also
-    picks the robust estimator's filter bounds (see robust_linear_estimate).
+    ESTIMATOR_NAMES. The robust estimator fits each cell at its own eps with
+    plug-in constants (robust_linear_estimate's default).
     """
 
     kind: str
@@ -582,11 +580,9 @@ class SweepConfig:
     attack: str = "all-ones"
     n: int = 10000
     d: int = 20
-    instrument: str = "bernoulli01"
     data_path: Optional[str] = None
     columns: Optional[Mapping] = None
     intercept: bool = True
-    hyper: Union[HyperParams, str] = "plugin"
     stamp_runtime: bool = False
 
     def __post_init__(self):
@@ -635,9 +631,7 @@ def _semi_design(cfg: SweepConfig) -> Dataset:
 def _run_cell(cfg: SweepConfig, master_seed: int, eps: float, rep: int):
     cell_rng = RandomSource(master_seed).child(f"eps={eps:.6g}/rep={rep}")
     if cfg.kind == "synthetic":
-        base, theta = gen_synthetic_hte(
-            cfg.n, cfg.d, cell_rng.child("dgp"), cfg.instrument
-        )
+        base, theta = gen_synthetic_hte(cfg.n, cfg.d, cell_rng.child("dgp"))
         if cfg.attack == "all-ones":
             base, _ = corrupt_all_ones(base, eps, cell_rng.child("attack"))
         design = hte_design(base)
@@ -662,10 +656,7 @@ def _run_cell(cfg: SweepConfig, master_seed: int, eps: float, rep: int):
                     w = two_stage_huber(design)
                 else:
                     w, _ = robust_linear_estimate(
-                        design,
-                        eps,
-                        cell_rng.child(f"robust/{name}"),
-                        hyper=cfg.hyper,
+                        design, eps, cell_rng.child(f"robust/{name}")
                     )
             if cfg.kind == "synthetic":
                 value = float(np.linalg.norm(w - theta))
@@ -756,25 +747,21 @@ def aggregate_rows(rows: Sequence[SweepRow]):
 
 
 def write_rows_csv(path, rows: Sequence[SweepRow], header_lines: Sequence[str] = ()):
-    with open(path, "w", newline="\n") as handle:
-        for line in header_lines:
-            handle.write(f"# {line}\n")
-        handle.write("epsilon,estimator,metric,value,seed,runtime_ms\n")
-        for r in rows:
-            value = "failed" if r.value is None else format_float(r.value)
-            handle.write(
-                f"{format_float(r.epsilon)},{r.estimator},{r.metric},"
-                f"{value},{r.seed},{format_float(r.runtime_ms)}\n"
-            )
+    body = ["epsilon,estimator,metric,value,seed,runtime_ms"]
+    for r in rows:
+        value = "failed" if r.value is None else format_float(r.value)
+        body.append(
+            f"{format_float(r.epsilon)},{r.estimator},{r.metric},"
+            f"{value},{r.seed},{format_float(r.runtime_ms)}"
+        )
+    write_lines(path, body, header_lines)
 
 
 def write_aggregate_csv(path, aggregates, header_lines: Sequence[str] = ()):
-    with open(path, "w", newline="\n") as handle:
-        for line in header_lines:
-            handle.write(f"# {line}\n")
-        handle.write("epsilon,estimator,metric,mean,stderr,count\n")
-        for a in aggregates:
-            handle.write(
-                f"{format_float(a['epsilon'])},{a['estimator']},{a['metric']},"
-                f"{format_float(a['mean'])},{format_float(a['stderr'])},{a['count']}\n"
-            )
+    body = ["epsilon,estimator,metric,mean,stderr,count"]
+    for a in aggregates:
+        body.append(
+            f"{format_float(a['epsilon'])},{a['estimator']},{a['metric']},"
+            f"{format_float(a['mean'])},{format_float(a['stderr'])},{a['count']}"
+        )
+    write_lines(path, body, header_lines)

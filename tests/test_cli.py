@@ -165,16 +165,17 @@ def test_estimate_error_exits(linear_csv, tmp_path, capsys):
     assert main(sweep) == 1
     assert "unknown config key" in capsys.readouterr().err
     assert main(["estimate", "--set", f"input={path}", "--set", "eps=0.1", *COLS]) == 1
-    assert "--out is required" in capsys.readouterr().err
+    assert "required: --out" in capsys.readouterr().err
     assert main(["estimate", "--out", str(out), "--set", "eps=0.1"]) == 1
     assert "required" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["estimate", "synth-sweep"])
+@pytest.mark.parametrize("command", ["estimate", "synth-sweep", "semi-sweep"])
 def test_plugin_rejects_fixed_only_keys(command, tmp_path, capsys):
     # hyper=plugin derives these constants, so a value given for one of them
-    # would be silently ignored
+    # would be silently ignored; the sweeps always fit with plug-in constants
+    # and have no such keys
     out = tmp_path / "o.csv"
     if command == "estimate":
         base = ["estimate", "--set", f"input={DATA_CSV}", "--set", "model=scalar",
@@ -182,12 +183,65 @@ def test_plugin_rejects_fixed_only_keys(command, tmp_path, capsys):
                 "--set", f"col_response={CARD_STANDIN_COLUMNS['response']}",
                 "--set", f"col_treatment={CARD_STANDIN_COLUMNS['treatment']}",
                 "--set", "col_covariates=exper,expersq"]
-    else:
+    elif command == "synth-sweep":
         base = ["synth-sweep", "--set", "preset=desk"]
+    else:
+        base = ["semi-sweep", "--set", f"input={DATA_CSV}"]
     for item in ("lam=5", "L=1", "sigma=9", "R0=0.1", "gamma=1", "delta=0.001"):
         assert main(base + ["--out", str(out), "--set", item]) == 1
         key = item.partition("=")[0]
-        assert f"key {key!r} is read only with hyper=fixed" in capsys.readouterr().err
+        if command == "estimate":
+            want = f"key {key!r} is read only with hyper=fixed"
+        else:
+            want = f"unknown config key {key!r}"
+        assert want in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth-sweep", "semi-sweep"])
+def test_sweeps_reject_hyper_eps_and_instrument(command, tmp_path, capsys):
+    # a sweep fits every cell at its grid eps with plug-in constants, and the
+    # synthetic instrument is always a fair coin
+    out = tmp_path / "o.csv"
+    source = "preset=desk" if command == "synth-sweep" else f"input={DATA_CSV}"
+    base = [command, "--out", str(out), "--set", source]
+    for item in ("hyper=fixed", "hyper=plugin", "eps=0.45", "instrument=bernoulli01"):
+        assert main(base + ["--set", item]) == 1
+        key = item.partition("=")[0]
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# flags each subcommand does not read; a valid invocation is given alongside
+UNREAD_FLAGS = [
+    ("estimate", ["--jobs", "2"]),
+    ("diagnose", ["--seed", "7"]),
+    ("diagnose", ["--jobs", "9"]),
+    ("selfcheck", ["--config", "missing.cfg"]),
+    ("selfcheck", ["--set", "foo=bar"]),
+    ("selfcheck", ["--out", "OUT"]),
+    ("selfcheck", ["--jobs", "2"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command,flag", UNREAD_FLAGS, ids=[f"{c}{f[0]}" for c, f in UNREAD_FLAGS]
+)
+def test_subcommands_reject_flags_they_do_not_read(
+    command, flag, linear_csv, tmp_path, capsys
+):
+    path, _, _ = linear_csv
+    out = tmp_path / "o.out"
+    valid = {
+        "estimate": ["--out", str(out), "--set", f"input={path}", "--set", "eps=0.1",
+                     *COLS],
+        "diagnose": ["--out", str(out), "--set", f"input={path}", *COLS],
+        "selfcheck": [],
+    }[command]
+    flag = [str(out) if arg == "OUT" else arg for arg in flag]
+    assert main([command, *valid, *flag]) == 1
+    captured = capsys.readouterr()
+    assert "unrecognized arguments" in captured.err and captured.out == ""
     assert not out.exists()
 
 
@@ -423,7 +477,7 @@ def test_diagnose_reports_constants(linear_csv, tmp_path):
     path, _, _ = linear_csv
     out = tmp_path / "diag.out"
     code = main(
-        ["diagnose", "--seed", "1", "--out", str(out),
+        ["diagnose", "--out", str(out),
          "--set", f"input={path}", *COLS]
     )
     assert code == 0
@@ -450,7 +504,7 @@ def test_logistic_model_dispatch(tmp_path):
         est, dia = tmp_path / f"{model}.est", tmp_path / f"{model}.diag"
         assert main(["estimate", "--seed", "2", "--out", str(est), *cols, *kind,
                      "--set", "eps=0.05"]) == 0
-        assert main(["diagnose", "--seed", "2", "--out", str(dia), *cols, *kind]) == 0
+        assert main(["diagnose", "--out", str(dia), *cols, *kind]) == 0
         w = [float(v) for v in parse_report(est)["w_hat"].split(",")]
         assert len(w) == 1 and all(math.isfinite(v) for v in w)
         diag[model] = {k: float(v) for k, v in parse_report(dia).items()}

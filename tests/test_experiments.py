@@ -62,12 +62,6 @@ def test_synthetic_hte_shapes_and_ranges(rng):
 
 
 def test_synthetic_hte_instrument_flavors(rng):
-    pm, _ = gen_synthetic_hte(300, 2, rng.child("pm"), instrument="pm_one")
-    assert set(np.unique(pm.Z)) <= {-1.0, 1.0}
-    const, _ = gen_synthetic_hte(300, 2, rng.child("c"), instrument="constant")
-    assert (const.Z == 1.0).all()
-    with pytest.raises(ValueError, match="unknown instrument"):
-        gen_synthetic_hte(300, 2, rng.child("bad"), instrument="gaussian")
     with pytest.raises(ValueError, match="positive"):
         gen_synthetic_hte(0, 2, rng.child("n0"))
 
@@ -456,6 +450,22 @@ def test_robust_estimate_fixed_hyper_runs_theory_bounds(rng):
     want = iterated_gmm_sever(LinearIVModel(design), hp, rng.child("est"))
     np.testing.assert_array_equal(w, want.w_hat)
     np.testing.assert_array_equal(report.final_set.indices, want.final_set.indices)
+
+
+def test_robust_estimate_fixed_hyper_rejects_a_different_eps(rng):
+    # the fixed-constant fit runs at hp.eps and would ignore the eps argument
+    data, _ = make_linear_dataset(seed=4, n=200, d=2, noise=0.1)
+    hp = HyperParams(eps=0.05, lam=0.3, L=4.0, sigma=1.0, R0=10.0, gamma=1e-6)
+    with pytest.raises(ValueError, match="differs from the HyperParams eps"):
+        robust_linear_estimate(data, 0.2, rng, hyper=hp)
+
+
+def test_plugin_report_w_hat_is_the_returned_estimate():
+    # the plug-in fit works in rescaled coordinates; the report must hold the
+    # estimate mapped back to the design's own coordinates
+    design = scalar_treatment_design(load_csv(DATA_CSV, CARD_STANDIN_COLUMNS))
+    w, report = robust_linear_estimate(design, 0.1, RandomSource(0))
+    np.testing.assert_array_equal(report.w_hat, w)
 
 
 # ---------------------------------------------------------------------------

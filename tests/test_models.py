@@ -310,7 +310,7 @@ def reference_huber_column(A, b, delta=None, tol=1e-8, max_iter=500):
 
 def desk_first_stage(seed=5, eps=0.2):
     rng = RandomSource(seed)
-    base, _ = gen_synthetic_hte(2000, 10, rng.child("dgp"), "bernoulli01")
+    base, _ = gen_synthetic_hte(2000, 10, rng.child("dgp"))
     base, _ = corrupt_all_ones(base, eps, rng.child("attack"))
     design = hte_design(base)
     return design.Z, design.X
