@@ -2,12 +2,13 @@
 
 Under eps-strong contamination (an adversary replaces up to an eps fraction
 of samples after seeing the data), classical moment estimators can be driven
-arbitrarily far from the truth. This package implements the paper's
-iterated filter-and-reoptimize estimator, whose error degrades as
-O(sqrt(eps)) under fixed constants: a spectral outlier filter with
-randomized thresholding, a trust-region moment learner, probability
-amplification, and a radius-halving outer loop. The default plug-in fit
-runs one response screen and amplified filter loop, without the radius loop.
+arbitrarily far from the truth. This package implements a
+filter-and-reoptimize estimator after the paper's: a spectral outlier
+filter with randomized thresholding, a trust-region moment learner and
+probability amplification, run with constants derived from the data. A
+fit is one response screen and amplified filter loop; the paper's
+certified bounds and radius-halving outer loop, whose O(sqrt(eps))
+guarantee needs constants no measured design meets, are not included.
 Also: IV moment models (linear, logistic, heterogeneous treatment
 effects), corruption generators, classical baselines, and a sweep CLI.
 """

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .core import ActiveSet, Dataset, EstimationError, HyperParams
+from .core import ActiveSet, Dataset, EstimationError
 from .experiments import (
     CARD_STANDIN_COLUMNS,
     ESTIMATOR_NAMES,
@@ -51,7 +51,6 @@ from .numerics import (
     projected_gradient_critical_point,
     top_eigenvector,
 )
-from .sever import next_radius
 
 __all__ = ["main"]
 
@@ -165,38 +164,6 @@ def _require(resolved: dict, key: str) -> str:
     return value
 
 
-def _fixed_hyperparams(resolved: dict) -> HyperParams:
-    gamma_raw = resolved.get("gamma", "")
-    try:
-        return HyperParams(
-            eps=_parse_float(_require(resolved, "eps"), "eps"),
-            lam=_parse_float(_require(resolved, "lam"), "lam"),
-            L=_parse_float(_require(resolved, "L"), "L"),
-            sigma=_parse_float(_require(resolved, "sigma"), "sigma"),
-            R0=_parse_float(_require(resolved, "R0"), "R0"),
-            gamma=_parse_float(gamma_raw, "gamma") if gamma_raw else None,
-            delta=_parse_float(resolved["delta"], "delta"),
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-
-
-def _hyper_value(resolved: dict):
-    """The estimators' hyper argument: "plugin" or a fixed HyperParams."""
-    hyper = resolved["hyper"]
-    if hyper == "fixed":
-        return _fixed_hyperparams(resolved)
-    if hyper == "plugin":
-        for key in ("lam", "L", "sigma", "R0", "gamma", "delta"):
-            if resolved[key] != _ESTIMATE_SPEC[key]:
-                raise ConfigError(
-                    f"key {key!r} is read only with hyper=fixed; "
-                    "hyper=plugin derives it from the data"
-                )
-        return "plugin"
-    raise ConfigError(f"hyper must be 'plugin' or 'fixed', got {hyper!r}")
-
-
 def _build_design(resolved: dict):
     """Load the CSV and derive the design for the requested model kind.
 
@@ -227,14 +194,7 @@ _ESTIMATE_SPEC = {
     "model": "linear",
     "intercept": "true",
     **_COLUMN_KEYS,
-    "hyper": "plugin",
     "eps": None,  # required
-    "lam": "",
-    "L": "",
-    "sigma": "",
-    "gamma": "",
-    "delta": "0.05",
-    "R0": "",
 }
 
 
@@ -249,7 +209,6 @@ def cmd_estimate(args) -> int:
         design,
         eps,
         RandomSource(_parse_int(resolved["seed"], "seed")),
-        hyper=_hyper_value(resolved),
         model_kind=solver_kind,
     )
 
@@ -261,10 +220,6 @@ def cmd_estimate(args) -> int:
         lines.append(f"ate={format_float(ate_from_params(w[: base.d], base, mode))}")
     lines.append(f"final_set_size={len(report.final_set)}")
     lines.append(f"removed_indices={','.join(str(i) for i in removed)}")
-    lines.append(
-        "radius_trace="
-        + ";".join(f"{t}:{format_float(r)}" for t, r in report.radius_trace)
-    )
     for key in sorted(report.diagnostics):
         lines.append(f"diag.{key}={format_float(report.diagnostics[key])}")
     write_lines(args.out, lines, _stamp("estimate", resolved))
@@ -489,13 +444,6 @@ def _check_negation_identity(rng: RandomSource) -> bool:
     return bool(np.linalg.norm(w_corr + w_clean) <= 1e-8 * np.linalg.norm(w_clean))
 
 
-def _check_radius_schedule(rng: RandomSource) -> bool:
-    hp = HyperParams(eps=0.04, lam=1.0, L=1.0, sigma=1.0, R0=10.0, gamma=0.01)
-    got = next_radius(10.0, hp)
-    want = 4.0 * 0.01 + 2.0 * (10.0 * 0.2 + 0.2)
-    return abs(got - want) < 1e-12
-
-
 _SELFCHECKS = (
     ("moment-jacobian-consistency", _check_jacobians),
     ("top-eigenvector-analytic", _check_top_eigenvector),
@@ -503,7 +451,6 @@ _SELFCHECKS = (
     ("filter-no-removal-stability", _check_filter_stability),
     ("filter-idempotence", _check_filter_idempotence),
     ("negation-attack-identity", _check_negation_identity),
-    ("radius-schedule-arithmetic", _check_radius_schedule),
 )
 
 

@@ -129,11 +129,6 @@ class ActiveSet:
         return bool(np.isin(self.indices, other.indices).all())
 
 
-# Precondition constant for the formal error guarantee: the analysis needs
-# (L^2 / lam^2) * sqrt(eps) below this before the contraction argument holds.
-THEORY_PRECONDITION_BOUND = 1.0 / 9648.0
-
-
 @dataclass(frozen=True)
 class HyperParams:
     """Problem constants handed to the robust estimators.
@@ -180,33 +175,21 @@ class HyperParams:
         elif self.gamma <= 0:
             raise ValueError("gamma must be positive when given")
 
-    @property
-    def theory_precondition_lhs(self) -> float:
-        return (self.L**2 / self.lam**2) * math.sqrt(self.eps)
-
-    @property
-    def theory_precondition_ok(self) -> bool:
-        return self.theory_precondition_lhs <= THEORY_PRECONDITION_BOUND
-
 
 @dataclass(frozen=True)
 class EstimateReport:
     """Outcome of a robust estimation run; len(final_set) is the kept count.
 
-    radius_trace  : tuple of (outer round, radius); the last entry is the
-                    candidate radius that triggered termination. Empty for
-                    a plug-in fit, which runs no radius loop (its events
-                    are round 1).
-    filter_events : tuple of (outer round, filter kind, removed count) for
+    filter_events : tuple of (sever round, filter kind, removed count) for
                     every pass that removed rows; kind is "response" (the
-                    practice residual screen), "jacobian" or "moment".
-    diagnostics   : gamma and learner_tolerance_unmet, plus the radius
-                    loop's counters and flags for fixed constants.
+                    residual screen, round 0), "jacobian" or "moment".
+    diagnostics   : gamma, learner_tolerance_unmet and outer_rounds (the
+                    sever runs amplification made, a retry after an abort
+                    included).
     """
 
     w_hat: np.ndarray
     final_set: ActiveSet
-    radius_trace: tuple
     filter_events: tuple
     diagnostics: dict
 

@@ -15,15 +15,13 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import sever
 from .core import (
     ActiveSet,
     Dataset,
-    EstimateReport,
     EstimationError,
     HyperParams,
     mean_jacobian,
@@ -502,58 +500,35 @@ def robust_linear_estimate(
     design: Dataset,
     eps: float,
     rng: RandomSource,
-    hyper: Union[HyperParams, str] = "plugin",
     model_kind: str = "linear",
 ):
-    """Robust GMM fit of a linear or logistic IV design.
+    """Robust GMM fit of a linear or logistic IV design with plug-in constants.
 
-    With hyper="plugin", the feature and instrument blocks are first put
-    through a linear reparameterization (only inner products X_i @ w enter
-    the moments, so solutions map back exactly; inverted on output):
-    columns are scaled to unit root-mean-square, and a block is fully
-    whitened instead when its columns are strongly collinear. The practice
-    filter bounds rely on this: they compare the top score-covariance
-    direction against the rest of the spectrum, so clean anisotropy from
-    collinear raw columns (a squared term next to its base, an intercept
-    next to a binary column) would read as corruption, while whitening a
-    well-conditioned block would normalize planted corruption directions
-    away along with the clean structure. The plug-in fit is one
-    amplified_gmm_sever run under the practice policy, since certified
-    bounds at plug-in constants never fire on corruptions of ordinary
-    norm, and without the radius loop, since plug-in L / lam >= 4 keeps
-    the radius recursion from halving.
+    The feature and instrument blocks are first put through a linear
+    reparameterization (only inner products X_i @ w enter the moments, so
+    solutions map back exactly; inverted on output): columns are scaled to
+    unit root-mean-square, and a block is fully whitened instead when its
+    columns are strongly collinear. The filter bounds rely on this: they
+    compare the top score-covariance direction against the rest of the
+    spectrum, so clean anisotropy from collinear raw columns (a squared
+    term next to its base, an intercept next to a binary column) would read
+    as corruption, while whitening a well-conditioned block would normalize
+    planted corruption directions away along with the clean structure.
+    Constants come from derive_hyperparams on the rescaled model, and the
+    fit is iterated_gmm_sever on the stream rng.child("est").
 
-    An explicit HyperParams is taken to describe the raw design and is used
-    as-is, without rescaling, in iterated_gmm_sever under the paper's
-    certified (theory) policy; that fit runs at hyper.eps, so an eps that
-    differs from it raises ValueError. Returns (w, EstimateReport); both
-    paths store the returned w as report.w_hat, in the design's coordinates.
+    Returns (w, EstimateReport); report.w_hat is the returned w, in the
+    design's coordinates.
     """
     make_model = model_class(model_kind)
-
-    if isinstance(hyper, HyperParams):
-        if eps != hyper.eps:
-            raise ValueError(f"eps {eps} differs from the HyperParams eps {hyper.eps}")
-        report = iterated_gmm_sever(make_model(design), hyper, rng.child("est"))
-        return report.w_hat, report
-
-    if hyper != "plugin":
-        raise ValueError(f"hyper must be 'plugin' or a HyperParams, got {hyper!r}")
     wx = _block_transform(design.X)
     wz = _block_transform(design.Z)
     scaled = Dataset(X=design.X @ wx, Y=design.Y, Z=design.Z @ wz, T=design.T)
     model = make_model(scaled)
     hp = derive_hyperparams(model, eps)
-    # called on the module so wrappers of sever.* see it; the radius loop's
-    # first-round label keeps results/*.csv byte-identical
-    run_rng = rng.child("est").child("outer-1")
-    w0 = np.zeros(model.param_dim)
-    res = sever.amplified_gmm_sever(model, hp, w0, hp.R0, run_rng, practice=True)
-    events = tuple((1, kind, m) for (_, kind, m, _) in res.events if m)
-    unmet = float(res.learner_flags.count(False))
-    diagnostics = {"gamma": hp.gamma, "learner_tolerance_unmet": unmet}
-    w = wx @ res.w
-    return w, EstimateReport(w, res.S, (), events, diagnostics)
+    report = iterated_gmm_sever(model, hp, rng.child("est"))
+    w = wx @ report.w_hat
+    return w, replace(report, w_hat=w)
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +541,9 @@ class SweepConfig:
 
     kind "synthetic" generates the HTE DGP per cell and records l2_error
     against the true effect vector; kind "semi" loads a fixed design from
-    data_path (or uses an in-memory stand-in when data_path is None at the
-    call site) and records the fitted ATE. estimators must be a subset of
-    ESTIMATOR_NAMES. The robust estimator fits each cell at its own eps with
-    plug-in constants (robust_linear_estimate's default).
+    data_path, which it requires, and records the fitted ATE. estimators
+    must be a subset of ESTIMATOR_NAMES. The robust estimator fits each cell
+    at its own eps with plug-in constants (robust_linear_estimate).
     """
 
     kind: str
@@ -606,6 +580,8 @@ class SweepConfig:
             raise ValueError("negation attack applies to semi-synthetic designs")
         if self.kind == "semi" and self.attack == "all-ones":
             raise ValueError("all-ones attack applies to synthetic characteristics")
+        if self.kind == "semi" and self.data_path is None:
+            raise ValueError("semi sweep requires data_path")
 
 
 @dataclass(frozen=True)
@@ -621,8 +597,6 @@ class SweepRow:
 
 
 def _semi_design(cfg: SweepConfig) -> Dataset:
-    if cfg.data_path is None:
-        raise ValueError("semi sweep requires data_path")
     columns = cfg.columns if cfg.columns is not None else CARD_STANDIN_COLUMNS
     base = load_csv(cfg.data_path, columns)
     return scalar_treatment_design(base, intercept=cfg.intercept)

@@ -98,8 +98,9 @@ def spectral_filter(
 ) -> FilterOutcome:
     """Filter the rows of `values` (aligned with `active`) once.
 
-    bound is the caller's certified upper bound on the variance the good
-    samples can show in any direction; slack * bound is the firing level.
+    bound is the caller's bound on the variance the good samples can show
+    in any direction (gmm_sever passes robust_score_bound); slack * bound
+    is the firing level.
     """
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim != 2:

@@ -43,3 +43,23 @@ def test_tracer_installs_and_restores_every_hook():
         tracer.restore()
     for owner, snapshot in zip(owners, before):
         assert resolved(owner) == snapshot, owner
+
+
+def test_tracer_reads_the_fit_report_of_every_robust_fit(tmp_path):
+    # the tracer takes sever.outer_rounds and the removed-row counts from
+    # the report of experiments.iterated_gmm_sever, so each robust fit
+    # must pass through that name and report outer_rounds
+    tracer = load_tracer().Tracer()
+    argv = ["synth-sweep", "--seed", "3", "--out", str(tmp_path / "s.csv"),
+            "--set", "n=200", "--set", "d=3", "--set", "eps_grid=0.2",
+            "--set", "reps=1", "--set", "estimators=iterated-gmm-sever"]
+    try:
+        tracer.install(robustgmm)
+        assert robustgmm.cli.main(argv) == 0
+    finally:
+        tracer.restore()
+    names = [span[0] for span in tracer.spans]
+    fits = names.count("experiments.robust_linear_estimate")
+    assert fits == 1
+    assert names.count("sever.iterated_gmm_sever") == fits
+    assert tracer.layer_metrics()["sever.outer_rounds"][0] >= fits

@@ -77,9 +77,10 @@ def test_estimate_writes_report_and_matches_iv(linear_csv, tmp_path):
     assert int(report["final_set_size"]) + len(
         [i for i in report["removed_indices"].split(",") if i]
     ) == 300
-    # the plug-in fit is one sever loop: no radius iteration to report
-    assert report["radius_trace"] == ""
-    assert "diag.gamma" in report and "diag.outer_rounds" not in report
+    # the fit is one sever run: no radius trace, and amplification made
+    # no retry on this clean design
+    assert "radius_trace" not in report
+    assert "diag.gamma" in report and report["diag.outer_rounds"] == "1"
     assert "diag.final_set_size" not in report
 
 
@@ -91,22 +92,6 @@ def test_estimate_rerun_is_byte_identical(linear_csv, tmp_path):
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_estimate_fixed_hyperparams_theory_mode(linear_csv, tmp_path):
-    path, data, _ = linear_csv
-    out = tmp_path / "fixed.out"
-    code = main(
-        ["estimate", "--seed", "1", "--out", str(out),
-         "--set", f"input={path}", *COLS,
-         "--set", "hyper=fixed", "--set", "eps=0.05", "--set", "lam=0.4",
-         "--set", "L=4.0", "--set", "sigma=1.0", "--set", "R0=8.0"]
-    )
-    assert code == 0
-    report = parse_report(out)
-    assert "w_hat" in report and "diag.outer_rounds" in report
-    assert report["radius_trace"].startswith("1:")
-    assert int(report["final_set_size"]) == 300
 
 
 def test_estimate_scalar_model_reports_ate(tmp_path):
@@ -154,9 +139,8 @@ def test_estimate_error_exits(linear_csv, tmp_path, capsys):
     assert "expected a number" in capsys.readouterr().err
     assert main(base + ["--set", "eps=0.1", "--set", "mystery=1"]) == 1
     assert "unknown config key" in capsys.readouterr().err
-    # removed keys: the plug-in path always rescales at a fixed gamma scale,
-    # hyper alone picks the filter bounds and their slack, and the radius
-    # recursion has fixed coefficients
+    # removed keys: the fit always rescales at a fixed gamma scale and runs
+    # one filter policy at fixed slacks
     for removed in ("rescale=false", "gamma_scale=0.2", "slack=2", "bound_mode=practice",
                     "c1=4", "c2=2"):
         assert main(base + ["--set", "eps=0.1", "--set", removed]) == 1
@@ -173,9 +157,8 @@ def test_estimate_error_exits(linear_csv, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["estimate", "synth-sweep", "semi-sweep"])
 def test_plugin_rejects_fixed_only_keys(command, tmp_path, capsys):
-    # hyper=plugin derives these constants, so a value given for one of them
-    # would be silently ignored; the sweeps always fit with plug-in constants
-    # and have no such keys
+    # every fit derives these constants from the data, so no command has a
+    # key for them or for choosing fixed constants instead
     out = tmp_path / "o.csv"
     if command == "estimate":
         base = ["estimate", "--set", f"input={DATA_CSV}", "--set", "model=scalar",
@@ -187,15 +170,12 @@ def test_plugin_rejects_fixed_only_keys(command, tmp_path, capsys):
         base = ["synth-sweep", "--set", "preset=desk"]
     else:
         base = ["semi-sweep", "--set", f"input={DATA_CSV}"]
-    for item in ("lam=5", "L=1", "sigma=9", "R0=0.1", "gamma=1", "delta=0.001"):
+    for item in ("hyper=fixed", "hyper=plugin", "lam=5", "L=1", "sigma=9", "R0=0.1",
+                 "gamma=1", "delta=0.001"):
         assert main(base + ["--out", str(out), "--set", item]) == 1
         key = item.partition("=")[0]
-        if command == "estimate":
-            want = f"key {key!r} is read only with hyper=fixed"
-        else:
-            want = f"unknown config key {key!r}"
-        assert want in capsys.readouterr().err
-    assert not out.exists()
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["synth-sweep", "semi-sweep"])
@@ -558,7 +538,7 @@ def test_diagnose_rejects_seed_key(linear_csv, tmp_path, capsys):
 def test_selfcheck_all_pass(capsys):
     assert main(["selfcheck"]) == 0
     out_lines = capsys.readouterr().out.strip().splitlines()
-    assert len(out_lines) == 7
+    assert len(out_lines) == 6
     assert all(l.startswith("PASS ") for l in out_lines)
     names = {l.split(" ", 1)[1] for l in out_lines}
     assert names == {
@@ -568,5 +548,4 @@ def test_selfcheck_all_pass(capsys):
         "filter-no-removal-stability",
         "filter-idempotence",
         "negation-attack-identity",
-        "radius-schedule-arithmetic",
     }

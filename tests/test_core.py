@@ -6,14 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustgmm import Dataset, HyperParams, LinearIVModel, RandomSource
-from robustgmm.core import (
-    ActiveSet,
-    THEORY_PRECONDITION_BOUND,
-    mean_jacobian,
-    mean_moment,
-)
+from robustgmm.core import ActiveSet, mean_jacobian, mean_moment
 from robustgmm.numerics import finite_diff_jacobian
-from robustgmm.sever import next_radius
 
 from conftest import make_linear_dataset
 
@@ -81,13 +75,7 @@ def test_active_set_full_and_subset():
 
 
 # ---------------------------------------------------------------------------
-# radius recursion / HyperParams
-
-
-def test_radius_schedule_arithmetic():
-    # hand-checked: 4*0.01 + 2*((1*10)*0.1 + 0.5*1*0.1) = 0.04 + 2*1.05
-    hp = HyperParams(eps=0.01, lam=1.0, L=1.0, sigma=0.5, R0=10.0, gamma=0.01)
-    assert next_radius(10.0, hp) == pytest.approx(2.14, rel=1e-12)
+# HyperParams
 
 
 @pytest.mark.parametrize(
@@ -119,15 +107,6 @@ def test_hyperparams_gamma_default_and_floor():
     assert noiseless.gamma == pytest.approx(1e-10)
     explicit = HyperParams(eps=0.0, lam=1.0, L=4.0, sigma=0.0, R0=1.0, gamma=0.3)
     assert explicit.gamma == 0.3
-
-
-def test_hyperparams_theory_precondition_flag():
-    ok = HyperParams(eps=1e-16, lam=1.0, L=1.0, sigma=1.0, R0=1.0)
-    assert ok.theory_precondition_ok
-    bad = HyperParams(eps=0.25, lam=1.0, L=2.0, sigma=1.0, R0=1.0)
-    assert bad.theory_precondition_lhs == pytest.approx(4.0 * 0.5)
-    assert not bad.theory_precondition_ok
-    assert THEORY_PRECONDITION_BOUND == pytest.approx(1.0 / 9648.0)
 
 
 # ---------------------------------------------------------------------------

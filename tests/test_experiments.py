@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from robustgmm import (
     CARD_STANDIN_COLUMNS,
     Dataset,
-    HyperParams,
     LinearIVModel,
     LogisticIVModel,
     RandomSource,
@@ -438,26 +437,23 @@ def test_robust_estimate_rejects_unknown_model_kind(rng):
         robust_linear_estimate(data, 0.1, rng, model_kind="probit")
 
 
-def test_robust_estimate_fixed_hyper_runs_theory_bounds(rng):
-    # an explicit HyperParams gets the sever defaults: certified bounds at
-    # FILTER_SLACK, the policy the CLI's hyper=fixed also runs
+def test_robust_estimate_is_iterated_gmm_sever_mapped_back(rng):
+    # the fit is iterated_gmm_sever on the rescaled design at plug-in
+    # constants, on the "est" child stream, with w mapped back by the
+    # regressor block's transform
     data, _ = make_linear_dataset(seed=4, n=200, d=2, noise=0.1)
     Y = data.Y.copy()
     Y[[3, 17, 29, 101]] += 50.0
     design = Dataset(X=data.X, Y=Y, Z=data.Z)
-    hp = HyperParams(eps=0.05, lam=0.3, L=4.0, sigma=1.0, R0=10.0, gamma=1e-6)
-    w, report = robust_linear_estimate(design, 0.05, rng, hyper=hp)
-    want = iterated_gmm_sever(LinearIVModel(design), hp, rng.child("est"))
-    np.testing.assert_array_equal(w, want.w_hat)
+    w, report = robust_linear_estimate(design, 0.05, rng)
+    wx, wz = _block_transform(design.X), _block_transform(design.Z)
+    model = LinearIVModel(Dataset(X=design.X @ wx, Y=Y, Z=design.Z @ wz))
+    want = iterated_gmm_sever(model, derive_hyperparams(model, 0.05), rng.child("est"))
+    np.testing.assert_array_equal(w, wx @ want.w_hat)
     np.testing.assert_array_equal(report.final_set.indices, want.final_set.indices)
-
-
-def test_robust_estimate_fixed_hyper_rejects_a_different_eps(rng):
-    # the fixed-constant fit runs at hp.eps and would ignore the eps argument
-    data, _ = make_linear_dataset(seed=4, n=200, d=2, noise=0.1)
-    hp = HyperParams(eps=0.05, lam=0.3, L=4.0, sigma=1.0, R0=10.0, gamma=1e-6)
-    with pytest.raises(ValueError, match="differs from the HyperParams eps"):
-        robust_linear_estimate(data, 0.2, rng, hyper=hp)
+    assert report.filter_events == want.filter_events
+    assert report.diagnostics == want.diagnostics
+    assert not np.isin([3, 17, 29, 101], report.final_set.indices).any()
 
 
 def test_plugin_report_w_hat_is_the_returned_estimate():
@@ -521,6 +517,13 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError, match="all-ones attack"):
         SweepConfig(
             kind="semi", eps_grid=(0.1,), repetitions=1, seed=0, attack="all-ones"
+        )
+
+
+def test_semi_sweep_config_requires_data_path():
+    with pytest.raises(ValueError, match="semi sweep requires data_path"):
+        SweepConfig(
+            kind="semi", eps_grid=(0.1,), repetitions=1, seed=0, attack="negation"
         )
 
 
