@@ -242,7 +242,7 @@ _PRESETS = {
     "paper": {
         "n": "10000",
         "d": "20",
-        "eps_grid": "0.01,0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5",
+        "eps_grid": "0.01,0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45",
         "reps": "10",
     },
     "desk": {

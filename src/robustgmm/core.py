@@ -2,7 +2,7 @@
 
 Everything downstream (filtering, the sever loop, the experiment harness)
 speaks in terms of these types: an immutable `Dataset`, an `ActiveSet` of
-surviving sample indices, `HyperParams` bundling the problem constants,
+surviving sample indices, `HyperParams` bundling the fit's constants,
 and `MomentModel`, the batched moment/Jacobian contract. Its four kernels
 (`moments`, `residuals`, `jacobian_dot` and `mean_jacobian_over`) each
 take an index array, and a single sample i is the batch
@@ -16,7 +16,6 @@ methods.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Optional
@@ -32,7 +31,6 @@ __all__ = [
     "HyperParams",
     "EstimateReport",
     "MomentModel",
-    "mean_moment",
     "mean_jacobian",
 ]
 
@@ -125,55 +123,29 @@ class ActiveSet:
     def __len__(self) -> int:
         return int(self.indices.size)
 
-    def is_subset_of(self, other: "ActiveSet") -> bool:
-        return bool(np.isin(self.indices, other.indices).all())
-
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Problem constants handed to the robust estimators.
+    """The constants a robust fit reads.
 
-    eps    : corruption fraction, 0 <= eps < 1/2
-    lam    : lower bound on the smallest singular value of the mean Jacobian
-    L      : directional second-moment bound on per-sample Jacobians
-    sigma  : moment noise scale at the target parameter
-    gamma  : learner criticality tolerance; None is replaced at construction
-             by sigma * L**1.5 * sqrt(eps), floored at 1e-10 * max(1, lam**2 * R0)
-             so the stopping rule stays meaningful in noiseless or eps = 0 runs
-    delta  : failure probability budget for amplification, in (0, 1)
-    R0     : initial search radius around the origin
+    eps   : corruption fraction, 0 <= eps < 1/2; amplification accepts a
+            run that keeps at least (1 - ACCEPT_EPS_MULT * eps) * n samples
+    R0    : search radius of the learner's ball around the origin
+    gamma : learner criticality tolerance, the gradient size at which the
+            learner stops
     """
 
     eps: float
-    lam: float
-    L: float
-    sigma: float
     R0: float
-    gamma: Optional[float] = None
-    delta: float = 0.05
+    gamma: float
 
     def __post_init__(self):
         if not 0.0 <= self.eps < 0.5:
             raise ValueError(f"eps must lie in [0, 0.5), got {self.eps}")
-        if self.lam <= 0 or self.L <= 0:
-            raise ValueError("lam and L must be positive")
-        if self.lam > self.L:
-            raise ValueError(
-                f"lam (singular-value lower bound) must not exceed L "
-                f"(second-moment upper bound): {self.lam} > {self.L}"
-            )
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        if self.R0 <= 0:
-            raise ValueError("R0 must be positive")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.gamma is None:
-            floor = 1e-10 * max(1.0, self.lam**2 * self.R0)
-            rate = self.sigma * self.L**1.5 * math.sqrt(self.eps)
-            object.__setattr__(self, "gamma", max(rate, floor))
-        elif self.gamma <= 0:
-            raise ValueError("gamma must be positive when given")
+        if not self.R0 > 0:
+            raise ValueError(f"R0 must be positive, got {self.R0}")
+        if not self.gamma > 0:
+            raise ValueError(f"gamma must be positive, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -245,12 +217,6 @@ def _check_active(model: MomentModel, S: ActiveSet) -> np.ndarray:
             f"active set references sample {idx[-1]} but model has {model.n_samples}"
         )
     return idx
-
-
-def mean_moment(model: MomentModel, S: ActiveSet, w: np.ndarray) -> np.ndarray:
-    """Average moment vector over the active set, (1/|S|) sum g_i(w)."""
-    idx = _check_active(model, S)
-    return model.moments(idx, np.asarray(w, dtype=np.float64)).mean(axis=0)
 
 
 def mean_jacobian(model: MomentModel, S: ActiveSet, w: np.ndarray) -> np.ndarray:

@@ -3,10 +3,10 @@
 gmm_sever screens response outliers, then alternates a constrained learner
 on f(w) = ||mean moment||^2 with two self-calibrated spectral filter passes
 (projected Jacobians, then raw moments), restarting the learner whenever a
-pass removes samples. amplified_gmm_sever repeats that with fresh
-randomness until a run keeps enough samples, and iterated_gmm_sever is the
-plug-in fit's sever stage: one amplified run from the origin over the R0
-ball.
+pass removes samples. Every run searches the ball of radius hp.R0 around
+the origin. amplified_gmm_sever repeats that with fresh randomness until a
+run keeps enough samples, and iterated_gmm_sever is the plug-in fit's sever
+stage: one amplified run.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .numerics import (
 
 __all__ = [
     "ACCEPT_EPS_MULT",
+    "AMPLIFY_REPS",
     "PRACTICE_JAC_SLACK_FACTOR",
     "PRACTICE_RESPONSE_CAP",
     "PRACTICE_SLACK",
@@ -76,8 +77,12 @@ PRACTICE_JAC_SLACK_FACTOR = 5.0
 PRACTICE_RESPONSE_CAP = 60.0
 
 # amplified_gmm_sever accepts a repetition as soon as its final set keeps at
-# least (1 - ACCEPT_EPS_MULT * eps) * n samples.
+# least (1 - ACCEPT_EPS_MULT * eps) * n samples, and makes at most
+# AMPLIFY_REPS of them: ceil(log10(1 / delta)) at a failure budget delta of
+# 0.05. Since the survival floor is ceil(2n/3), the acceptance size binds
+# only for eps < 1/30; at larger eps a second run is a retry after an abort.
 ACCEPT_EPS_MULT = 10.0
+AMPLIFY_REPS = 2
 
 
 @dataclass(frozen=True)
@@ -129,39 +134,30 @@ def _moment_objective(model: MomentModel, S: ActiveSet):
     return objective_grad
 
 
-def gmm_sever(
-    model: MomentModel,
-    hp: HyperParams,
-    w0: np.ndarray,
-    R: float,
-    rng: RandomSource,
-) -> SeverResult:
+def gmm_sever(model: MomentModel, hp: HyperParams, rng: RandomSource) -> SeverResult:
     """Run the filter-until-stable sever loop on the full sample.
 
-    Residuals at w0 more than PRACTICE_RESPONSE_CAP MADs out are screened
-    first. Each pass then self-calibrates to the bulk of its score
-    covariance spectrum (mean of the non-top eigenvalues) at PRACTICE_SLACK,
-    the Jacobian pass at PRACTICE_JAC_SLACK_FACTOR times that, so it fires
-    only when one direction stands out against the rest. The paper's
-    certified bounds (L^2 ||u||^2 for projected Jacobians, sigma^2 L +
-    4 L^2 R^2 for raw moments) hold for every parameter in the search ball
-    but can exceed the variance the good rows actually show by orders of
-    magnitude on real designs, hiding structured corruptions of ordinary
-    norm; the bulk spectrum tracks the clean rows at the current iterate,
-    at the price of a blind spot for corruptions spread evenly across
-    directions.
+    The learner searches the ball of radius hp.R0 around the origin and
+    stops at hp.gamma. Residuals at the origin more than
+    PRACTICE_RESPONSE_CAP MADs out are screened first. Each pass then
+    self-calibrates to the bulk of its score covariance spectrum (mean of
+    the non-top eigenvalues) at PRACTICE_SLACK, the Jacobian pass at
+    PRACTICE_JAC_SLACK_FACTOR times that, so it fires only when one
+    direction stands out against the rest. The paper's certified bounds
+    (L^2 ||u||^2 for projected Jacobians, sigma^2 L + 4 L^2 R0^2 for raw
+    moments, with L and sigma as diagnose_assumptions estimates them) hold
+    for every parameter in the search ball but can exceed the variance the
+    good rows actually show by orders of magnitude on real designs, hiding
+    structured corruptions of ordinary norm; the bulk spectrum tracks the
+    clean rows at the current iterate, at the price of a blind spot for
+    corruptions spread evenly across directions.
 
-    The learner stops at hp.gamma. Aborts with FilterExhaustedError once
-    fewer than max(1, ceil(2n/3)) samples survive; each learner restart is
-    warm-started from the previous critical point.
+    Aborts with FilterExhaustedError once fewer than max(1, ceil(2n/3))
+    samples survive; each learner restart is warm-started from the previous
+    critical point.
     """
     n = model.n_samples
-    w0 = np.asarray(w0, dtype=np.float64)
-    if w0.shape != (model.param_dim,):
-        raise ValueError(f"w0 has shape {w0.shape}, expected ({model.param_dim},)")
-    if R < 0:
-        raise ValueError("radius must be nonnegative")
-
+    origin = np.zeros(model.param_dim)
     S = ActiveSet.full(n)
     floor = max(1, math.ceil(2 * n / 3))
 
@@ -178,7 +174,7 @@ def gmm_sever(
     rounds = 0
 
     while True:
-        res = model.residuals(S.indices, w0)
+        res = model.residuals(S.indices, origin)
         med = float(np.median(res))
         dev = np.abs(res - med)
         mad = float(np.median(dev))
@@ -194,8 +190,8 @@ def gmm_sever(
         rounds += 1
         prob = CriticalPointProblem(
             objective_grad=_moment_objective(model, S),
-            center=w0,
-            radius=R,
+            center=origin,
+            radius=hp.R0,
             gamma=hp.gamma,
             x0=warm,
         )
@@ -245,29 +241,24 @@ def gmm_sever(
 
 
 def amplified_gmm_sever(
-    model: MomentModel,
-    hp: HyperParams,
-    w0: np.ndarray,
-    R: float,
-    rng: RandomSource,
+    model: MomentModel, hp: HyperParams, rng: RandomSource
 ) -> SeverResult:
     """Repeat gmm_sever with fresh child streams until a run keeps enough.
 
     A run is accepted as soon as its final set has at least
-    (1 - ACCEPT_EPS_MULT * eps) * n samples. After ceil(log10(1/delta))
+    (1 - ACCEPT_EPS_MULT * hp.eps) * n samples. After AMPLIFY_REPS
     repetitions the run with the largest surviving set is returned instead.
     Aborted repetitions only propagate if every repetition aborts. The
     returned result's runs field counts the repetitions made.
     """
     n = model.n_samples
-    max_reps = max(1, math.ceil(math.log10(1.0 / hp.delta)))
     accept_size = (1.0 - ACCEPT_EPS_MULT * hp.eps) * n
     best: Optional[SeverResult] = None
     abort: Optional[FilterExhaustedError] = None
 
-    for rep in range(max_reps):
+    for rep in range(AMPLIFY_REPS):
         try:
-            result = gmm_sever(model, hp, w0, R, rng.child(f"rep-{rep}"))
+            result = gmm_sever(model, hp, rng.child(f"rep-{rep}"))
         except FilterExhaustedError as err:
             abort = err
             continue
@@ -279,7 +270,7 @@ def amplified_gmm_sever(
     if best is None:
         assert abort is not None
         raise abort
-    return replace(best, runs=max_reps)
+    return replace(best, runs=AMPLIFY_REPS)
 
 
 def iterated_gmm_sever(
@@ -287,17 +278,15 @@ def iterated_gmm_sever(
     hp: HyperParams,
     rng: RandomSource,
 ) -> EstimateReport:
-    """The plug-in fit's sever stage: one amplified_gmm_sever run from the
-    origin over the R0 ball, on the stream rng.child("outer-1").
+    """The plug-in fit's sever stage: one amplified_gmm_sever run on the
+    stream rng.child("outer-1").
 
     filter_events keep the removing passes of the returned run as
     (round, kind, removed). Diagnostics: gamma, learner_tolerance_unmet
     (learner calls of the returned run that stopped short of gamma) and
     outer_rounds (the gmm_sever runs amplification made).
     """
-    res = amplified_gmm_sever(
-        model, hp, np.zeros(model.param_dim), hp.R0, rng.child("outer-1")
-    )
+    res = amplified_gmm_sever(model, hp, rng.child("outer-1"))
     diagnostics = {
         "gamma": hp.gamma,
         "learner_tolerance_unmet": float(res.learner_flags.count(False)),

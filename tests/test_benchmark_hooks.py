@@ -48,7 +48,8 @@ def test_tracer_installs_and_restores_every_hook():
 def test_tracer_reads_the_fit_report_of_every_robust_fit(tmp_path):
     # the tracer takes sever.outer_rounds and the removed-row counts from
     # the report of experiments.iterated_gmm_sever, so each robust fit
-    # must pass through that name and report outer_rounds
+    # must pass through that name and report outer_rounds; it times the
+    # constants under experiments.derive_hyperparams
     tracer = load_tracer().Tracer()
     argv = ["synth-sweep", "--seed", "3", "--out", str(tmp_path / "s.csv"),
             "--set", "n=200", "--set", "d=3", "--set", "eps_grid=0.2",
@@ -62,4 +63,7 @@ def test_tracer_reads_the_fit_report_of_every_robust_fit(tmp_path):
     fits = names.count("experiments.robust_linear_estimate")
     assert fits == 1
     assert names.count("sever.iterated_gmm_sever") == fits
+    # the fit derives its constants without the assumption diagnostics
+    assert names.count("experiments.derive_hyperparams") == fits
+    assert names.count("experiments.diagnose_assumptions") == 0
     assert tracer.layer_metrics()["sever.outer_rounds"][0] >= fits

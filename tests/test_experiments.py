@@ -39,7 +39,8 @@ from robustgmm.experiments import (
     write_aggregate_csv,
     write_rows_csv,
 )
-from robustgmm.models import hte_design
+from robustgmm.models import hte_design, logistic
+import robustgmm.experiments as experiments_mod
 import robustgmm.sever as sever_mod
 
 from conftest import make_linear_dataset
@@ -364,45 +365,48 @@ def test_robust_noise_is_not_degenerate_on_clean_hte(seed):
     )
 
 
+def plugin_level(model):
+    # gamma = 2 lam^2 PRACTICE_LEARNER_TOL max(1, R0), with lam half the
+    # smallest singular value of the mean Jacobian at classical IV
+    w_ref = two_stage_least_squares(model.data)
+    S = ActiveSet.full(model.n_samples)
+    lam = 0.5 * diagnose_assumptions(model, S, w_ref)["jacobian_sigma_min"]
+    R0 = 4.0 * max(1.0, float(np.linalg.norm(w_ref)))
+    return 2.0 * lam**2 * PRACTICE_LEARNER_TOL * max(1.0, R0)
+
+
 def test_derive_hyperparams_contract():
     data, _ = make_linear_dataset(seed=20, n=500, d=3, noise=0.5)
     model = LinearIVModel(data)
     hp = derive_hyperparams(model, 0.1)
-    assert 0 < hp.lam <= hp.L
-    assert hp.eps == 0.1 and hp.sigma > 0 and hp.gamma > 0
+    assert hp.eps == 0.1 and hp.gamma > 0
     w_iv = two_stage_least_squares(data)
     assert hp.R0 == pytest.approx(4.0 * max(1.0, float(np.linalg.norm(w_iv))))
     assert derive_hyperparams(model, 0.1) == hp
-    clamped = derive_hyperparams(model, 0.7)
-    assert clamped.eps == 0.499
+    for eps in (-0.1, 0.5, 0.7):
+        with pytest.raises(ValueError, match="eps must lie in"):
+            derive_hyperparams(model, eps)
 
 
 def test_derive_hyperparams_diagnoses_the_given_model():
     data = load_csv(
         DATA_CSV, {"response": "nearc4", "instruments": "educ", "covariates": "exper"}
     )
-    w_ref = two_stage_least_squares(data)
-    S = ActiveSet.full(data.n)
-    L = {}
+    gamma = {}
     for cls in (LinearIVModel, LogisticIVModel):
         model = cls(data)
-        sup = diagnose_assumptions(model, S, w_ref)["jacobian_second_moment_sup"]
-        L[cls] = derive_hyperparams(model, 0.1).L
-        assert L[cls] == 2.0 * math.sqrt(sup)
-    assert L[LogisticIVModel] != pytest.approx(L[LinearIVModel], rel=0.1)
+        gamma[cls] = derive_hyperparams(model, 0.1).gamma
+        assert gamma[cls] == plugin_level(model)
+    assert gamma[LogisticIVModel] != pytest.approx(gamma[LinearIVModel], rel=0.1)
 
 
-def test_plugin_gamma_is_the_tighter_learner_tolerance(monkeypatch):
-    # the default criticality rate is too loose to pin the fit; the plug-in
-    # rule caps it at the PRACTICE_LEARNER_TOL gradient level, and the
-    # learner stops at exactly the gamma the report shows
+@pytest.mark.parametrize("eps", [0.0, 0.01, 0.3])
+def test_plugin_gamma_is_the_learner_level(monkeypatch, eps):
+    # gamma is the PRACTICE_LEARNER_TOL level at every eps, eps = 0
+    # included, and the learner stops at exactly the gamma the report shows
     data, _ = make_linear_dataset(seed=3, n=200, d=2, noise=0.5)
-    hp = derive_hyperparams(LinearIVModel(data), 0.01)
-    rate = hp.sigma * hp.L**1.5 * math.sqrt(hp.eps)
-    level = 2.0 * hp.lam**2 * PRACTICE_LEARNER_TOL * max(1.0, hp.R0)
-    assert rate > level
-    assert hp.gamma == level
-
+    wx, wz = _block_transform(data.X), _block_transform(data.Z)
+    scaled = LinearIVModel(Dataset(X=data.X @ wx, Y=data.Y, Z=data.Z @ wz))
     seen = []
     learner = sever_mod.projected_gradient_critical_point
 
@@ -412,9 +416,26 @@ def test_plugin_gamma_is_the_tighter_learner_tolerance(monkeypatch):
 
     monkeypatch.setattr(sever_mod, "projected_gradient_critical_point", spy)
     oracle = np.linalg.solve(data.Z.T @ data.X, data.Z.T @ data.Y)
-    w, report = robust_linear_estimate(data, 0.01, RandomSource(3))
-    assert np.linalg.norm(w - oracle) <= 0.05
+    w, report = robust_linear_estimate(data, eps, RandomSource(3))
+    assert report.diagnostics["gamma"] == plugin_level(scaled)
     assert seen and set(seen) == {report.diagnostics["gamma"]}
+    assert np.linalg.norm(w - oracle) <= 0.05
+
+
+@pytest.mark.parametrize("model_kind", ["linear", "logistic"])
+def test_plugin_fit_runs_no_assumption_diagnostics(monkeypatch, model_kind):
+    # the fit reads only sigma_min(J) and the classical IV norm; the
+    # Jacobian-sup ascent of diagnose_assumptions is for `diagnose` alone
+    def forbidden(*args, **kwargs):
+        raise AssertionError("diagnose_assumptions ran inside a fit")
+
+    monkeypatch.setattr(experiments_mod, "diagnose_assumptions", forbidden)
+    data, w_true = make_linear_dataset(seed=8, n=400, d=2, noise=0.5)
+    if model_kind == "logistic":
+        Y = (RandomSource(9).uniform(400) < logistic(data.X @ w_true)).astype(np.float64)
+        data = Dataset(X=data.X, Y=Y, Z=data.Z)
+    w, report = robust_linear_estimate(data, 0.1, RandomSource(5), model_kind=model_kind)
+    assert np.isfinite(w).all() and report.diagnostics["gamma"] > 0
 
 
 @pytest.mark.parametrize("flaw", ["zero", "duplicate"])
@@ -504,6 +525,8 @@ def test_sweep_config_validation():
         SweepConfig(**{**ok, "eps_grid": ()})
     with pytest.raises(ValueError, match="eps grid"):
         SweepConfig(**{**ok, "eps_grid": (0.0,)})
+    with pytest.raises(ValueError, match="eps grid"):
+        SweepConfig(**{**ok, "eps_grid": (0.5,)})
     with pytest.raises(ValueError, match="eps grid"):
         SweepConfig(**{**ok, "eps_grid": (0.6,)})
     with pytest.raises(ValueError, match="repetitions"):

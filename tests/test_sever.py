@@ -120,30 +120,28 @@ def test_clean_noiseless_recovery(rng):
     # bound is scale-free, so the moment pass may drop a row; on a noiseless
     # design that costs nothing, and the estimate is still the truth.
     data, w_true = make_linear_dataset(seed=7, n=80, d=3, noise=0.0)
-    hp = HyperParams(eps=0.05, lam=0.5, L=4.0, sigma=0.5, R0=10.0, gamma=1e-8)
-    res = gmm_sever(LinearIVModel(data), hp, np.zeros(3), 10.0, rng)
+    hp = HyperParams(eps=0.05, R0=10.0, gamma=1e-8)
+    res = gmm_sever(LinearIVModel(data), hp, rng)
     assert len(res.S) >= 78
     assert np.linalg.norm(res.w - w_true) <= 1e-4
     assert np.linalg.norm(res.w) <= 10.0 + 1e-9
 
 
 def test_result_stays_in_ball(rng):
-    data, _ = make_linear_dataset(seed=8, n=50, d=2, noise=1.0)
-    hp = HyperParams(eps=0.05, lam=0.5, L=4.0, sigma=2.0, R0=0.1, gamma=1e-8)
-    w0 = np.array([5.0, -5.0])
-    res = gmm_sever(LinearIVModel(data), hp, w0, 0.1, rng)
-    assert np.linalg.norm(res.w - w0) <= 0.1 + 1e-9
+    data, w_true = make_linear_dataset(seed=8, n=50, d=2, noise=1.0)
+    assert np.linalg.norm(w_true) > 1.0  # the truth lies outside the ball
+    hp = HyperParams(eps=0.05, R0=0.1, gamma=1e-8)
+    res = gmm_sever(LinearIVModel(data), hp, rng)
+    assert np.linalg.norm(res.w) <= 0.1 + 1e-9
 
 
 def test_planted_outliers_removed_across_seeds():
-    hp = HyperParams(eps=0.1, lam=1.0, L=1.0, sigma=0.1, R0=3.0, gamma=1e-6)
+    hp = HyperParams(eps=0.1, R0=3.0, gamma=1e-6)
     hits = 0
     for seed in range(100):
         model = LinearIVModel(planted_scalar_data(seed))
         try:
-            res = gmm_sever(
-                model, hp, np.zeros(1), 3.0, RandomSource(seed).child("s")
-            )
+            res = gmm_sever(model, hp, RandomSource(seed).child("s"))
         except FilterExhaustedError:
             continue
         survivors = set(res.S.indices.tolist())
@@ -154,8 +152,8 @@ def test_planted_outliers_removed_across_seeds():
 
 def test_final_round_is_no_removal_moment_pass(rng):
     model = LinearIVModel(planted_scalar_data(0))
-    hp = HyperParams(eps=0.1, lam=1.0, L=1.0, sigma=0.1, R0=3.0, gamma=1e-6)
-    res = gmm_sever(model, hp, np.zeros(1), 3.0, rng)
+    hp = HyperParams(eps=0.1, R0=3.0, gamma=1e-6)
+    res = gmm_sever(model, hp, rng)
     assert res.events[0][:3] == (0, "response", 2)  # screened before round 1
     last = res.events[-1]
     assert last[:3] == (res.rounds, "moment", 0)
@@ -168,7 +166,7 @@ def test_returned_state_is_filter_stable(rng):
     # bulk-spectrum bounds and slacks, whatever the threshold draw
     for seed in (4, 5):
         model, hp = all_ones_hte_model(seed)
-        res = gmm_sever(model, hp, np.zeros(model.param_dim), hp.R0, rng)
+        res = gmm_sever(model, hp, rng)
         assert len(res.S) < model.n_samples  # the passes did fire on the way
         S, w = res.S, res.w
         u = model.moments(S.indices, w).mean(axis=0)
@@ -183,31 +181,20 @@ def test_returned_state_is_filter_stable(rng):
         assert out.threshold is None
 
 
-def test_gmm_sever_validation(rng):
-    data, _ = make_linear_dataset(seed=1, n=10, d=2)
-    hp = HyperParams(eps=0.1, lam=1.0, L=1.0, sigma=1.0, R0=1.0)
-    model = LinearIVModel(data)
-    with pytest.raises(ValueError, match="expected"):
-        gmm_sever(model, hp, np.zeros(3), 1.0, rng)
-    with pytest.raises(ValueError, match="nonnegative"):
-        gmm_sever(model, hp, np.zeros(2), -1.0, rng)
-
-
 def test_filter_exhausted_raises(rng):
     # five of twelve responses sit far out: the screen removes them and
     # leaves 7 rows, below the ceil(2 * 12 / 3) = 8 floor
     y = np.concatenate([0.01 * RandomSource(3).normal(7), np.full(5, 1e6)])
     model = LinearIVModel(scalar_data(y))
-    hp = HyperParams(eps=0.1, lam=1.0, L=1.0, sigma=0.0, R0=1.0, gamma=1e-6)
+    hp = HyperParams(eps=0.1, R0=1.0, gamma=1e-6)
     with pytest.raises(FilterExhaustedError, match="7 of 12 remain"):
-        gmm_sever(model, hp, np.zeros(1), 1.0, rng)
+        gmm_sever(model, hp, rng)
 
 
 def test_gmm_sever_deterministic():
     model, hp = all_ones_hte_model(5)
-    w0 = np.zeros(model.param_dim)
-    a = gmm_sever(model, hp, w0, hp.R0, RandomSource(42))
-    b = gmm_sever(model, hp, w0, hp.R0, RandomSource(42))
+    a = gmm_sever(model, hp, RandomSource(42))
+    b = gmm_sever(model, hp, RandomSource(42))
     assert sum(1 for e in a.events if e[2]) >= 2  # several random-threshold cuts
     np.testing.assert_array_equal(a.w, b.w)
     np.testing.assert_array_equal(a.S.indices, b.S.indices)
@@ -219,16 +206,10 @@ def test_gmm_sever_deterministic():
 
 
 def test_practice_clean_data_untouched():
-    hp = HyperParams(eps=0.05, lam=0.3, L=4.0, sigma=2.0, R0=10.0, gamma=1e-6)
+    hp = HyperParams(eps=0.05, R0=10.0, gamma=1e-6)
     for seed in (0, 1, 2):
         data, _ = make_linear_dataset(seed=seed, n=400, d=3, noise=1.0)
-        res = gmm_sever(
-            LinearIVModel(data),
-            hp,
-            np.zeros(3),
-            10.0,
-            RandomSource(seed).child("p"),
-        )
+        res = gmm_sever(LinearIVModel(data), hp, RandomSource(seed).child("p"))
         assert len(res.S) == 400
 
 
@@ -237,8 +218,8 @@ def test_practice_response_precap_removes_gross_outliers(rng):
     Y = data.Y.copy()
     Y[[3, 17, 29]] += 1e5
     spiked = Dataset(X=data.X, Y=Y, Z=data.Z)
-    hp = HyperParams(eps=0.1, lam=0.3, L=4.0, sigma=1.0, R0=10.0, gamma=1e-6)
-    res = gmm_sever(LinearIVModel(spiked), hp, np.zeros(2), 10.0, rng)
+    hp = HyperParams(eps=0.1, R0=10.0, gamma=1e-6)
+    res = gmm_sever(LinearIVModel(spiked), hp, rng)
     survivors = set(res.S.indices.tolist())
     assert not survivors & {3, 17, 29}
     precap = [e for e in res.events if e[1] == "response"]
@@ -249,8 +230,7 @@ def test_practice_response_precap_removes_gross_outliers(rng):
 def test_practice_zero_mean_moment_skips_jacobian_pass(rng):
     # instrument rows in exact +/- pairs force the mean moment to 0 for every
     # parameter; the projected-Jacobian pass has no direction to test
-    hp = HyperParams(eps=0.1, lam=0.3, L=4.0, sigma=1.0, R0=5.0, gamma=1e-6)
-    w0 = np.array([0.3, 0.3])
+    hp = HyperParams(eps=0.1, R0=5.0, gamma=1e-6)
     w_true = np.array([1.0, -2.0])
     for seed in (6, 7, 8):
         src = RandomSource(seed)
@@ -262,9 +242,10 @@ def test_practice_zero_mean_moment_skips_jacobian_pass(rng):
             Y=np.concatenate([Y_half, Y_half]),
             Z=np.vstack([Z_half, -Z_half]),
         )
-        res = gmm_sever(LinearIVModel(data), hp, w0, 5.0, rng)
+        res = gmm_sever(LinearIVModel(data), hp, rng)
         assert all(kind != "jacobian" for _, kind, _, _ in res.events)
-        np.testing.assert_array_equal(res.w, w0)  # objective is identically zero
+        # the objective is identically zero, so the learner stays at the center
+        np.testing.assert_array_equal(res.w, np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +257,11 @@ def stub_model(n=10):
     return LinearIVModel(Dataset(X=ones, Y=np.ones(n), Z=ones))
 
 
-def install_stub(monkeypatch, outcomes, calls):
-    def fake(model, hp, w0, R, rng):
+STUB_HP = HyperParams(eps=0.01, R0=1.0, gamma=1e-6)
+
+
+def install_stub(monkeypatch, outcomes, calls, reps=3):
+    def fake(model, hp, rng):
         calls.append(rng.seed)
         out = outcomes[min(len(calls) - 1, len(outcomes) - 1)]
         if isinstance(out, Exception):
@@ -291,46 +275,48 @@ def install_stub(monkeypatch, outcomes, calls):
         )
 
     monkeypatch.setattr(sever_mod, "gmm_sever", fake)
+    monkeypatch.setattr(sever_mod, "AMPLIFY_REPS", reps)
 
 
 def test_amplified_accepts_first_large_run(monkeypatch, rng):
     calls = []
     install_stub(monkeypatch, [10], calls)
-    hp = HyperParams(eps=0.01, lam=1.0, L=1.0, sigma=1.0, R0=1.0, delta=1e-3)
-    res = amplified_gmm_sever(stub_model(), hp, np.zeros(1), 1.0, rng)
+    res = amplified_gmm_sever(stub_model(), STUB_HP, rng)
     assert len(res.S) == 10 and len(calls) == 1 and res.runs == 1
 
 
 def test_amplified_accept_threshold_is_inclusive(monkeypatch, rng):
     calls = []
     install_stub(monkeypatch, [9], calls)  # exactly (1 - 10 * 0.01) * 10
-    hp = HyperParams(eps=0.01, lam=1.0, L=1.0, sigma=1.0, R0=1.0, delta=1e-3)
-    res = amplified_gmm_sever(stub_model(), hp, np.zeros(1), 1.0, rng)
+    res = amplified_gmm_sever(stub_model(), STUB_HP, rng)
     assert len(res.S) == 9 and len(calls) == 1
 
 
 def test_amplified_returns_best_after_budget(monkeypatch, rng):
     calls = []
     install_stub(monkeypatch, [5, 8, 6], calls)
-    hp = HyperParams(eps=0.01, lam=1.0, L=1.0, sigma=1.0, R0=1.0, delta=1e-3)
-    res = amplified_gmm_sever(stub_model(), hp, np.zeros(1), 1.0, rng)
-    assert len(calls) == 3  # ceil(log10(1/1e-3))
+    res = amplified_gmm_sever(stub_model(), STUB_HP, rng)
+    assert len(calls) == 3
     assert len(res.S) == 8 and res.runs == 3
 
 
-def test_amplified_rep_budget_from_delta(monkeypatch, rng):
+def test_amplified_rep_budget_is_amplify_reps(monkeypatch, rng):
+    # ceil(log10(1 / 0.05)) repetitions, the budget of a 5% failure rate
+    assert sever_mod.AMPLIFY_REPS == 2
     calls = []
-    install_stub(monkeypatch, [5], calls)
-    hp = HyperParams(eps=0.01, lam=1.0, L=1.0, sigma=1.0, R0=1.0, delta=0.5)
-    res = amplified_gmm_sever(stub_model(), hp, np.zeros(1), 1.0, rng)
-    assert len(calls) == 1 and len(res.S) == 5
+    install_stub(monkeypatch, [5], calls, reps=2)
+    res = amplified_gmm_sever(stub_model(), STUB_HP, rng)
+    assert len(calls) == 2 and res.runs == 2 and len(res.S) == 5
+    calls.clear()
+    install_stub(monkeypatch, [5], calls, reps=1)
+    res = amplified_gmm_sever(stub_model(), STUB_HP, rng)
+    assert len(calls) == 1 and res.runs == 1
 
 
 def test_amplified_fresh_randomness_per_rep(monkeypatch, rng):
     calls = []
     install_stub(monkeypatch, [5, 6, 7], calls)
-    hp = HyperParams(eps=0.01, lam=1.0, L=1.0, sigma=1.0, R0=1.0, delta=1e-3)
-    amplified_gmm_sever(stub_model(), hp, np.zeros(1), 1.0, rng)
+    amplified_gmm_sever(stub_model(), STUB_HP, rng)
     assert len(set(calls)) == 3  # distinct child streams
 
 
@@ -339,17 +325,15 @@ def test_amplified_tolerates_partial_aborts(monkeypatch, rng):
     install_stub(
         monkeypatch, [FilterExhaustedError("gone"), 5, FilterExhaustedError("gone")], calls
     )
-    hp = HyperParams(eps=0.01, lam=1.0, L=1.0, sigma=1.0, R0=1.0, delta=1e-3)
-    res = amplified_gmm_sever(stub_model(), hp, np.zeros(1), 1.0, rng)
+    res = amplified_gmm_sever(stub_model(), STUB_HP, rng)
     assert len(res.S) == 5 and res.runs == 3  # aborted repetitions count
 
 
 def test_amplified_propagates_total_abort(monkeypatch, rng):
     calls = []
     install_stub(monkeypatch, [FilterExhaustedError("gone")], calls)
-    hp = HyperParams(eps=0.01, lam=1.0, L=1.0, sigma=1.0, R0=1.0, delta=1e-3)
     with pytest.raises(FilterExhaustedError):
-        amplified_gmm_sever(stub_model(), hp, np.zeros(1), 1.0, rng)
+        amplified_gmm_sever(stub_model(), STUB_HP, rng)
     assert len(calls) == 3
 
 
@@ -361,9 +345,7 @@ def test_iterated_is_one_amplified_run_from_origin(rng):
     # the "outer-1" stream label keeps the committed results byte-identical
     model, hp = all_ones_hte_model(5)
     report = iterated_gmm_sever(model, hp, rng)
-    res = amplified_gmm_sever(
-        model, hp, np.zeros(model.param_dim), hp.R0, rng.child("outer-1")
-    )
+    res = amplified_gmm_sever(model, hp, rng.child("outer-1"))
     np.testing.assert_array_equal(report.w_hat, res.w)
     np.testing.assert_array_equal(report.final_set.indices, res.S.indices)
     assert report.filter_events == tuple(e[:3] for e in res.events if e[2])
@@ -377,7 +359,7 @@ def test_iterated_is_one_amplified_run_from_origin(rng):
 def test_iterated_noiseless_converges_to_truth(rng):
     data, w_true = make_linear_dataset(seed=77, n=40, d=2, noise=0.0)
     assert np.linalg.norm(w_true) < 4.0
-    hp = HyperParams(eps=0.04, lam=2.0, L=2.0, sigma=0.0, R0=4.0, gamma=1e-6)
+    hp = HyperParams(eps=0.04, R0=4.0, gamma=1e-6)
     report = iterated_gmm_sever(LinearIVModel(data), hp, rng)
     assert np.linalg.norm(report.w_hat - w_true) <= 1e-3
     # roundoff-level moment rows can still fire the scale-free moment pass
