@@ -15,12 +15,14 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 __all__ = [
     "RandomSource",
+    "centered_cov",
     "sample_mean_cov",
     "top_eigenvector",
     "CriticalPointProblem",
@@ -38,12 +40,17 @@ class RandomSource:
 
     Children are derived from the parent's seed and a string label, never
     from stream state, so the set of child streams does not depend on how
-    much of the parent stream was consumed.
+    much of the parent stream was consumed. The numpy generator is built on
+    the first draw: a stream that is derived but never drawn from (a filter
+    pass that does not fire) costs one hash.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
-        self._gen = np.random.default_rng(self.seed)
+
+    @cached_property
+    def _gen(self) -> np.random.Generator:
+        return np.random.default_rng(self.seed)
 
     def uniform(self, size=None):
         """Uniform draws in [0, 1)."""
@@ -72,19 +79,24 @@ class RandomSource:
         return f"RandomSource(seed={self.seed})"
 
 
-def sample_mean_cov(values: np.ndarray):
-    """Mean and (1/m)-normalized covariance of row vectors.
+def centered_cov(values: np.ndarray):
+    """Mean-centered rows and their (1/m)-normalized covariance.
 
     The 1/m normalization (not 1/(m-1)) matches the filtering analysis.
     """
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim != 2 or vals.shape[0] == 0:
         raise ValueError(f"expected a nonempty (m, k) array, got shape {vals.shape}")
-    mean = vals.mean(axis=0)
-    centered = vals - mean
+    centered = vals - vals.mean(axis=0)
     cov = centered.T @ centered / vals.shape[0]
-    cov = 0.5 * (cov + cov.T)
-    return mean, cov
+    return centered, 0.5 * (cov + cov.T)
+
+
+def sample_mean_cov(values: np.ndarray):
+    """Mean and (1/m)-normalized covariance of row vectors (centered_cov)."""
+    vals = np.asarray(values, dtype=np.float64)
+    cov = centered_cov(vals)[1]
+    return vals.mean(axis=0), cov
 
 
 def top_eigenvector(A: np.ndarray):
@@ -153,7 +165,7 @@ class LearnerResult:
 
 def _project(x: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     delta = x - center
-    dist = np.linalg.norm(delta)
+    dist = math.sqrt(delta @ delta)
     if dist <= radius:
         return x
     return center + delta * (radius / dist)
@@ -169,17 +181,18 @@ def feasible_descent_norm(
     before taking the norm; an inward-pointing descent direction stays whole.
     Points within a relative 1e-12 of the sphere count as boundary.
     """
-    dist = np.linalg.norm(x - center)
+    offset = x - center
+    dist = math.sqrt(offset @ offset)
     if radius == 0.0:
         return 0.0
     if dist < radius * (1.0 - 1e-12):
-        return float(np.linalg.norm(grad))
-    normal = (x - center) / dist
+        return math.sqrt(grad @ grad)
+    normal = offset / dist
     descent = -grad
     outward = float(descent @ normal)
     if outward > 0.0:
         descent = descent - outward * normal
-    return float(np.linalg.norm(descent))
+    return math.sqrt(descent @ descent)
 
 
 def projected_gradient_critical_point(prob: CriticalPointProblem) -> LearnerResult:
@@ -202,7 +215,7 @@ def projected_gradient_critical_point(prob: CriticalPointProblem) -> LearnerResu
     f_x, g_x = prob.objective_grad(x)
     crit = feasible_descent_norm(g_x, x, center, radius)
     best_x, best_crit = x.copy(), crit
-    step = 1.0 / max(1.0, float(np.linalg.norm(g_x)))
+    step = 1.0 / max(1.0, math.sqrt(g_x @ g_x))
     max_iters = prob.resolved_max_iters()
 
     for it in range(max_iters):
@@ -213,8 +226,7 @@ def projected_gradient_critical_point(prob: CriticalPointProblem) -> LearnerResu
         for _ in range(60):
             x_new = _project(x - trial_step * g_x, center, radius)
             move = x_new - x
-            move_norm = float(np.linalg.norm(move))
-            if move_norm == 0.0:
+            if move @ move == 0.0:
                 break
             f_new, g_new = prob.objective_grad(x_new)
             if f_new <= f_x + 1e-4 * float(g_x @ move):
@@ -229,7 +241,7 @@ def projected_gradient_critical_point(prob: CriticalPointProblem) -> LearnerResu
         sy = float(move @ y)
         ss = float(move @ move)
         step = ss / sy if sy > 1e-300 else min(trial_step * 2.0, 1e12)
-        step = float(np.clip(step, 1e-300, 1e12))
+        step = min(max(step, 1e-300), 1e12)
         x, f_x, g_x = x_new, f_new, g_new
         crit = feasible_descent_norm(g_x, x, center, radius)
         if crit < best_crit:

@@ -209,35 +209,22 @@ def gmm_sever(model: MomentModel, hp: HyperParams, rng: RandomSource) -> SeverRe
         mom_scale = float(np.mean(np.sum(moment_scores * moment_scores, axis=1)))
         noise_floor = 1e-16 * max(mom_scale / len(S), 1e-300)
 
+        passes = [("moment", "mom", moment_scores, PRACTICE_SLACK)]
         if float(u @ u) > noise_floor:
             jac_scores = model.jacobian_dot(S.indices, w, u)
+            jac_slack = PRACTICE_SLACK * PRACTICE_JAC_SLACK_FACTOR
+            passes.insert(0, ("jacobian", "jac", jac_scores, jac_slack))
+        for kind, label, scores, slack in passes:
             out = spectral_filter(
-                jac_scores,
-                S,
-                robust_score_bound(jac_scores, S),
-                rng.child(f"jac-{rounds}"),
-                PRACTICE_SLACK * PRACTICE_JAC_SLACK_FACTOR,
+                scores, S, robust_score_bound, rng.child(f"{label}-{rounds}"), slack
             )
-            events.append((rounds, "jacobian", len(out.removed), out.mean_score))
+            events.append((rounds, kind, len(out.removed), out.mean_score))
             if len(out.removed) > 0:
-                S = shrink(out.kept)
-                warm = w
-                continue
-
-        out = spectral_filter(
-            moment_scores,
-            S,
-            robust_score_bound(moment_scores, S),
-            rng.child(f"mom-{rounds}"),
-            PRACTICE_SLACK,
-        )
-        events.append((rounds, "moment", len(out.removed), out.mean_score))
-        if len(out.removed) > 0:
-            S = shrink(out.kept)
-            warm = w
-            continue
-
-        return SeverResult(w, S, rounds, tuple(events), tuple(flags))
+                break
+        else:
+            return SeverResult(w, S, rounds, tuple(events), tuple(flags))
+        S = shrink(out.kept)
+        warm = w
 
 
 def amplified_gmm_sever(

@@ -67,3 +67,12 @@ def test_tracer_reads_the_fit_report_of_every_robust_fit(tmp_path):
     assert names.count("experiments.derive_hyperparams") == fits
     assert names.count("experiments.diagnose_assumptions") == 0
     assert tracer.layer_metrics()["sever.outer_rounds"][0] >= fits
+    # each filter pass forms one covariance: the bound rule runs inside the
+    # pass on it, and the pass takes one eigenvector of it
+    passes = names.count("filtering.spectral_filter")
+    assert passes >= 2
+    assert names.count("filtering.robust_score_bound") == passes
+    assert names.count("numerics.top_eigenvector") == passes
+    for name, _, _, parent, _ in tracer.spans:
+        if name == "filtering.robust_score_bound":
+            assert tracer.spans[parent][0] == "filtering.spectral_filter"

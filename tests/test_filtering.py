@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from robustgmm import RandomSource
 from robustgmm.core import ActiveSet
 from robustgmm.filtering import FILTER_SLACK, robust_score_bound, spectral_filter
+from robustgmm.numerics import centered_cov, sample_mean_cov, top_eigenvector
 
 from conftest import ForcedUniform
 
@@ -147,14 +148,15 @@ def test_score_bound_bulk_spectrum():
             [0.0, 0.0, -rhalf],
         ]
     )
-    got = robust_score_bound(vals, ActiveSet(np.arange(6)))
+    got = robust_score_bound(*centered_cov(vals))
     assert got == pytest.approx(0.25, rel=1e-12)
 
 
 def test_score_bound_scalar_fallback():
     # centered squares {4,1,0,1,4}: median 1, scaled by the chi2(1) median
-    vals = np.array([[-2.0], [-1.0], [0.0], [1.0], [2.0]])
-    got = robust_score_bound(vals, ActiveSet(np.arange(5)))
+    centered, cov = centered_cov(np.array([[1.0], [2.0], [3.0], [4.0], [5.0]]))
+    np.testing.assert_array_equal(centered[:, 0], [-2.0, -1.0, 0.0, 1.0, 2.0])
+    got = robust_score_bound(centered, cov)
     assert got == pytest.approx(1.0 / 0.4549364231195727, rel=1e-12)
 
 
@@ -165,7 +167,7 @@ def test_score_bound_ignores_one_spiked_direction(rng):
     spike = np.zeros((20, 6))
     spike[:, 0] = 40.0
     vals = np.vstack([base, spike])
-    got = robust_score_bound(vals, ActiveSet(np.arange(420)))
+    got = robust_score_bound(*centered_cov(vals))
     assert got < 2.0
 
 
@@ -176,13 +178,87 @@ def test_score_bound_is_nonnegative_on_rank_deficient_scores():
     for seed in range(20):
         src = RandomSource(seed)
         vals = np.outer(src.normal(6), src.normal(3))
-        bound = robust_score_bound(vals, active)
+        bound = robust_score_bound(*centered_cov(vals))
         assert bound >= 0.0
         spectral_filter(vals, active, bound, src.child("f"))
+        spectral_filter(vals, active, robust_score_bound, src.child("f"))
 
 
 def test_score_bound_validation():
     with pytest.raises(ValueError, match="expected"):
-        robust_score_bound(np.zeros(4), ActiveSet(np.arange(4)))
-    with pytest.raises(ValueError, match="score rows"):
-        robust_score_bound(np.zeros((3, 2)), ActiveSet(np.arange(4)))
+        robust_score_bound(np.zeros(4), np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="covariance"):
+        robust_score_bound(np.zeros((3, 2)), np.zeros((3, 3)))
+
+
+def parent_pass(vals, active, rng, slack):
+    # the pass as gmm_sever ran it before the rule moved inside: a float
+    # bound from its own sample_mean_cov and eigvalsh (or the scalar
+    # median), then a second covariance, k normals drawn whether or not the
+    # pass fires, and the threshold uniform
+    mean, cov = sample_mean_cov(vals)
+    if vals.shape[1] == 1:
+        bound = float(np.median((vals[:, 0] - mean[0]) ** 2)) / 0.4549364231195727
+    else:
+        bound = max(float(np.mean(np.linalg.eigvalsh(cov)[:-1])), 0.0)
+    mean, cov = sample_mean_cov(vals)
+    rng.normal(vals.shape[1])
+    direction, _ = top_eigenvector(cov)
+    scores = ((vals - mean) @ direction) ** 2
+    mean_score = float(scores.mean())
+    if mean_score <= slack * bound:
+        return bound, active.indices, np.empty(0, np.int64), mean_score, None, direction
+    threshold = float(rng.uniform() * scores.max())
+    keep = scores <= threshold
+    kept, removed = active.indices[keep], active.indices[~keep]
+    return bound, kept, removed, mean_score, threshold, direction
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(2, 60),
+    st.integers(1, 6),
+    st.sampled_from(["normal", "duplicated", "rank-deficient", "spiked"]),
+    st.floats(0.25, 4.0),
+)
+def test_rule_bound_matches_the_two_call_pass(seed, m, k, shape, slack):
+    src = RandomSource(seed)
+    if shape == "duplicated":
+        vals = src.normal((max(1, m // 3), k))[src.integers(0, max(1, m // 3), m)]
+    elif shape == "rank-deficient":
+        vals = np.outer(src.normal(m), src.normal(k)) + 3.0
+    else:
+        vals = src.normal((m, k)) * (1.0 + 10.0 * float(src.uniform()))
+        if shape == "spiked":
+            vals[: max(1, m // 10), 0] += 20.0
+    active = ActiveSet(src.subset(1000, m))
+    fused = spectral_filter(vals, active, robust_score_bound, src.child("f"), slack)
+    bound, kept, removed, mean_score, threshold, direction = parent_pass(
+        vals, active, src.child("f"), slack
+    )
+    assert robust_score_bound(*centered_cov(vals)) == bound
+    np.testing.assert_array_equal(fused.kept.indices, kept)
+    np.testing.assert_array_equal(fused.removed.indices, removed)
+    assert fused.threshold == threshold
+    assert fused.mean_score == mean_score
+    np.testing.assert_array_equal(fused.direction, direction)
+
+
+def test_quiet_pass_leaves_the_stream_untouched():
+    rng = RandomSource(91)
+    vals = rng.child("vals").normal((30, 3))
+    out = spectral_filter(vals, ActiveSet(np.arange(30)), 1e6, rng)
+    assert out.threshold is None
+    assert rng.uniform() == RandomSource(rng.seed).uniform()
+
+
+def test_fired_pass_draws_k_normals_before_the_threshold():
+    rng = RandomSource(92)
+    vals = np.vstack([rng.child("vals").normal((30, 3)), [[40.0, 0.0, 0.0]]])
+    out = spectral_filter(vals, ActiveSet(np.arange(31)), 1e-6, rng, slack=1.0)
+    assert out.threshold is not None
+    replay = RandomSource(rng.seed)
+    replay.normal(3)
+    replay.uniform()
+    assert rng.uniform() == replay.uniform()

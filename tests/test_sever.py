@@ -172,12 +172,14 @@ def test_returned_state_is_filter_stable(rng):
         u = model.moments(S.indices, w).mean(axis=0)
         jac_scores = model.jacobian_dot(S.indices, w, u)
         jac_slack = PRACTICE_SLACK * PRACTICE_JAC_SLACK_FACTOR
-        jac_bound = robust_score_bound(jac_scores, S)
-        out = spectral_filter(jac_scores, S, jac_bound, rng.child("j"), jac_slack)
+        out = spectral_filter(
+            jac_scores, S, robust_score_bound, rng.child("j"), jac_slack
+        )
         assert out.threshold is None
         mom_scores = model.moments(S.indices, w)
-        mom_bound = robust_score_bound(mom_scores, S)
-        out = spectral_filter(mom_scores, S, mom_bound, rng.child("m"), PRACTICE_SLACK)
+        out = spectral_filter(
+            mom_scores, S, robust_score_bound, rng.child("m"), PRACTICE_SLACK
+        )
         assert out.threshold is None
 
 
