@@ -13,8 +13,8 @@ import csv
 import math
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -225,6 +225,25 @@ def corrupt_negation(design: Dataset, eps: float, rng: RandomSource):
 # CSV in and out
 
 
+_CELL_NUMBER, _CELL_MISSING, _CELL_UNPARSEABLE = 0, 1, 2
+
+
+def _classify_cells(cells, n: int):
+    """Per-cell values and codes (_CELL_NUMBER, _CELL_MISSING or _CELL_UNPARSEABLE)."""
+    values = np.zeros(n)
+    codes = np.full(n, _CELL_NUMBER, dtype=np.int8)
+    for i, cell in enumerate(cells):
+        cell = cell.strip()
+        if cell.lower() in _MISSING_MARKERS:
+            codes[i] = _CELL_MISSING
+            continue
+        try:
+            values[i] = float(cell)
+        except ValueError:
+            codes[i] = _CELL_UNPARSEABLE
+    return values, codes
+
+
 def _as_name_list(value) -> list:
     if isinstance(value, str):
         return [value]
@@ -236,9 +255,18 @@ def load_csv(path, columns: Mapping) -> Dataset:
 
     columns maps roles to header names: "response" (one name),
     "instruments" and "covariates" (name or list of names), optional
-    "treatment". Rows with a missing value (empty, na, nan, null; also rows
-    too short to reach a mapped column) are dropped with a count warning;
-    unparseable cells raise with their line and column.
+    "treatment". The file is read as UTF-8; a leading byte-order mark is
+    skipped. Header names and cells are stripped of whitespace, and a name
+    that appears twice in the header maps to its first column. A cell that
+    reads empty, na, nan or null in any case is missing; a row too short to
+    reach a mapped column, and a blank line, have missing cells. Any other
+    cell is parsed by float(), so -nan, inf and 1_000 are numbers (a kept
+    NaN or infinity then fails Dataset's finiteness check). Rows are
+    checked in file order and each row's mapped cells in role order
+    (response, treatment, instruments, covariates): the first cell that is
+    missing drops the row, counted in one "dropped N rows with missing
+    values" warning; the first cell that does not parse raises with its line
+    and column, unless a missing cell came before it in its row.
     """
     response = columns["response"]
     treatment = columns.get("treatment")
@@ -246,47 +274,57 @@ def load_csv(path, columns: Mapping) -> Dataset:
     covariates = _as_name_list(columns["covariates"])
     wanted = [response] + ([treatment] if treatment else []) + instruments + covariates
 
-    with open(path, "r", newline="") as handle:
+    with open(path, "r", newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError("no data rows") from None
         header = [h.strip() for h in header]
-        positions = {}
         for name in wanted:
             if name not in header:
                 raise ValueError(f"column {name!r} not found in header")
-            positions[name] = header.index(name)
+        rows = list(reader)
 
-        parsed = []
-        dropped = 0
-        for lineno, row in enumerate(reader, start=2):
-            record = []
-            missing = False
-            for name in wanted:
-                pos = positions[name]
-                cell = row[pos].strip() if pos < len(row) else ""
-                if cell.lower() in _MISSING_MARKERS:
-                    missing = True
-                    break
-                try:
-                    record.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"line {lineno}, column {name!r}: cannot parse {cell!r}"
-                    ) from None
-            if missing:
-                dropped += 1
-                continue
-            parsed.append(record)
+    positions = [header.index(name) for name in wanted]
+    width = max(positions) + 1
+    if min(map(len, rows), default=width) < width:
+        rows = [row + [""] * (width - len(row)) for row in rows]
+    n = len(rows)
+    # One bulk float() per column; only a column that raises or reads a NaN
+    # (a missing marker, or -nan) is classified cell by cell.
+    values, codes = {}, {}
+    for pos in dict.fromkeys(positions):
+        try:
+            column = np.fromiter(map(float, map(itemgetter(pos), rows)), np.float64, n)
+        except ValueError:
+            column = None
+        if column is None or np.isnan(column).any():
+            column, codes[pos] = _classify_cells(map(itemgetter(pos), rows), n)
+        values[pos] = column
+
+    keep = slice(None)
+    dropped = 0
+    flagged = [(name, codes[pos]) for name, pos in zip(wanted, positions) if pos in codes]
+    if flagged:
+        stacked = np.stack([code for _, code in flagged])
+        first = np.argmax(stacked != _CELL_NUMBER, axis=0)
+        status = stacked[first, np.arange(n)]
+        bad = np.flatnonzero(status == _CELL_UNPARSEABLE)
+        if bad.size:
+            i = bad[0]
+            name = flagged[first[i]][0]
+            cell = rows[i][header.index(name)].strip()
+            raise ValueError(f"line {i + 2}, column {name!r}: cannot parse {cell!r}")
+        keep = status == _CELL_NUMBER
+        dropped = n - int(np.count_nonzero(keep))
 
     if dropped:
         warnings.warn(f"dropped {dropped} rows with missing values")
-    if not parsed:
+    if dropped == n:
         raise ValueError("no data rows")
 
-    table = np.asarray(parsed, dtype=np.float64)
+    table = np.column_stack([values[pos] for pos in positions])[keep]
     cursor = 0
     Y = table[:, cursor]
     cursor += 1
@@ -658,6 +696,8 @@ def run_sweep(cfg: SweepConfig, rng: RandomSource, jobs: int = 1):
     master_seed = rng.seed
     workers = min(jobs, len(cells))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_run_cell, cfg, master_seed, eps, rep)

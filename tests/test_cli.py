@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import concurrent.futures
 import subprocess
 import sys
 from concurrent.futures import Future
@@ -18,7 +19,6 @@ from robustgmm import (
     scalar_treatment_design,
     two_stage_least_squares,
 )
-from robustgmm import experiments
 from robustgmm.cli import main
 from robustgmm.experiments import save_dataset_csv
 
@@ -352,7 +352,7 @@ class RecordingPool:
 
 
 def test_sweep_jobs_validated_and_pool_sized_by_cells(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     argv = ["synth-sweep", "--seed", "4", *SMALL_SWEEP,
             "--set", "estimators=classical-iv"]
@@ -366,6 +366,25 @@ def test_sweep_jobs_validated_and_pool_sized_by_cells(tmp_path, monkeypatch, cap
         assert main(argv + ["--out", str(tmp_path / "x.csv"), "--jobs", jobs]) == 1
         assert "--jobs must be at least 1" in capsys.readouterr().err
     assert RecordingPool.sizes == [2]
+
+
+def test_serial_sweep_never_loads_multiprocessing(tmp_path):
+    # a serial run (every estimate, diagnose and one-job sweep) should not
+    # pay for importing the process pool
+    script = (
+        "import sys\n"
+        "from robustgmm.cli import main\n"
+        f"argv = {['synth-sweep', '--seed', '4', *SMALL_SWEEP]!r}\n"
+        "argv += ['--set', 'reps=1', '--set', 'estimators=classical-iv',"
+        f" '--out', {str(tmp_path / 'one.csv')!r}]\n"
+        "assert main(argv) == 0\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_synth_sweep_bad_preset(tmp_path, capsys):
