@@ -5,14 +5,15 @@ accepts only the flags its run reads (see _COMMANDS).
 Configuration is a flat key=value file overlaid by repeatable --set flags
 (last one wins); unknown keys are rejected. Every output file starts with
 the resolved configuration as '#' comment lines, and is byte-reproducible
-from (config, seed). Exit codes: 0 success, 1 usage or config error,
-2 estimation failure.
+from (config, seed). Exit codes: 0 success, 1 usage, config or file
+error, 2 estimation failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -274,10 +275,8 @@ def _emit_sweep(args, command: str, resolved: dict, cfg: SweepConfig) -> int:
     rows = run_sweep(cfg, rng, jobs=args.jobs)
     header = _stamp(command, resolved)
     write_rows_csv(args.out, rows, header)
-    out = str(args.out)
-    stem, dot, ext = out.rpartition(".")
-    agg_path = f"{stem}.agg.{ext}" if dot else f"{out}.agg"
-    write_aggregate_csv(agg_path, aggregate_rows(rows), header)
+    root, ext = os.path.splitext(args.out)
+    write_aggregate_csv(f"{root}.agg{ext}", aggregate_rows(rows), header)
     if rows and all(row.value is None for row in rows):
         print("estimation failed: every sweep cell failed", file=sys.stderr)
         return 2
@@ -518,7 +517,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as err:
+    except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except EstimationError as err:

@@ -1,22 +1,15 @@
-"""Shared value types and the moment-model interface.
+"""Shared value types.
 
-Everything downstream (filtering, the sever loop, the experiment harness)
-speaks in terms of these types: an immutable `Dataset`, an `ActiveSet` of
-surviving sample indices, `HyperParams` bundling the fit's constants,
-and `MomentModel`, the batched moment/Jacobian contract. Its four kernels
-(`moments`, `residuals`, `jacobian_dot` and `mean_jacobian_over`) each
-take an index array, and a single sample i is the batch
-`idx=np.array([i])`. The class attribute `affine` marks models whose
-moments are affine in w (linear IV), for which the sever learner evaluates
-its objective from sufficient statistics built once per call. Both shipped
-models are single-index, g_i(w) = Z_i (Y_i - f(X_i . w)):
-`models.SingleIndexIVModel` writes the kernels once, so a new link is two
-methods.
+Everything downstream (models, filtering, the sever loop, the experiment
+harness) speaks in terms of these types: an immutable `Dataset`, an
+`ActiveSet` of surviving sample indices, `HyperParams` bundling the fit's
+constants, the `EstimateReport` a fit returns, and the estimation errors
+a sweep records as failed cells. The model contract lives in
+`models.SingleIndexIVModel`.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,8 +23,6 @@ __all__ = [
     "ActiveSet",
     "HyperParams",
     "EstimateReport",
-    "MomentModel",
-    "mean_jacobian",
 ]
 
 
@@ -164,62 +155,3 @@ class EstimateReport:
     final_set: ActiveSet
     filter_events: tuple
     diagnostics: dict
-
-
-class MomentModel(ABC):
-    """Moment vectors g_i(w) and their Jacobians, evaluated over index batches.
-
-    Every hook takes an integer array idx of sample indices; one sample i
-    is the batch np.array([i]).
-
-    affine : every g_i is affine in w, so the mean Jacobian does not depend
-             on w. The sever learner then evaluates its objective from the
-             mean moment at 0 and the mean Jacobian, built once per call.
-    """
-
-    affine: bool = False
-
-    @property
-    @abstractmethod
-    def n_samples(self) -> int: ...
-
-    @property
-    @abstractmethod
-    def param_dim(self) -> int: ...
-
-    @property
-    @abstractmethod
-    def moment_dim(self) -> int: ...
-
-    @abstractmethod
-    def moments(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Rows g_i(w), shape (len(idx), moment_dim)."""
-
-    @abstractmethod
-    def residuals(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Scalar response residuals behind the moments, shape (len(idx),)."""
-
-    @abstractmethod
-    def jacobian_dot(self, idx: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Rows (d g_i / d w)^T u, shape (len(idx), param_dim)."""
-
-    @abstractmethod
-    def mean_jacobian_over(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """(1/len(idx)) sum of d g_i / d w, shape (moment_dim, param_dim)."""
-
-
-def _check_active(model: MomentModel, S: ActiveSet) -> np.ndarray:
-    if len(S) == 0:
-        raise ValueError("empty active set")
-    idx = S.indices
-    if idx[-1] >= model.n_samples:
-        raise ValueError(
-            f"active set references sample {idx[-1]} but model has {model.n_samples}"
-        )
-    return idx
-
-
-def mean_jacobian(model: MomentModel, S: ActiveSet, w: np.ndarray) -> np.ndarray:
-    """Average moment Jacobian over the active set."""
-    idx = _check_active(model, S)
-    return model.mean_jacobian_over(idx, np.asarray(w, dtype=np.float64))

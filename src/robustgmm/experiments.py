@@ -24,7 +24,6 @@ from .core import (
     Dataset,
     EstimationError,
     HyperParams,
-    mean_jacobian,
 )
 from .models import (
     hte_design,
@@ -426,7 +425,7 @@ def diagnose_assumptions(model, S: ActiveSet, w_ref: np.ndarray) -> dict:
     w_ref = np.asarray(w_ref, dtype=np.float64)
     idx = S.indices
     n = len(idx)
-    J = mean_jacobian(model, S, w_ref)
+    J = model.mean_jacobian_over(idx, w_ref)
     svals = np.linalg.svd(J, compute_uv=False)
     g = model.moments(idx, w_ref)
 
@@ -469,7 +468,7 @@ def derive_hyperparams(model, eps: float) -> HyperParams:
     """
     design = model.data
     w_ref = two_stage_least_squares(design)
-    J = mean_jacobian(model, ActiveSet.full(design.n), w_ref)
+    J = model.mean_jacobian_over(np.arange(design.n), w_ref)
     svals = np.linalg.svd(J, compute_uv=False)
     lam = max(0.5 * float(svals[-1]), 1e-8 * max(float(svals[0]), 1.0))
     R0 = 4.0 * max(1.0, float(np.linalg.norm(w_ref)))

@@ -1,27 +1,28 @@
 """Instrumental-variable moment models and classical baseline estimators.
 
-The robust stack only sees the MomentModel interface. Both shipped models
-are single-index: SingleIndexIVModel writes the four kernels once for
-g_i(w) = Z_i (Y_i - f(X_i . w)), and linear IV and logistic IV each supply
-only the link f and the slope-weighted instruments f'(X_i . w) Z_i, so a
-new link is two methods. Heterogeneous treatment effects are linear IV on
-the hte_design lift. The module also holds the two non-robust baselines
-the experiments compare against (two-stage least squares and a two-stage
-Huber regression).
+SingleIndexIVModel is the one model contract the robust stack reads. Both
+shipped models are single-index: it writes the four batched kernels once
+for g_i(w) = Z_i (Y_i - f(X_i . w)), and linear IV and logistic IV each
+supply only the link f and the slope-weighted instruments f'(X_i . w) Z_i,
+so a new link is two methods. Heterogeneous treatment effects are linear
+IV on the hte_design lift. The module also holds the two non-robust
+baselines the experiments compare against (two-stage least squares and a
+two-stage Huber regression).
 """
 
 from __future__ import annotations
 
 import warnings
-from abc import abstractmethod
+from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .core import Dataset, MomentModel, WeakInstrumentsError
+from .core import Dataset, WeakInstrumentsError
 
 __all__ = [
     "logistic",
     "logistic_deriv",
+    "SingleIndexIVModel",
     "LinearIVModel",
     "LogisticIVModel",
     "hte_design",
@@ -45,14 +46,22 @@ def logistic_deriv(x):
     return s * (1.0 - s)
 
 
-class SingleIndexIVModel(MomentModel):
+class SingleIndexIVModel(ABC):
     """Moments g_i(w) = Z_i (Y_i - f(X_i . w)) for a link f.
 
-    The per-sample Jacobian is the rank-one -f'(X_i . w) Z_i X_i^T, so all
-    four kernels follow from two pieces a subclass supplies: the link f
-    and the slope-weighted instrument rows f'(X_i . w) Z_i. No kernel calls
-    another kernel, so one call evaluates X[idx] @ w at most once.
+    Every kernel takes an integer array idx of sample indices; one sample
+    i is the batch np.array([i]). The per-sample Jacobian is the rank-one
+    -f'(X_i . w) Z_i X_i^T, so all four kernels follow from two pieces a
+    subclass supplies: the link f and the slope-weighted instrument rows
+    f'(X_i . w) Z_i. No kernel calls another kernel, so one call evaluates
+    X[idx] @ w at most once.
+
+    affine : every g_i is affine in w, so the mean Jacobian does not depend
+             on w. The sever learner then evaluates its objective from the
+             mean moment at 0 and the mean Jacobian, built once per call.
     """
+
+    affine: bool = False
 
     def __init__(self, data: Dataset):
         self.data = data
@@ -77,19 +86,23 @@ class SingleIndexIVModel(MomentModel):
     def sloped_instruments(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Rows f'(X_i . w) Z_i, shape (len(idx), moment_dim)."""
 
-    def moments(self, idx, w):
+    def moments(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Rows g_i(w), shape (len(idx), moment_dim)."""
         d = self.data
         resid = d.Y[idx] - self.link(d.X[idx] @ w)
         return d.Z[idx] * resid[:, None]
 
-    def residuals(self, idx, w):
+    def residuals(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Scalar response residuals behind the moments, shape (len(idx),)."""
         d = self.data
         return d.Y[idx] - self.link(d.X[idx] @ w)
 
-    def jacobian_dot(self, idx, w, u):
+    def jacobian_dot(self, idx: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Rows (d g_i / d w)^T u, shape (len(idx), param_dim)."""
         return -self.data.X[idx] * (self.sloped_instruments(idx, w) @ u)[:, None]
 
-    def mean_jacobian_over(self, idx, w):
+    def mean_jacobian_over(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """(1/len(idx)) sum of d g_i / d w, shape (moment_dim, param_dim)."""
         return -(self.sloped_instruments(idx, w).T @ self.data.X[idx]) / len(idx)
 
 

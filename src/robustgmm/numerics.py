@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "RandomSource",
     "centered_cov",
-    "sample_mean_cov",
     "top_eigenvector",
     "CriticalPointProblem",
     "LearnerResult",
@@ -90,13 +89,6 @@ def centered_cov(values: np.ndarray):
     centered = vals - vals.mean(axis=0)
     cov = centered.T @ centered / vals.shape[0]
     return centered, 0.5 * (cov + cov.T)
-
-
-def sample_mean_cov(values: np.ndarray):
-    """Mean and (1/m)-normalized covariance of row vectors (centered_cov)."""
-    vals = np.asarray(values, dtype=np.float64)
-    cov = centered_cov(vals)[1]
-    return vals.mean(axis=0), cov
 
 
 def top_eigenvector(A: np.ndarray):

@@ -22,9 +22,9 @@ from .core import (
     EstimateReport,
     FilterExhaustedError,
     HyperParams,
-    MomentModel,
 )
 from .filtering import robust_score_bound, spectral_filter
+from .models import SingleIndexIVModel
 from .numerics import (
     CriticalPointProblem,
     RandomSource,
@@ -106,7 +106,7 @@ class SeverResult:
     runs: int = 1
 
 
-def _moment_objective(model: MomentModel, S: ActiveSet):
+def _moment_objective(model: SingleIndexIVModel, S: ActiveSet):
     """f(w) = ||E_S g(w)||^2 with gradient 2 (E_S grad g)^T (E_S g).
 
     For an affine model E_S g(w) = u0 + J w, with u0 = E_S g(0) and J the
@@ -134,7 +134,9 @@ def _moment_objective(model: MomentModel, S: ActiveSet):
     return objective_grad
 
 
-def gmm_sever(model: MomentModel, hp: HyperParams, rng: RandomSource) -> SeverResult:
+def gmm_sever(
+    model: SingleIndexIVModel, hp: HyperParams, rng: RandomSource
+) -> SeverResult:
     """Run the filter-until-stable sever loop on the full sample.
 
     The learner searches the ball of radius hp.R0 around the origin and
@@ -228,7 +230,7 @@ def gmm_sever(model: MomentModel, hp: HyperParams, rng: RandomSource) -> SeverRe
 
 
 def amplified_gmm_sever(
-    model: MomentModel, hp: HyperParams, rng: RandomSource
+    model: SingleIndexIVModel, hp: HyperParams, rng: RandomSource
 ) -> SeverResult:
     """Repeat gmm_sever with fresh child streams until a run keeps enough.
 
@@ -261,7 +263,7 @@ def amplified_gmm_sever(
 
 
 def iterated_gmm_sever(
-    model: MomentModel,
+    model: SingleIndexIVModel,
     hp: HyperParams,
     rng: RandomSource,
 ) -> EstimateReport:

@@ -331,6 +331,25 @@ def test_synth_sweep_byte_identical_and_jobs_invariant(tmp_path):
     assert (tmp_path / "a.agg.csv").read_bytes() == (tmp_path / "b.agg.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "out, agg",
+    [
+        ("x", "x.agg"),
+        ("v1.2/sweep", "v1.2/sweep.agg"),
+        ("../sweep", "../sweep.agg"),
+    ],
+)
+def test_sweep_aggregate_suffix_comes_from_the_file_name(out, agg, tmp_path, monkeypatch):
+    work = tmp_path / "work"
+    (work / "v1.2").mkdir(parents=True)
+    monkeypatch.chdir(work)
+    argv = ["synth-sweep", "--seed", "4", *SMALL_SWEEP,
+            "--set", "estimators=classical-iv", "--out", out]
+    assert main(argv) == 0
+    assert (work / out).exists() and (work / agg).exists()
+    assert "# command=synth-sweep" in header_lines(work / agg)
+
+
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records its size, runs inline."""
 
@@ -466,6 +485,24 @@ def first_difference(got: bytes, want: bytes) -> str:
 def test_semi_sweep_requires_input(tmp_path, capsys):
     assert main(["semi-sweep", "--out", str(tmp_path / "s.csv")]) == 1
     assert "required" in capsys.readouterr().err
+
+
+def test_unwritable_out_and_missing_input_exit_1(linear_csv, tmp_path, capsys):
+    path, _, _ = linear_csv
+    missing_dir = tmp_path / "no-such-dir"
+    runs = [
+        ["estimate", "--set", f"input={path}", "--set", "eps=0.1", *COLS,
+         "--out", str(missing_dir / "fit.txt")],
+        ["synth-sweep", *SMALL_SWEEP, "--set", "estimators=classical-iv",
+         "--out", str(missing_dir / "sweep.csv")],
+        ["semi-sweep", "--set", f"input={tmp_path / 'absent.csv'}",
+         "--out", str(tmp_path / "semi.csv")],
+    ]
+    for argv in runs:
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file" in err, argv[0]
+    assert not missing_dir.exists()
 
 
 # ---------------------------------------------------------------------------

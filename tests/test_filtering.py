@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from robustgmm import RandomSource
 from robustgmm.core import ActiveSet
 from robustgmm.filtering import FILTER_SLACK, robust_score_bound, spectral_filter
-from robustgmm.numerics import centered_cov, sample_mean_cov, top_eigenvector
+from robustgmm.numerics import centered_cov, top_eigenvector
 
 from conftest import ForcedUniform
 
@@ -193,15 +193,15 @@ def test_score_bound_validation():
 
 def parent_pass(vals, active, rng, slack):
     # the pass as gmm_sever ran it before the rule moved inside: a float
-    # bound from its own sample_mean_cov and eigvalsh (or the scalar
+    # bound from its own mean, covariance and eigvalsh (or the scalar
     # median), then a second covariance, k normals drawn whether or not the
     # pass fires, and the threshold uniform
-    mean, cov = sample_mean_cov(vals)
+    mean, cov = vals.mean(axis=0), centered_cov(vals)[1]
     if vals.shape[1] == 1:
         bound = float(np.median((vals[:, 0] - mean[0]) ** 2)) / 0.4549364231195727
     else:
         bound = max(float(np.mean(np.linalg.eigvalsh(cov)[:-1])), 0.0)
-    mean, cov = sample_mean_cov(vals)
+    mean, cov = vals.mean(axis=0), centered_cov(vals)[1]
     rng.normal(vals.shape[1])
     direction, _ = top_eigenvector(cov)
     scores = ((vals - mean) @ direction) ** 2

@@ -18,6 +18,7 @@ from robustgmm import (
 from robustgmm import models
 from robustgmm.experiments import corrupt_all_ones, gen_synthetic_hte
 from robustgmm.models import (
+    SingleIndexIVModel,
     _huber_irls,
     _huber_scale_delta,
     hte_design,
@@ -96,6 +97,16 @@ def test_logistic_jacobian_slope_bound(rng):
         jac = m.mean_jacobian_over(np.array([i]), w)
         cap = 0.25 * np.linalg.norm(data.Z[i]) * np.linalg.norm(data.X[i])
         assert np.linalg.norm(jac, 2) <= cap + 1e-12
+
+
+def test_single_index_model_needs_both_link_methods():
+    class LinkOnly(SingleIndexIVModel):
+        def link(self, t):
+            return t
+
+    data, _ = make_linear_dataset(seed=0, n=5, d=2)
+    with pytest.raises(TypeError):
+        LinkOnly(data)
 
 
 @pytest.mark.parametrize("cls", [LinearIVModel, LogisticIVModel])

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from robustgmm import LinearIVModel, RandomSource
 from robustgmm.numerics import (
     CriticalPointProblem,
+    centered_cov,
     feasible_descent_norm,
     finite_diff_jacobian,
     projected_gradient_critical_point,
-    sample_mean_cov,
     top_eigenvector,
 )
 
@@ -51,31 +51,31 @@ def test_subset_bounds():
 
 
 # ---------------------------------------------------------------------------
-# sample_mean_cov
+# centered_cov
 
 
 def test_mean_cov_symmetric_pair():
-    mean, cov = sample_mean_cov(np.array([[1.0, 0.0], [-1.0, 0.0]]))
-    np.testing.assert_allclose(mean, [0.0, 0.0])
+    centered, cov = centered_cov(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+    np.testing.assert_allclose(centered, [[1.0, 0.0], [-1.0, 0.0]])
     np.testing.assert_allclose(cov, [[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_mean_cov_singleton():
-    mean, cov = sample_mean_cov(np.array([[5.0, 2.0]]))
-    np.testing.assert_allclose(mean, [5.0, 2.0])
+    centered, cov = centered_cov(np.array([[5.0, 2.0]]))
+    np.testing.assert_allclose(centered, [[0.0, 0.0]])
     np.testing.assert_allclose(cov, np.zeros((2, 2)))
 
 
 def test_mean_cov_population_normalization():
     # hand-computed with the 1/m (not 1/(m-1)) convention
-    mean, cov = sample_mean_cov(np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))
-    np.testing.assert_allclose(mean, [2.0, 2.0])
+    centered, cov = centered_cov(np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))
+    np.testing.assert_allclose(centered, [[-1.0, -1.0], [0.0, 0.0], [1.0, 1.0]])
     np.testing.assert_allclose(cov, [[2 / 3, 2 / 3], [2 / 3, 2 / 3]])
 
 
 def test_mean_cov_rejects_empty():
     with pytest.raises(ValueError):
-        sample_mean_cov(np.empty((0, 3)))
+        centered_cov(np.empty((0, 3)))
 
 
 # ---------------------------------------------------------------------------

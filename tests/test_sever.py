@@ -25,7 +25,7 @@ from robustgmm.experiments import (
     gen_synthetic_hte,
 )
 from robustgmm.filtering import robust_score_bound, spectral_filter
-from robustgmm.models import hte_design, logistic
+from robustgmm.models import SingleIndexIVModel, hte_design, logistic
 from robustgmm.numerics import finite_diff_jacobian
 from robustgmm.sever import (
     PRACTICE_JAC_SLACK_FACTOR,
@@ -109,6 +109,36 @@ def test_logistic_objective_keeps_kernel_path():
         _, grad = fn(w)
         fd = finite_diff_jacobian(lambda v: fn(v)[0], w, 1e-6)
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the model contract
+
+
+class KernelPathIdentityIV(SingleIndexIVModel):
+    # the identity link written as a new link is: two methods, with affine
+    # left False, so the learner takes the kernel objective path
+    def link(self, t):
+        return t
+
+    def sloped_instruments(self, idx, w):
+        return self.data.Z[idx]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_two_method_link_fits_like_linear_iv(seed):
+    src = RandomSource(seed)
+    base, _ = gen_synthetic_hte(2000, 5, src.child("dgp"))
+    base, _ = corrupt_all_ones(base, 0.1, src.child("attack"))
+    design = hte_design(base)
+    linear, kernel_path = LinearIVModel(design), KernelPathIdentityIV(design)
+    assert linear.affine and not kernel_path.affine
+    hp = derive_hyperparams(linear, 0.1)
+    assert derive_hyperparams(kernel_path, 0.1) == hp
+    want = iterated_gmm_sever(linear, hp, src.child("fit"))
+    got = iterated_gmm_sever(kernel_path, hp, src.child("fit"))
+    np.testing.assert_array_equal(got.final_set.indices, want.final_set.indices)
+    np.testing.assert_allclose(got.w_hat, want.w_hat, rtol=1e-6)
 
 
 # ---------------------------------------------------------------------------
