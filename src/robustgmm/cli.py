@@ -169,12 +169,16 @@ def _build_design(resolved: dict):
     """Load the CSV and derive the design for the requested model kind.
 
     Returns (design dataset, model kind for the solver, base dataset for ATE
-    reporting or None). An unreadable input or unusable columns are config
-    errors.
+    reporting or None). An unreadable input, unusable columns or a logistic
+    response outside [0, 1] are config errors.
     """
     kind = resolved["model"]
     try:
         base = load_csv(_require(resolved, "input"), _columns_from(resolved))
+        if kind == "logistic" and not 0.0 <= base.Y.min() <= base.Y.max() <= 1.0:
+            lo, hi, column = base.Y.min(), base.Y.max(), resolved["col_response"]
+            raise ConfigError(f"model=logistic needs a response in [0, 1]; "
+                              f"column {column!r} ranges from {lo:g} to {hi:g}")
         if kind in ("linear", "logistic"):
             return base, kind, None
         if kind == "hte":

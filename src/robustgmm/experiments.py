@@ -2,9 +2,9 @@
 
 This is the experiment harness: it produces the treatment-effect DGP, the
 two adversarial attacks (all-ones characteristics, response negation), the
-CSV loader for semi-synthetic designs, assumption diagnostics with a plug-in
-hyperparameter rule, and the corruption sweep that compares the robust
-estimator against classical IV and a two-stage Huber baseline.
+CSV loader for semi-synthetic designs, the plug-in hyperparameter rule with
+its identification diagnostics, and the corruption sweep that compares the
+robust estimator against classical IV and a two-stage Huber baseline.
 """
 
 from __future__ import annotations
@@ -384,74 +384,23 @@ def dataset_columns(data: Dataset) -> Mapping:
 # diagnostics and the plug-in hyperparameter rule
 
 
-def _top_eigenpair(sym: np.ndarray):
-    """Largest eigenvalue of a symmetric matrix and a unit eigenvector for it.
-
-    An overflowed (non-finite) matrix raises EstimationError rather than
-    yield NaN eigenvalues, on which the Jacobian-sup ascent never stops.
-    """
-    if not np.isfinite(sym).all():
-        raise EstimationError(
-            "diagnostics overflow float64: a second-moment matrix of the data "
-            "is not finite; rescale the columns"
-        )
-    evals, evecs = np.linalg.eigh(sym)
-    return float(evals[-1]), evecs[:, -1]
-
-
 def diagnose_assumptions(model, S: ActiveSet, w_ref: np.ndarray) -> dict:
-    """Empirical analogues of the identification and regularity constants.
+    """Identification constants of model on S at w_ref, for `diagnose`.
 
-    jacobian_sigma_min          smallest singular value of the mean Jacobian
-    jacobian_second_moment_sup  sup over unit (u, v) of
-                                E_S (u . grad g_i v)^2   (an L^2 analogue)
-    noise_second_moment_sup     sup over unit u of E_S (u . g_i)^2, the top
-                                eigenvalue of E_S g g^T  (a sigma^2 L analogue)
-    noise_second_moment_robust  (1.4826 MAD of the residuals)^2 times the top
-                                eigenvalue of E_S Z Z^T, so response outliers
-                                do not inflate it (outliers in Z still can)
-    moment_norm                 || E_S g(w_ref) ||
-
-    model is single-index, so grad g_i = -s_i x_i^T with s_i its
-    sloped_instruments row and the Jacobian sup is that of
-    E_S (u . s_i)^2 (x_i . v)^2. It is climbed by a deterministic ascent
-    of alternating steps, each the top eigenvector of a weighted Gram
-    matrix: v for the current u, then u for that v. Each step can only
-    raise the value, so the ascent starts from the top eigenvector of
-    E_S s s^T and stops once a step gains less than 1e-10 relative. It
-    ends at a local maximum from that one start, so the value is a lower
-    bound on the sup, not a certified global one.
+    jacobian_sigma_min is the smallest singular value of the mean Jacobian
+    (0.0 when p < d, as the Jacobian then has a null direction) and
+    moment_norm is || E_S g(w_ref) ||. A non-finite w_ref, mean Jacobian or
+    moment norm raises EstimationError: the design overflows float64.
     """
     w_ref = np.asarray(w_ref, dtype=np.float64)
     idx = S.indices
-    n = len(idx)
     J = model.mean_jacobian_over(idx, w_ref)
-    svals = np.linalg.svd(J, compute_uv=False)
-    g = model.moments(idx, w_ref)
-
-    s = model.sloped_instruments(idx, w_ref)
-    X = model.data.X[idx]
-    _, u = _top_eigenpair(s.T @ s / n)
-    jac_sup = 0.0
-    while True:
-        _, v = _top_eigenpair((X * np.square(s @ u)[:, None]).T @ X / n)
-        top, u = _top_eigenpair((s * np.square(X @ v)[:, None]).T @ s / n)
-        gain = top - jac_sup
-        jac_sup = max(jac_sup, top)
-        if gain <= 1e-10 * jac_sup:
-            break
-
-    r = model.residuals(idx, w_ref)
-    mad = float(np.median(np.abs(r - np.median(r))))
-    Z = model.data.Z[idx]
-    return {
-        "jacobian_sigma_min": float(svals[-1]),
-        "jacobian_second_moment_sup": jac_sup,
-        "noise_second_moment_sup": _top_eigenpair(g.T @ g / n)[0],
-        "noise_second_moment_robust": (1.4826 * mad) ** 2
-        * _top_eigenpair(Z.T @ Z / n)[0],
-        "moment_norm": float(np.linalg.norm(g.mean(axis=0))),
-    }
+    norm = float(np.linalg.norm(model.moments(idx, w_ref).mean(axis=0)))
+    if not (np.isfinite(w_ref).all() and np.isfinite(J).all() and math.isfinite(norm)):
+        raise EstimationError("diagnostics overflow float64; rescale the columns")
+    p, d = J.shape
+    sigma_min = float(np.linalg.svd(J, compute_uv=False)[-1]) if p >= d else 0.0
+    return {"jacobian_sigma_min": sigma_min, "moment_norm": norm}
 
 
 def derive_hyperparams(model, eps: float) -> HyperParams:

@@ -147,12 +147,11 @@ def gmm_sever(
     PRACTICE_JAC_SLACK_FACTOR times that, so it fires only when one
     direction stands out against the rest. The paper's certified bounds
     (L^2 ||u||^2 for projected Jacobians, sigma^2 L + 4 L^2 R0^2 for raw
-    moments, with L and sigma as diagnose_assumptions estimates them) hold
-    for every parameter in the search ball but can exceed the variance the
-    good rows actually show by orders of magnitude on real designs, hiding
-    structured corruptions of ordinary norm; the bulk spectrum tracks the
-    clean rows at the current iterate, at the price of a blind spot for
-    corruptions spread evenly across directions.
+    moments) hold for every parameter in the search ball but can exceed
+    the variance the good rows actually show by orders of magnitude on real
+    designs, hiding structured corruptions of ordinary norm; the bulk
+    spectrum tracks the clean rows at the current iterate, at the price of
+    a blind spot for corruptions spread evenly across directions.
 
     Aborts with FilterExhaustedError once fewer than max(1, ceil(2n/3))
     samples survive; each learner restart is warm-started from the previous

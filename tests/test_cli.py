@@ -86,12 +86,16 @@ def test_estimate_writes_report_and_matches_iv(linear_csv, tmp_path):
 
 def test_estimate_rerun_is_byte_identical(linear_csv, tmp_path):
     path, _, _ = linear_csv
-    a, b = tmp_path / "a.out", tmp_path / "b.out"
-    argv = ["estimate", "--seed", "11", "--set", f"input={path}",
-            "--set", "eps=0.1", *COLS]
-    assert main(argv + ["--out", str(a)]) == 0
-    assert main(argv + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    runs = {
+        "estimate": ["estimate", "--seed", "11", "--set", f"input={path}",
+                     "--set", "eps=0.1", *COLS],
+        "diagnose": ["diagnose", "--set", f"input={path}", *COLS],
+    }
+    for name, argv in runs.items():
+        a, b = tmp_path / f"{name}.a", tmp_path / f"{name}.b"
+        assert main(argv + ["--out", str(a)]) == 0
+        assert main(argv + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes(), name
 
 
 def test_estimate_scalar_model_reports_ate(tmp_path):
@@ -518,14 +522,9 @@ def test_diagnose_reports_constants(linear_csv, tmp_path):
     )
     assert code == 0
     report = parse_report(out)
+    assert set(report) == {"n", "d", "p", "w_ref", "jacobian_sigma_min", "moment_norm"}
     assert report["n"] == "300" and report["d"] == "2" and report["p"] == "2"
-    for key in (
-        "jacobian_sigma_min",
-        "jacobian_second_moment_sup",
-        "noise_second_moment_sup",
-        "noise_second_moment_robust",
-        "moment_norm",
-    ):
+    for key in ("jacobian_sigma_min", "moment_norm"):
         assert float(report[key]) >= 0.0
 
 
@@ -545,29 +544,47 @@ def test_logistic_model_dispatch(tmp_path):
         assert len(w) == 1 and all(math.isfinite(v) for v in w)
         diag[model] = {k: float(v) for k, v in parse_report(dia).items()}
         assert all(math.isfinite(v) for v in diag[model].values())
-    assert (diag["logistic"]["jacobian_second_moment_sup"]
-            != diag["linear"]["jacobian_second_moment_sup"])
+    assert (diag["logistic"]["jacobian_sigma_min"]
+            != diag["linear"]["jacobian_sigma_min"])
 
 
-def test_diagnose_on_overflowing_gram_exits_2(tmp_path):
-    # at this scale the Jacobian-sup ascent's weighted Gram matrices overflow
-    # float64; the ascent must stop with an estimation failure, not spin on
-    # NaN eigenvalues
+@pytest.mark.parametrize("command", ["estimate", "diagnose"])
+def test_logistic_rejects_response_outside_unit_interval(command, tmp_path, capsys):
+    # log wages are no probability; a logistic fit on them used to end in
+    # an exhausted filter or a meaningless w_hat
+    out = tmp_path / "fit.out"
+    argv = [command, "--out", str(out), "--set", f"input={DATA_CSV}",
+            "--set", "model=logistic", "--set", "col_response=lwage",
+            "--set", "col_instruments=educ", "--set", "col_covariates=exper"]
+    if command == "estimate":
+        argv += ["--set", "eps=0.1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "model=logistic needs a response in [0, 1]" in err
+    assert "column 'lwage' ranges from 3.28477 to 8.68674" in err
+    assert not out.exists()
+
+
+def test_diagnose_on_overflowing_design_exits_2(tmp_path):
+    # at 1e120 the mean-moment norm overflows float64 and at 1e160 the
+    # classical IV reference point is NaN; both must end in an estimation
+    # failure naming the overflow, not a report of inf or nan
     src = RandomSource(3)
     X = src.normal((300, 2))
     Z = X + 0.3 * src.normal((300, 2))
     Y = X @ np.array([1.0, -1.0]) + 0.1 * src.normal(300)
-    path = tmp_path / "huge.csv"
-    save_dataset_csv(path, Dataset(X=X * 1e80, Y=Y * 1e80, Z=Z * 1e80))
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "robustgmm", "diagnose", "--out", str(tmp_path / "d.out"),
-         "--set", f"input={path}", *COLS],
-        capture_output=True, text=True, timeout=60, env=env,
-    )
-    assert proc.returncode == 2
-    assert "overflow" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    for scale in (1e120, 1e160):
+        path = tmp_path / "huge.csv"
+        save_dataset_csv(path, Dataset(X=X * scale, Y=Y * scale, Z=Z * scale))
+        proc = subprocess.run(
+            [sys.executable, "-m", "robustgmm", "diagnose",
+             "--out", str(tmp_path / "d.out"), "--set", f"input={path}", *COLS],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 2, scale
+        assert "overflow" in proc.stderr, scale
+        assert "Traceback" not in proc.stderr, scale
 
 
 def test_diagnose_rejects_no_directions(linear_csv, tmp_path, capsys):
