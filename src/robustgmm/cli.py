@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: estimate, synth-sweep, semi-sweep, diagnose, selfcheck; each
-accepts only the flags its run reads (see _COMMANDS).
+Subcommands: estimate, synth-sweep, semi-sweep, diagnose; each accepts only
+the flags its run reads (see _COMMANDS).
 Configuration is a flat key=value file overlaid by repeatable --set flags
 (last one wins); unknown keys are rejected. Every output file starts with
 the resolved configuration as '#' comment lines, and is byte-reproducible
@@ -12,22 +12,19 @@ error, 2 estimation failure.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
 import numpy as np
 
-from .core import ActiveSet, Dataset, EstimationError
+from .core import ActiveSet, EstimationError
 from .experiments import (
     CARD_STANDIN_COLUMNS,
     ESTIMATOR_NAMES,
     SweepConfig,
     aggregate_rows,
-    corrupt_negation,
     diagnose_assumptions,
     format_float,
-    gen_synthetic_hte,
     load_csv,
     robust_linear_estimate,
     run_sweep,
@@ -35,23 +32,14 @@ from .experiments import (
     write_lines,
     write_rows_csv,
 )
-from .filtering import spectral_filter
 from .models import (
-    LinearIVModel,
-    LogisticIVModel,
     ate_from_params,
     hte_design,
     model_class,
     scalar_treatment_design,
     two_stage_least_squares,
 )
-from .numerics import (
-    CriticalPointProblem,
-    RandomSource,
-    finite_diff_jacobian,
-    projected_gradient_critical_point,
-    top_eigenvector,
-)
+from .numerics import RandomSource
 
 __all__ = ["main"]
 
@@ -361,116 +349,6 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# selfcheck
-
-
-def _check_jacobians(rng: RandomSource) -> bool:
-    data, _ = gen_synthetic_hte(40, 3, rng.child("data"))
-    models = [
-        LinearIVModel(hte_design(data)),
-        LogisticIVModel(
-            Dataset(X=data.X, Y=(data.Y > 0).astype(float), Z=data.X, T=None)
-        ),
-        LinearIVModel(hte_design(data, "full")),
-    ]
-    for m, model in enumerate(models):
-        for k in range(10):
-            sub = rng.child(f"probe-{m}-{k}")
-            idx = np.array([int(sub.integers(0, model.n_samples))])
-            w = sub.normal(model.param_dim) * 0.5
-            jac = model.mean_jacobian_over(idx, w)
-            fd = finite_diff_jacobian(lambda v: model.moments(idx, v)[0], w, 1e-5)
-            denom = max(float(np.linalg.norm(jac)), 1e-8)
-            if np.linalg.norm(fd - jac) / denom > 1e-5:
-                return False
-    return True
-
-
-def _check_top_eigenvector(rng: RandomSource) -> bool:
-    v, mu = top_eigenvector(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    return abs(mu - 3.0) < 1e-8 and abs(abs(v @ np.array([1.0, 1.0]) / math.sqrt(2)) - 1.0) < 1e-6
-
-
-def _check_learner_projection(rng: RandomSource) -> bool:
-    a = np.array([3.0, 4.0])
-    center = np.zeros(2)
-
-    def fg(w):
-        diff = w - a
-        return float(diff @ diff), 2.0 * diff
-
-    prob = CriticalPointProblem(fg, center, 1.0, 1e-9)
-    res = projected_gradient_critical_point(prob)
-    return bool(np.linalg.norm(res.x - a / 5.0) <= 1e-6)
-
-
-def _check_filter_stability(rng: RandomSource) -> bool:
-    bound_const = 3.0 * math.sqrt(48.0)
-    for trial in range(100):
-        sub = rng.child(f"trial-{trial}")
-        good = sub.normal((90, 4)) * 0.7
-        bad = sub.normal((10, 4)) + 10.0 ** (sub.uniform() * 3 - 1)
-        vals = np.vstack([good, bad])
-        M = 10.0 ** (sub.uniform() * 2 - 1)
-        out = spectral_filter(vals, ActiveSet.full(100), M, sub.child("f"))
-        if out.threshold is None:
-            gap = np.linalg.norm(vals.mean(axis=0) - good.mean(axis=0))
-            cov_good = np.cov(good.T, bias=True)
-            op = float(np.linalg.eigvalsh(cov_good)[-1])
-            if gap > bound_const * math.sqrt((M + op) * 0.1):
-                return False
-    return True
-
-
-def _check_filter_idempotence(rng: RandomSource) -> bool:
-    vals = rng.normal((50, 3))
-    active = ActiveSet.full(50)
-    bound = float(np.linalg.eigvalsh(np.cov(vals.T, bias=True))[-1])
-    first = spectral_filter(vals, active, bound, rng.child("a"))
-    if first.threshold is not None:
-        return False
-    again = spectral_filter(vals, active, bound, rng.child("b"))
-    return len(again.removed) == 0
-
-
-def _check_negation_identity(rng: RandomSource) -> bool:
-    n = 300
-    X = np.hstack([rng.normal((n, 2)), np.ones((n, 1))])
-    Z = X + 0.1 * rng.normal((n, 3))
-    w_true = np.array([1.0, -2.0, 0.5])
-    Y = X @ w_true + 0.3 * rng.normal(n)
-    design = Dataset(X=X, Y=Y, Z=Z)
-    w_clean = two_stage_least_squares(design)
-    corrupted, _ = corrupt_negation(design, 0.1, rng.child("attack"))
-    w_corr = two_stage_least_squares(corrupted)
-    return bool(np.linalg.norm(w_corr + w_clean) <= 1e-8 * np.linalg.norm(w_clean))
-
-
-_SELFCHECKS = (
-    ("moment-jacobian-consistency", _check_jacobians),
-    ("top-eigenvector-analytic", _check_top_eigenvector),
-    ("learner-boundary-projection", _check_learner_projection),
-    ("filter-no-removal-stability", _check_filter_stability),
-    ("filter-idempotence", _check_filter_idempotence),
-    ("negation-attack-identity", _check_negation_identity),
-)
-
-
-def cmd_selfcheck(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    rng = RandomSource(seed)
-    all_ok = True
-    for name, check in _SELFCHECKS:
-        try:
-            ok = check(rng.child(name))
-        except Exception:
-            ok = False
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-        all_ok = all_ok and ok
-    return 0 if all_ok else 2
-
-
 def _parse_jobs(raw: str) -> int:
     try:
         jobs = int(raw)
@@ -501,7 +379,6 @@ _COMMANDS = {
     "synth-sweep": (cmd_synth_sweep, _SWEEP_FLAGS),
     "semi-sweep": (cmd_semi_sweep, _SWEEP_FLAGS),
     "diagnose": (cmd_diagnose, ("--config", "--set", "--out")),
-    "selfcheck": (cmd_selfcheck, ("--seed",)),
 }
 
 

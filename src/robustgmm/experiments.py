@@ -460,8 +460,11 @@ def _block_transform(columns: np.ndarray) -> np.ndarray:
     collinearity (any off-diagonal cosine above the gate) is it fully
     whitened, since then the clean score covariance itself is so
     anisotropic that the spectral bounds would read it as corruption.
+    A column whose root-mean-square overflows float64 raises EstimationError.
     """
     rms = np.sqrt(np.mean(columns**2, axis=0))
+    if not np.all(np.isfinite(rms)):
+        raise EstimationError("column scale overflows float64; rescale the columns")
     top = float(rms.max(initial=0.0))
     if top <= 0.0:
         return np.eye(columns.shape[1])

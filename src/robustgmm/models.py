@@ -17,7 +17,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .core import Dataset, WeakInstrumentsError
+from .core import Dataset, EstimationError, WeakInstrumentsError
 
 __all__ = [
     "logistic",
@@ -192,7 +192,8 @@ def two_stage_least_squares(design: Dataset) -> np.ndarray:
 
     Exactly identified designs solve the sample moment equation directly;
     overidentified ones project the regressors on the instruments first.
-    Raises WeakInstrumentsError when Z^T X is (numerically) rank deficient.
+    Raises WeakInstrumentsError when Z^T X is (numerically) rank deficient,
+    and EstimationError when the solution overflows float64.
     """
     Z, X, Y = design.Z, design.X, design.Y
     if design.p < design.d:
@@ -204,10 +205,13 @@ def two_stage_least_squares(design: Dataset) -> np.ndarray:
     if svals[0] == 0.0 or svals[-1] < _RANK_RTOL * svals[0]:
         raise WeakInstrumentsError("weak or collinear instruments")
     if design.p == design.d:
-        return np.linalg.solve(cross, Z.T @ Y)
-    first = np.linalg.lstsq(Z, X, rcond=None)[0]
-    fitted = Z @ first
-    return np.linalg.lstsq(fitted, Y, rcond=None)[0]
+        w = np.linalg.solve(cross, Z.T @ Y)
+    else:
+        first = np.linalg.lstsq(Z, X, rcond=None)[0]
+        w = np.linalg.lstsq(Z @ first, Y, rcond=None)[0]
+    if not np.all(np.isfinite(w)):
+        raise EstimationError("classical IV overflows float64; rescale the columns")
+    return w
 
 
 def _huber_scale_delta(resid: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import concurrent.futures
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from robustgmm import (
     scalar_treatment_design,
     two_stage_least_squares,
 )
-from robustgmm.cli import main
+from robustgmm.cli import _COMMANDS, main
 from robustgmm.experiments import save_dataset_csv
 
 from conftest import make_linear_dataset
@@ -201,10 +202,6 @@ UNREAD_FLAGS = [
     ("estimate", ["--jobs", "2"]),
     ("diagnose", ["--seed", "7"]),
     ("diagnose", ["--jobs", "9"]),
-    ("selfcheck", ["--config", "missing.cfg"]),
-    ("selfcheck", ["--set", "foo=bar"]),
-    ("selfcheck", ["--out", "OUT"]),
-    ("selfcheck", ["--jobs", "2"]),
 ]
 
 
@@ -220,13 +217,25 @@ def test_subcommands_reject_flags_they_do_not_read(
         "estimate": ["--out", str(out), "--set", f"input={path}", "--set", "eps=0.1",
                      *COLS],
         "diagnose": ["--out", str(out), "--set", f"input={path}", *COLS],
-        "selfcheck": [],
     }[command]
-    flag = [str(out) if arg == "OUT" else arg for arg in flag]
     assert main([command, *valid, *flag]) == 1
     captured = capsys.readouterr()
     assert "unrecognized arguments" in captured.err and captured.out == ""
     assert not out.exists()
+
+
+def test_readme_usage_block_matches_subcommands():
+    # the fenced block under README's "## Command line" lists each
+    # subcommand with exactly the flags it parses
+    readme = (REPO_ROOT / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    usage = {}
+    for line in block.strip().splitlines():
+        prog, command, rest = line.split(maxsplit=2)
+        assert prog == "robustgmm", line
+        usage[command] = tuple(re.findall(r"--[a-z]+", rest))
+    assert usage == {name: flags for name, (_, flags) in _COMMANDS.items()}
 
 
 def test_estimate_on_singular_scores_ends_cleanly(tmp_path, capsys):
@@ -510,7 +519,7 @@ def test_unwritable_out_and_missing_input_exit_1(linear_csv, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# diagnose and selfcheck
+# diagnose
 
 
 def test_diagnose_reports_constants(linear_csv, tmp_path):
@@ -565,6 +574,15 @@ def test_logistic_rejects_response_outside_unit_interval(command, tmp_path, caps
     assert not out.exists()
 
 
+def overflowing_design(scale: float) -> Dataset:
+    """A 300-row linear design with every column multiplied by scale."""
+    src = RandomSource(3)
+    X = src.normal((300, 2))
+    Z = X + 0.3 * src.normal((300, 2))
+    Y = X @ np.array([1.0, -1.0]) + 0.1 * src.normal(300)
+    return Dataset(X=X * scale, Y=Y * scale, Z=Z * scale)
+
+
 def test_diagnose_on_overflowing_design_exits_2(tmp_path):
     # at 1e120 the mean-moment norm overflows float64 and at 1e160 the
     # classical IV reference point is NaN; both must end in an estimation
@@ -585,6 +603,40 @@ def test_diagnose_on_overflowing_design_exits_2(tmp_path):
         assert proc.returncode == 2, scale
         assert "overflow" in proc.stderr, scale
         assert "Traceback" not in proc.stderr, scale
+
+
+def test_estimate_on_overflowing_design_names_the_scale(tmp_path, capsys):
+    # at 1e160 the columns' root-mean-square is inf, which would rescale the
+    # instruments to zeros and read as weak instruments
+    path = tmp_path / "huge.csv"
+    save_dataset_csv(path, overflowing_design(1e160))
+    out = tmp_path / "fit.out"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["estimate", "--out", str(out), "--set", f"input={path}",
+                     "--set", "eps=0.1", *COLS])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "column scale overflows float64; rescale the columns" in err
+    assert not out.exists()
+
+
+def test_sweep_records_overflowing_classical_iv_as_failed(tmp_path, capsys):
+    # classical IV on a 1e160 design is NaN in float64; the cell must fail
+    path = tmp_path / "huge.csv"
+    save_dataset_csv(path, overflowing_design(1e160))
+    out = tmp_path / "semi.csv"
+    code = main(
+        ["semi-sweep", "--seed", "2", "--out", str(out), "--set", f"input={path}",
+         "--set", "eps_grid=0.1", "--set", "reps=2", "--set", "attack=none",
+         "--set", "estimators=classical-iv", "--set", "col_response=y",
+         "--set", "col_treatment=x1", "--set", "col_instruments=z1",
+         "--set", "col_covariates=x2"]
+    )
+    assert code == 2
+    assert "every sweep cell failed" in capsys.readouterr().err
+    rows = read_rows(out)
+    assert len(rows) == 2
+    assert all(r[1] == "classical-iv" and r[3] == "failed" for r in rows)
 
 
 def test_diagnose_rejects_no_directions(linear_csv, tmp_path, capsys):
@@ -608,17 +660,7 @@ def test_diagnose_rejects_seed_key(linear_csv, tmp_path, capsys):
     assert "unknown config key 'seed'" in capsys.readouterr().err
 
 
-def test_selfcheck_all_pass(capsys):
-    assert main(["selfcheck"]) == 0
-    out_lines = capsys.readouterr().out.strip().splitlines()
-    assert len(out_lines) == 6
-    assert all(l.startswith("PASS ") for l in out_lines)
-    names = {l.split(" ", 1)[1] for l in out_lines}
-    assert names == {
-        "moment-jacobian-consistency",
-        "top-eigenvector-analytic",
-        "learner-boundary-projection",
-        "filter-no-removal-stability",
-        "filter-idempotence",
-        "negation-attack-identity",
-    }
+def test_selfcheck_is_not_a_subcommand(capsys):
+    # the acceptance battery (tests/test_acceptance.py) checks an install
+    assert main(["selfcheck"]) == 1
+    assert "invalid choice: 'selfcheck'" in capsys.readouterr().err

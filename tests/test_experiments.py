@@ -37,6 +37,7 @@ from robustgmm.experiments import (
     run_sweep,
     save_dataset_csv,
     write_aggregate_csv,
+    write_card_standin,
     write_rows_csv,
 )
 from robustgmm.models import hte_design, logistic
@@ -175,6 +176,12 @@ def test_load_card_standin_file():
     assert base.Z.shape == (3010, 1)
     assert base.T is not None
     assert set(np.unique(base.Z)) <= {0.0, 1.0}
+
+
+def test_card_standin_file_regenerates_byte_for_byte(tmp_path):
+    # the call scripts/make_card_standin.py makes
+    write_card_standin(tmp_path / "card_standin.csv")
+    assert (tmp_path / "card_standin.csv").read_bytes() == DATA_CSV.read_bytes()
 
 
 def test_load_csv_drops_missing_with_warning(tmp_path):

@@ -253,6 +253,18 @@ def test_2sls_error_cases():
     assert issubclass(WeakInstrumentsError, EstimationError)
 
 
+def test_2sls_overflow_raises_instead_of_nan():
+    # at 1e160 Z^T X overflows float64, so the solve alone would return NaN
+    src = RandomSource(3)
+    X = src.normal((300, 2)) * 1e160
+    Z = X + 0.3e160 * src.normal((300, 2))
+    design = Dataset(X=X, Y=X @ np.array([1.0, -1.0]), Z=Z)
+    with pytest.warns(RuntimeWarning) as record:
+        with pytest.raises(EstimationError, match="overflows float64; rescale"):
+            two_stage_least_squares(design)
+    assert any("overflow" in str(w.message) for w in record)
+
+
 def test_huber_matches_2sls_when_loss_is_quadratic():
     data, _ = make_linear_dataset(seed=9, n=150, d=3, noise=0.5)
     w_iv = two_stage_least_squares(data)
