@@ -8,23 +8,19 @@ Writes results/synth_desk.csv (per-cell rows) and results/synth_desk.agg.csv
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from robustgmm.cli import main
 
-results = pathlib.Path(__file__).resolve().parents[1] / "results"
-results.mkdir(exist_ok=True)
-out = results / "synth_desk.csv"
-code = main(
-    [
-        "synth-sweep",
-        "--seed",
-        "1001",
-        "--set",
-        "preset=desk",
-        "--out",
-        str(out),
-    ]
-)
-print(f"wrote {out} and companion .agg.csv (exit {code})")
-sys.exit(code)
+# the CLI call without --out; scripts/results_drift.py reuses it
+ARGV = ["synth-sweep", "--seed", "1001", "--set", "preset=desk"]
+OUT_NAME = "synth_desk.csv"
+
+if __name__ == "__main__":
+    results = ROOT / "results"
+    results.mkdir(exist_ok=True)
+    out = results / OUT_NAME
+    code = main(ARGV + ["--out", str(out)])
+    print(f"wrote {out} and companion .agg.csv (exit {code})")
+    sys.exit(code)

@@ -14,25 +14,20 @@ import os
 import pathlib
 import sys
 
-root = pathlib.Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(root / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from robustgmm.cli import main
 
-os.chdir(root)
-results = root / "results"
-results.mkdir(exist_ok=True)
-out = results / "semi_negation.csv"
-code = main(
-    [
-        "semi-sweep",
-        "--seed",
-        "9000",
-        "--set",
-        "input=data/card_standin.csv",
-        "--out",
-        str(out),
-    ]
-)
-print(f"wrote {out} and companion .agg.csv (exit {code})")
-sys.exit(code)
+# the CLI call without --out, run from ROOT; scripts/results_drift.py reuses it
+ARGV = ["semi-sweep", "--seed", "9000", "--set", "input=data/card_standin.csv"]
+OUT_NAME = "semi_negation.csv"
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    results = ROOT / "results"
+    results.mkdir(exist_ok=True)
+    out = results / OUT_NAME
+    code = main(ARGV + ["--out", str(out)])
+    print(f"wrote {out} and companion .agg.csv (exit {code})")
+    sys.exit(code)

@@ -54,7 +54,8 @@ class SingleIndexIVModel(ABC):
     -f'(X_i . w) Z_i X_i^T, so all four kernels follow from two pieces a
     subclass supplies: the link f and the slope-weighted instrument rows
     f'(X_i . w) Z_i. No kernel calls another kernel, so one call evaluates
-    X[idx] @ w at most once.
+    X[idx] @ w at most once. Rows are gathered with ndarray.take, which
+    gives the same values as fancy indexing several times faster.
 
     affine : every g_i is affine in w, so the mean Jacobian does not depend
              on w. The sever learner then evaluates its objective from the
@@ -89,21 +90,23 @@ class SingleIndexIVModel(ABC):
     def moments(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Rows g_i(w), shape (len(idx), moment_dim)."""
         d = self.data
-        resid = d.Y[idx] - self.link(d.X[idx] @ w)
-        return d.Z[idx] * resid[:, None]
+        resid = d.Y.take(idx) - self.link(d.X.take(idx, axis=0) @ w)
+        return d.Z.take(idx, axis=0) * resid[:, None]
 
     def residuals(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Scalar response residuals behind the moments, shape (len(idx),)."""
         d = self.data
-        return d.Y[idx] - self.link(d.X[idx] @ w)
+        return d.Y.take(idx) - self.link(d.X.take(idx, axis=0) @ w)
 
     def jacobian_dot(self, idx: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Rows (d g_i / d w)^T u, shape (len(idx), param_dim)."""
-        return -self.data.X[idx] * (self.sloped_instruments(idx, w) @ u)[:, None]
+        X = self.data.X.take(idx, axis=0)
+        return -X * (self.sloped_instruments(idx, w) @ u)[:, None]
 
     def mean_jacobian_over(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
         """(1/len(idx)) sum of d g_i / d w, shape (moment_dim, param_dim)."""
-        return -(self.sloped_instruments(idx, w).T @ self.data.X[idx]) / len(idx)
+        X = self.data.X.take(idx, axis=0)
+        return -(self.sloped_instruments(idx, w).T @ X) / len(idx)
 
 
 class LinearIVModel(SingleIndexIVModel):
@@ -115,7 +118,7 @@ class LinearIVModel(SingleIndexIVModel):
         return t
 
     def sloped_instruments(self, idx, w):
-        return self.data.Z[idx]
+        return self.data.Z.take(idx, axis=0)
 
 
 class LogisticIVModel(SingleIndexIVModel):
@@ -126,7 +129,8 @@ class LogisticIVModel(SingleIndexIVModel):
 
     def sloped_instruments(self, idx, w):
         d = self.data
-        return d.Z[idx] * logistic_deriv(d.X[idx] @ w)[:, None]
+        slope = logistic_deriv(d.X.take(idx, axis=0) @ w)
+        return d.Z.take(idx, axis=0) * slope[:, None]
 
 
 _MODEL_KINDS = {"linear": LinearIVModel, "logistic": LogisticIVModel}
@@ -214,26 +218,34 @@ def two_stage_least_squares(design: Dataset) -> np.ndarray:
     return w
 
 
-def _huber_scale_delta(resid: np.ndarray) -> float:
-    """1.345 times a MAD-based robust scale of the residuals."""
-    med = np.median(resid)
-    mad = np.median(np.abs(resid - med))
+def _huber_scale_delta(resid: np.ndarray):
+    """1.345 times a MAD-based robust scale of the residuals on the last axis.
+
+    A (k, n) array gives the k deltas of its rows; a 1-D array gives one.
+    """
+    med = np.median(resid, axis=-1, keepdims=True)
+    mad = np.median(np.abs(resid - med), axis=-1)
     scale = 1.4826 * mad
-    floor = 1e-8 * max(1.0, float(np.sqrt(np.mean(resid * resid))))
-    return 1.345 * max(scale, floor)
+    floor = 1e-8 * np.maximum(1.0, np.sqrt(np.mean(resid * resid, axis=-1)))
+    return 1.345 * np.maximum(scale, floor)
 
 
 def _huber_irls(A, B, delta, stage, tol=1e-8, max_iter=500):
     """Minimize mean Huber loss of each column of B - A X by stacked IRLS.
 
     Each column b_j of B (n, k) is its own IRLS fit, with its own delta
-    (1.345 x MAD scale unless one delta is given), gradient tolerance, stall
-    test |dx| <= 1e-15 and iteration budget. A round serves every column
-    still iterating with one residual gemm and one batched solve of their
-    stacked weighted normal equations. Returns X (p, k) and per-column flags
-    ok (k,); a column that misses tol returns its final iterate or, when
-    that is worse, its best one. Raises WeakInstrumentsError, naming the
-    stage, when A is rank deficient.
+    (1.345 x MAD scale of all n residuals unless one delta is given),
+    gradient tolerance, stall test |dx| <= 1e-15 and iteration budget.
+    Rows of A that are exactly zero add nothing to any Gram, right-hand side
+    or gradient, so after the deltas are set only the other m rows are kept;
+    the gradient still divides by n. A round serves every column still
+    iterating with one residual gemm, one product of the weights against
+    the row-wise products of A's column pairs (an (m, p(p+1)/2) matrix
+    built once per call) for all their Gram matrices, and one batched
+    solve. Returns X (p, k) and per-column flags ok (k,); a column that
+    misses tol returns its final iterate or, when that is worse, its best
+    one. Raises WeakInstrumentsError, naming the stage, when A is rank
+    deficient.
     """
     n, p = A.shape
     X0, _, rank, _ = np.linalg.lstsq(A, B, rcond=None)
@@ -245,14 +257,27 @@ def _huber_irls(A, B, delta, stage, tol=1e-8, max_iter=500):
     X = np.ascontiguousarray(X0.T)
     k = len(Bt)
     if delta is None:
-        deltas = np.array([_huber_scale_delta(r) for r in Bt - X @ At])
+        deltas = _huber_scale_delta(Bt - X @ At)
     else:
         deltas = np.full(k, float(delta))
+    nonzero = np.any(At != 0.0, axis=0)
+    if not nonzero.all():
+        At = At.compress(nonzero, axis=1)
+        Bt = Bt.compress(nonzero, axis=1)
+    A = At.T
+    # rows A[:, a] * A[:, b] for a <= b, in np.triu_indices order
+    upper, lower = np.triu_indices(p)
+    pairs = np.empty((len(upper), At.shape[1]))
+    start = 0
+    for a in range(p):
+        np.multiply(At[a:], At[a], out=pairs[start : start + p - a])
+        start += p - a
 
     def residuals_and_grads(rows):
         R = Bt[rows] - X[rows] @ At
         dl = deltas[rows, None]
-        return R, dl, np.linalg.norm(np.clip(R, -dl, dl) @ A / n, axis=1)
+        clipped = np.minimum(np.maximum(R, -dl), dl)
+        return R, dl, np.linalg.norm(clipped @ A / n, axis=1)
 
     best_x, best_g = X.copy(), np.full(k, np.inf)
     ok = np.zeros(k, dtype=bool)
@@ -268,11 +293,8 @@ def _huber_irls(A, B, delta, stage, tol=1e-8, max_iter=500):
         ok[live[met]] = True
         live, R, dl = live[~met], R[~met], dl[~met]
         W = dl / np.maximum(np.abs(R), dl)
-        # one (p, n) product per column: a stacked (k, p, n) weighted copy
-        # of A was slower and costs k times the memory
         gram = np.empty((live.size, p, p))
-        for j, wj in enumerate(W):
-            gram[j] = (At * wj) @ A
+        gram[:, upper, lower] = gram[:, lower, upper] = W @ pairs.T
         rhs = (W * Bt[live]) @ A
         x_new = np.linalg.solve(gram, rhs[..., None])[..., 0]
         stalled = np.all(np.abs(x_new - X[live]) <= 1e-15, axis=1)

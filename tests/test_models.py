@@ -149,6 +149,23 @@ def test_batched_paths_match_per_sample(cls, rng):
         assert_equal(m.mean_jacobian_over(idx, w), -(Z.T @ X) / len(idx))
 
 
+KERNELS = ["residuals", "moments", "jacobian_dot", "mean_jacobian_over", "sloped_instruments"]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("cls", [LinearIVModel, LogisticIVModel])
+def test_kernels_gather_the_rows_they_are_given(cls, kernel, rng):
+    # an unsorted index array with repeats reads the same rows, bit for bit,
+    # as the same kernel over a dataset of exactly those rows in that order
+    data, _ = make_linear_dataset(seed=6, n=30, d=3, p=4, noise=0.5)
+    idx = np.array([17, 3, 29, 3, 0, 17, 17, 8, 21, 4])
+    gathered = Dataset(X=data.X[idx], Y=data.Y[idx], Z=data.Z[idx])
+    args = (rng.normal(3),) + ((rng.normal(4),) if kernel == "jacobian_dot" else ())
+    got = getattr(cls(data), kernel)(idx, *args)
+    want = getattr(cls(gathered), kernel)(np.arange(len(idx)), *args)
+    np.testing.assert_array_equal(got, want)
+
+
 def build_fd_models():
     lin_data, _ = make_linear_dataset(seed=31, n=20, d=3, p=3, noise=0.3)
     log_data, _ = make_linear_dataset(seed=32, n=20, d=3, p=3, noise=0.3)
@@ -353,6 +370,39 @@ def test_stacked_huber_irls_matches_single_column_fits(max_iter):
         assert ok[j] == ok_single[0] == ok_ref
     # 500 rounds converge every column; one round leaves every one by the budget
     assert ok.all() if max_iter == 500 else not ok.any()
+
+
+def test_batched_huber_scale_matches_each_row():
+    src = RandomSource(16)
+    R = src.normal((6, 41)) * np.array([[1.0], [1e-3], [50.0], [1.0], [0.0], [1.0]])
+    R[3, :30] = 2.5  # MAD zero: the root-mean-square floor decides
+    R[5, ::2] = 0.0  # ties at the median
+    for rows in (R, R[:, :40]):  # odd and even row lengths
+        batched = _huber_scale_delta(rows)
+        assert batched.shape == (len(rows),)
+        np.testing.assert_array_equal(
+            batched, [_huber_scale_delta(r) for r in rows]
+        )
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-3])
+@pytest.mark.parametrize("max_iter", [500, 2])
+def test_huber_irls_zero_rows_add_nothing(max_iter, tol):
+    # all-zero rows of A are dropped after the deltas are set; the fit and
+    # its flags must match the plain IRLS over every row, which divides the
+    # gradient by the full n
+    src = RandomSource(17)
+    A = src.normal((120, 3))
+    B = A @ src.normal((3, 5)) + src.normal((120, 5)) ** 3
+    A = np.vstack([A[:70], np.zeros((90, 3)), A[70:]])
+    B = np.vstack([B[:70], 40.0 * src.normal((90, 5)), B[70:]])
+    coef, ok = _huber_irls(A, B, 0.8, "first stage", tol=tol, max_iter=max_iter)
+    for j in range(B.shape[1]):
+        ref, ok_ref = reference_huber_column(
+            A, B[:, j], delta=0.8, tol=tol, max_iter=max_iter
+        )
+        assert np.linalg.norm(coef[:, j] - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert ok[j] == ok_ref
 
 
 def test_stacked_huber_irls_returns_each_columns_best_iterate():

@@ -333,8 +333,10 @@ def test_amplified_returns_best_after_budget(monkeypatch, rng):
 
 
 def test_amplified_rep_budget_is_amplify_reps(monkeypatch, rng):
-    # ceil(log10(1 / 0.05)) repetitions, the budget of a 5% failure rate
-    assert sever_mod.AMPLIFY_REPS == 2
+    # two runs left about 1 in 40,000 desk-preset fits aborting on both, and
+    # each such cell known fits on a third
+    # (test_third_run_fits_desk_cell_where_two_abort)
+    assert sever_mod.AMPLIFY_REPS == 3
     calls = []
     install_stub(monkeypatch, [5], calls, reps=2)
     res = amplified_gmm_sever(stub_model(), STUB_HP, rng)
@@ -399,6 +401,24 @@ def test_iterated_noiseless_converges_to_truth(rng):
     # below the floor and amplification retries it
     assert len(report.final_set) >= 27
     assert report.diagnostics["outer_rounds"] == 2.0
+
+
+def test_third_run_fits_desk_cell_where_two_abort(monkeypatch):
+    # the desk-sweep cell at master seed 28005, eps=0.3, rep 2: its first two
+    # sever runs exhaust the sample set and the third keeps 1718 of 2000
+    cell_rng = RandomSource(28005).child("eps=0.3/rep=2")
+    base, theta = gen_synthetic_hte(2000, 10, cell_rng.child("dgp"))
+    base, _ = corrupt_all_ones(base, 0.3, cell_rng.child("attack"))
+    runs = []
+    count_calls(monkeypatch, sever_mod, "gmm_sever", runs)
+    w, report = robust_linear_estimate(
+        hte_design(base), 0.3, cell_rng.child("robust/iterated-gmm-sever")
+    )
+    assert [type(r) for r in runs[:2]] == [FilterExhaustedError] * 2
+    assert len(runs) == 3 and isinstance(runs[2], SeverResult)
+    assert report.diagnostics["outer_rounds"] == 3.0
+    assert len(report.final_set) == 1718
+    assert np.linalg.norm(w - theta) < 0.3
 
 
 def test_iterated_deterministic(rng):
