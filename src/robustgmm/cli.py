@@ -198,13 +198,14 @@ def cmd_estimate(args) -> int:
         raise ConfigError(f"eps must be < 0.5 and nonnegative, got {eps}")
     design, solver_kind, base = _build_design(resolved)
 
-    w, report = robust_linear_estimate(
+    report = robust_linear_estimate(
         design,
         eps,
         RandomSource(_parse_int(resolved["seed"], "seed")),
         model_kind=solver_kind,
     )
 
+    w = report.w_hat
     removed = np.setdiff1d(np.arange(design.n), report.final_set.indices)
     lines = [f"w_hat={','.join(format_float(v) for v in w)}"]
     if base is not None:
@@ -401,7 +402,9 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except EstimationError as err:
+    except (EstimationError, np.linalg.LinAlgError) as err:
+        # LAPACK giving up on a design (an SVD that does not converge) is an
+        # estimation failure, as a sweep records it
         print(f"estimation failed: {err}", file=sys.stderr)
         return 2
 

@@ -141,17 +141,21 @@ class HyperParams:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Outcome of a robust estimation run; len(final_set) is the kept count.
+    """Outcome of a sever run; len(final_set) is the kept count.
 
-    filter_events : tuple of (sever round, filter kind, removed count) for
-                    every pass that removed rows; kind is "response" (the
-                    residual screen, round 0), "jacobian" or "moment".
-    diagnostics   : gamma, learner_tolerance_unmet and outer_rounds (the
-                    sever runs amplification made, a retry after an abort
-                    included).
+    rounds      : learner calls of the run, one per sever round
+    events      : tuple of (sever round, filter kind, removed count, score)
+                  for every pass, quiet ones included; kind is "response"
+                  (the residual screen, round 0, scored by its largest
+                  deviation in MADs), "jacobian" or "moment" (scored by the
+                  pass's mean score)
+    diagnostics : gamma, learner_tolerance_unmet (learner calls that
+                  stopped short of gamma) and outer_rounds (the sever runs
+                  amplification made, a retry after an abort included)
     """
 
     w_hat: np.ndarray
     final_set: ActiveSet
-    filter_events: tuple
+    rounds: int
+    events: tuple
     diagnostics: dict

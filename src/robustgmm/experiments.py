@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     ActiveSet,
     Dataset,
+    EstimateReport,
     EstimationError,
     HyperParams,
 )
@@ -482,7 +483,7 @@ def robust_linear_estimate(
     eps: float,
     rng: RandomSource,
     model_kind: str = "linear",
-):
+) -> EstimateReport:
     """Robust GMM fit of a linear or logistic IV design with plug-in constants.
 
     The feature and instrument blocks are first put through a linear
@@ -498,8 +499,8 @@ def robust_linear_estimate(
     Constants come from derive_hyperparams on the rescaled model, and the
     fit is iterated_gmm_sever on the stream rng.child("est").
 
-    Returns (w, EstimateReport); report.w_hat is the returned w, in the
-    design's coordinates.
+    Returns the EstimateReport with w_hat mapped back to the design's
+    coordinates.
     """
     make_model = model_class(model_kind)
     wx = _block_transform(design.X)
@@ -508,8 +509,7 @@ def robust_linear_estimate(
     model = make_model(scaled)
     hp = derive_hyperparams(model, eps)
     report = iterated_gmm_sever(model, hp, rng.child("est"))
-    w = wx @ report.w_hat
-    return w, replace(report, w_hat=w)
+    return replace(report, w_hat=wx @ report.w_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -610,9 +610,9 @@ def _run_cell(cfg: SweepConfig, master_seed: int, eps: float, rep: int):
                 elif name == "two-stage-huber":
                     w = two_stage_huber(design)
                 else:
-                    w, _ = robust_linear_estimate(
+                    w = robust_linear_estimate(
                         design, eps, cell_rng.child(f"robust/{name}")
-                    )
+                    ).w_hat
             if cfg.kind == "synthetic":
                 value = float(np.linalg.norm(w - theta))
             else:

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _RANK_RTOL = 1e-10
+_IV_OVERFLOW = "classical IV overflows float64; rescale the columns"
 
 
 def logistic(x):
@@ -197,24 +198,28 @@ def two_stage_least_squares(design: Dataset) -> np.ndarray:
     Exactly identified designs solve the sample moment equation directly;
     overidentified ones project the regressors on the instruments first.
     Raises WeakInstrumentsError when Z^T X is (numerically) rank deficient,
-    and EstimationError when the solution overflows float64.
+    and EstimationError when Z^T X, Z^T Y or the solution overflows float64.
     """
     Z, X, Y = design.Z, design.X, design.Y
     if design.p < design.d:
         raise WeakInstrumentsError(
             f"under-identified: {design.p} instruments for {design.d} parameters"
         )
-    cross = Z.T @ X
+    cross, zy = Z.T @ X, Z.T @ Y
+    # checked before any LAPACK call: how an SVD treats inf or NaN entries
+    # depends on the BLAS kernel, which may raise LinAlgError or return NaN
+    if not (np.all(np.isfinite(cross)) and np.all(np.isfinite(zy))):
+        raise EstimationError(_IV_OVERFLOW)
     svals = np.linalg.svd(cross, compute_uv=False)
     if svals[0] == 0.0 or svals[-1] < _RANK_RTOL * svals[0]:
         raise WeakInstrumentsError("weak or collinear instruments")
     if design.p == design.d:
-        w = np.linalg.solve(cross, Z.T @ Y)
+        w = np.linalg.solve(cross, zy)
     else:
         first = np.linalg.lstsq(Z, X, rcond=None)[0]
         w = np.linalg.lstsq(Z @ first, Y, rcond=None)[0]
     if not np.all(np.isfinite(w)):
-        raise EstimationError("classical IV overflows float64; rescale the columns")
+        raise EstimationError(_IV_OVERFLOW)
     return w
 
 

@@ -6,13 +6,13 @@ on f(w) = ||mean moment||^2 with two self-calibrated spectral filter passes
 pass removes samples. Every run searches the ball of radius hp.R0 around
 the origin. amplified_gmm_sever repeats that with fresh randomness until a
 run keeps enough samples, and iterated_gmm_sever is the plug-in fit's sever
-stage: one amplified run.
+stage: one amplified run. Every layer returns the one core.EstimateReport.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -37,7 +37,6 @@ __all__ = [
     "PRACTICE_JAC_SLACK_FACTOR",
     "PRACTICE_RESPONSE_CAP",
     "PRACTICE_SLACK",
-    "SeverResult",
     "gmm_sever",
     "amplified_gmm_sever",
     "iterated_gmm_sever",
@@ -87,27 +86,6 @@ ACCEPT_EPS_MULT = 10.0
 AMPLIFY_REPS = 3
 
 
-@dataclass(frozen=True)
-class SeverResult:
-    """One sever run: estimate, surviving samples, and per-round filter log.
-
-    events is a tuple of (round, kind, removed, mean_score) with kind in
-    {"response", "jacobian", "moment"}; a "response" event is the residual
-    screen, always round 0, and its last field is the largest residual
-    deviation in MADs. learner_flags records tolerance_met per learner
-    call, in order. runs counts the gmm_sever runs behind the result:
-    amplified_gmm_sever sets it to the repetitions it made, aborted ones
-    included.
-    """
-
-    w: np.ndarray
-    S: ActiveSet
-    rounds: int
-    events: tuple
-    learner_flags: tuple
-    runs: int = 1
-
-
 def _moment_objective(model: SingleIndexIVModel, S: ActiveSet):
     """f(w) = ||E_S g(w)||^2 with gradient 2 (E_S grad g)^T (E_S g).
 
@@ -138,7 +116,7 @@ def _moment_objective(model: SingleIndexIVModel, S: ActiveSet):
 
 def gmm_sever(
     model: SingleIndexIVModel, hp: HyperParams, rng: RandomSource
-) -> SeverResult:
+) -> EstimateReport:
     """Run the filter-until-stable sever loop on the full sample.
 
     The learner searches the ball of radius hp.R0 around the origin and
@@ -172,7 +150,7 @@ def gmm_sever(
         return kept
 
     events = []
-    flags = []
+    unmet = 0
     warm: Optional[np.ndarray] = None
     rounds = 0
 
@@ -199,7 +177,7 @@ def gmm_sever(
             x0=warm,
         )
         learned = projected_gradient_critical_point(prob)
-        flags.append(learned.tolerance_met)
+        unmet += not learned.tolerance_met
         w = learned.x
         moment_scores = model.moments(S.indices, w)
         u = moment_scores.mean(axis=0)
@@ -225,26 +203,31 @@ def gmm_sever(
             if len(out.removed) > 0:
                 break
         else:
-            return SeverResult(w, S, rounds, tuple(events), tuple(flags))
+            diagnostics = {
+                "gamma": hp.gamma,
+                "learner_tolerance_unmet": float(unmet),
+                "outer_rounds": 1.0,
+            }
+            return EstimateReport(w, S, rounds, tuple(events), diagnostics)
         S = shrink(out.kept)
         warm = w
 
 
 def amplified_gmm_sever(
     model: SingleIndexIVModel, hp: HyperParams, rng: RandomSource
-) -> SeverResult:
+) -> EstimateReport:
     """Repeat gmm_sever with fresh child streams until a run keeps enough.
 
     A run is accepted as soon as its final set has at least
     (1 - ACCEPT_EPS_MULT * hp.eps) * n samples. After AMPLIFY_REPS
     repetitions the run with the largest surviving set is returned instead.
     Aborted repetitions only propagate if every repetition aborts. The
-    returned result's runs field counts the repetitions made, so a fit
-    retried after one or two aborts reads 2 or 3.
+    returned report's outer_rounds diagnostic counts the repetitions made,
+    so a fit retried after one or two aborts reads 2 or 3.
     """
     n = model.n_samples
     accept_size = (1.0 - ACCEPT_EPS_MULT * hp.eps) * n
-    best: Optional[SeverResult] = None
+    best: Optional[EstimateReport] = None
     abort: Optional[FilterExhaustedError] = None
 
     for rep in range(AMPLIFY_REPS):
@@ -253,39 +236,28 @@ def amplified_gmm_sever(
         except FilterExhaustedError as err:
             abort = err
             continue
-        if len(result.S) >= accept_size:
-            return replace(result, runs=rep + 1)
-        if best is None or len(result.S) > len(best.S):
+        if len(result.final_set) >= accept_size:
+            best = result
+            break
+        if best is None or len(result.final_set) > len(best.final_set):
             best = result
 
     if best is None:
         assert abort is not None
         raise abort
-    return replace(best, runs=AMPLIFY_REPS)
+    # rep is the last repetition made, AMPLIFY_REPS - 1 unless one was accepted
+    runs = float(rep + 1)
+    return replace(best, diagnostics={**best.diagnostics, "outer_rounds": runs})
 
 
 def iterated_gmm_sever(
-    model: SingleIndexIVModel,
-    hp: HyperParams,
-    rng: RandomSource,
+    model: SingleIndexIVModel, hp: HyperParams, rng: RandomSource
 ) -> EstimateReport:
-    """The plug-in fit's sever stage: one amplified_gmm_sever run on the
-    stream rng.child("outer-1").
+    """The plug-in fit's sever stage: amplified_gmm_sever on the stream
+    rng.child("outer-1").
 
-    filter_events keep the removing passes of the returned run as
-    (round, kind, removed). Diagnostics: gamma, learner_tolerance_unmet
-    (learner calls of the returned run that stopped short of gamma) and
-    outer_rounds (the gmm_sever runs amplification made).
+    It stays a name of its own because perfbench/tracer.py times the
+    fit's sever stage by wrapping it; the "outer-1" label keeps every
+    committed estimate where it is.
     """
-    res = amplified_gmm_sever(model, hp, rng.child("outer-1"))
-    diagnostics = {
-        "gamma": hp.gamma,
-        "learner_tolerance_unmet": float(res.learner_flags.count(False)),
-        "outer_rounds": float(res.runs),
-    }
-    return EstimateReport(
-        w_hat=res.w,
-        final_set=res.S,
-        filter_events=tuple((r, kind, m) for (r, kind, m, _) in res.events if m),
-        diagnostics=diagnostics,
-    )
+    return amplified_gmm_sever(model, hp, rng.child("outer-1"))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import platform
 import re
 import concurrent.futures
 import subprocess
@@ -20,6 +21,7 @@ from robustgmm import (
     scalar_treatment_design,
     two_stage_least_squares,
 )
+import robustgmm.cli
 from robustgmm.cli import _COMMANDS, main
 from robustgmm.experiments import save_dataset_csv
 
@@ -603,6 +605,51 @@ def test_diagnose_on_overflowing_design_exits_2(tmp_path):
         assert proc.returncode == 2, scale
         assert "overflow" in proc.stderr, scale
         assert "Traceback" not in proc.stderr, scale
+
+
+def _numpy_uses_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(
+    not _numpy_uses_openblas() or platform.machine() not in ("x86_64", "AMD64"),
+    reason="needs numpy on OpenBLAS on x86-64",
+)
+def test_overflow_checks_hold_under_another_openblas_kernel():
+    # OPENBLAS_CORETYPE makes OpenBLAS dispatch the kernels another CPU
+    # would get. Under Sandybridge the SVD of an overflowed Z^T X raises
+    # LinAlgError where the default kernel returns NaN, so both overflow
+    # tests pass only if the checks run before any LAPACK call.
+    tests = [
+        "tests/test_models.py::test_2sls_overflow_raises_instead_of_nan",
+        "tests/test_cli.py::test_diagnose_on_overflowing_design_exits_2",
+    ]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Sandybridge",
+               PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=REPO_ROOT, capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:]
+
+
+def test_lapack_failure_exits_2_without_traceback(monkeypatch, linear_csv, tmp_path,
+                                                  capsys):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(robustgmm.cli, "robust_linear_estimate", failing)
+    path, _, _ = linear_csv
+    out = tmp_path / "fit.out"
+    code = main(["estimate", "--out", str(out), "--set", f"input={path}",
+                 "--set", "eps=0.1", *COLS])
+    assert code == 2
+    assert capsys.readouterr().err == "estimation failed: SVD did not converge\n"
+    assert not out.exists()
 
 
 def test_estimate_on_overflowing_design_names_the_scale(tmp_path, capsys):

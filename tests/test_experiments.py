@@ -356,10 +356,10 @@ def test_plugin_gamma_is_the_learner_level(monkeypatch, eps):
 
     monkeypatch.setattr(sever_mod, "projected_gradient_critical_point", spy)
     oracle = np.linalg.solve(data.Z.T @ data.X, data.Z.T @ data.Y)
-    w, report = robust_linear_estimate(data, eps, RandomSource(3))
+    report = robust_linear_estimate(data, eps, RandomSource(3))
     assert report.diagnostics["gamma"] == plugin_level(scaled)
     assert seen and set(seen) == {report.diagnostics["gamma"]}
-    assert np.linalg.norm(w - oracle) <= 0.05
+    assert np.linalg.norm(report.w_hat - oracle) <= 0.05
 
 
 @pytest.mark.parametrize("model_kind", ["linear", "logistic"])
@@ -374,8 +374,8 @@ def test_plugin_fit_runs_no_assumption_diagnostics(monkeypatch, model_kind):
     if model_kind == "logistic":
         Y = (RandomSource(9).uniform(400) < logistic(data.X @ w_true)).astype(np.float64)
         data = Dataset(X=data.X, Y=Y, Z=data.Z)
-    w, report = robust_linear_estimate(data, 0.1, RandomSource(5), model_kind=model_kind)
-    assert np.isfinite(w).all() and report.diagnostics["gamma"] > 0
+    report = robust_linear_estimate(data, 0.1, RandomSource(5), model_kind=model_kind)
+    assert np.isfinite(report.w_hat).all() and report.diagnostics["gamma"] > 0
 
 
 @pytest.mark.parametrize("flaw", ["zero", "duplicate"])
@@ -406,23 +406,28 @@ def test_robust_estimate_is_iterated_gmm_sever_mapped_back(rng):
     Y = data.Y.copy()
     Y[[3, 17, 29, 101]] += 50.0
     design = Dataset(X=data.X, Y=Y, Z=data.Z)
-    w, report = robust_linear_estimate(design, 0.05, rng)
+    report = robust_linear_estimate(design, 0.05, rng)
     wx, wz = _block_transform(design.X), _block_transform(design.Z)
     model = LinearIVModel(Dataset(X=design.X @ wx, Y=Y, Z=design.Z @ wz))
     want = iterated_gmm_sever(model, derive_hyperparams(model, 0.05), rng.child("est"))
-    np.testing.assert_array_equal(w, wx @ want.w_hat)
+    np.testing.assert_array_equal(report.w_hat, wx @ want.w_hat)
     np.testing.assert_array_equal(report.final_set.indices, want.final_set.indices)
-    assert report.filter_events == want.filter_events
+    assert report.rounds == want.rounds
+    assert report.events == want.events
     assert report.diagnostics == want.diagnostics
     assert not np.isin([3, 17, 29, 101], report.final_set.indices).any()
 
 
 def test_plugin_report_w_hat_is_the_returned_estimate():
-    # the plug-in fit works in rescaled coordinates; the report must hold the
-    # estimate mapped back to the design's own coordinates
+    # the plug-in fit works in rescaled coordinates, where this design's
+    # columns are scaled by 0.007 to 9.5; the report must hold the estimate
+    # mapped back to the design's own coordinates, where this clean fit
+    # sits next to classical IV
     design = scalar_treatment_design(load_csv(DATA_CSV, CARD_STANDIN_COLUMNS))
-    w, report = robust_linear_estimate(design, 0.1, RandomSource(0))
-    np.testing.assert_array_equal(report.w_hat, w)
+    report = robust_linear_estimate(design, 0.1, RandomSource(0))
+    np.testing.assert_allclose(
+        report.w_hat, two_stage_least_squares(design), rtol=1e-3
+    )
 
 
 # ---------------------------------------------------------------------------

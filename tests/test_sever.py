@@ -17,7 +17,7 @@ from robustgmm import (
     scalar_treatment_design,
     two_stage_least_squares,
 )
-from robustgmm.core import ActiveSet
+from robustgmm.core import ActiveSet, EstimateReport
 from robustgmm.experiments import (
     corrupt_all_ones,
     corrupt_negation,
@@ -30,7 +30,6 @@ from robustgmm.numerics import finite_diff_jacobian
 from robustgmm.sever import (
     PRACTICE_JAC_SLACK_FACTOR,
     PRACTICE_SLACK,
-    SeverResult,
     amplified_gmm_sever,
     gmm_sever,
 )
@@ -152,9 +151,9 @@ def test_clean_noiseless_recovery(rng):
     data, w_true = make_linear_dataset(seed=7, n=80, d=3, noise=0.0)
     hp = HyperParams(eps=0.05, R0=10.0, gamma=1e-8)
     res = gmm_sever(LinearIVModel(data), hp, rng)
-    assert len(res.S) >= 78
-    assert np.linalg.norm(res.w - w_true) <= 1e-4
-    assert np.linalg.norm(res.w) <= 10.0 + 1e-9
+    assert len(res.final_set) >= 78
+    assert np.linalg.norm(res.w_hat - w_true) <= 1e-4
+    assert np.linalg.norm(res.w_hat) <= 10.0 + 1e-9
 
 
 def test_result_stays_in_ball(rng):
@@ -162,7 +161,7 @@ def test_result_stays_in_ball(rng):
     assert np.linalg.norm(w_true) > 1.0  # the truth lies outside the ball
     hp = HyperParams(eps=0.05, R0=0.1, gamma=1e-8)
     res = gmm_sever(LinearIVModel(data), hp, rng)
-    assert np.linalg.norm(res.w) <= 0.1 + 1e-9
+    assert np.linalg.norm(res.w_hat) <= 0.1 + 1e-9
 
 
 def test_planted_outliers_removed_across_seeds():
@@ -174,8 +173,8 @@ def test_planted_outliers_removed_across_seeds():
             res = gmm_sever(model, hp, RandomSource(seed).child("s"))
         except FilterExhaustedError:
             continue
-        survivors = set(res.S.indices.tolist())
-        if not survivors & {20, 21} and abs(res.w[0] - 2.0) <= 0.2:
+        survivors = set(res.final_set.indices.tolist())
+        if not survivors & {20, 21} and abs(res.w_hat[0] - 2.0) <= 0.2:
             hits += 1
     assert hits >= 90
 
@@ -188,7 +187,8 @@ def test_final_round_is_no_removal_moment_pass(rng):
     last = res.events[-1]
     assert last[:3] == (res.rounds, "moment", 0)
     assert all(kind in ("jacobian", "moment") for _, kind, _, _ in res.events[1:])
-    assert len(res.learner_flags) == res.rounds
+    assert 0 <= res.diagnostics["learner_tolerance_unmet"] <= res.rounds
+    assert res.diagnostics["outer_rounds"] == 1.0
 
 
 def test_returned_state_is_filter_stable(rng):
@@ -197,8 +197,8 @@ def test_returned_state_is_filter_stable(rng):
     for seed in (4, 5):
         model, hp = all_ones_hte_model(seed)
         res = gmm_sever(model, hp, rng)
-        assert len(res.S) < model.n_samples  # the passes did fire on the way
-        S, w = res.S, res.w
+        assert len(res.final_set) < model.n_samples  # the passes did fire on the way
+        S, w = res.final_set, res.w_hat
         u = model.moments(S.indices, w).mean(axis=0)
         jac_scores = model.jacobian_dot(S.indices, w, u)
         jac_slack = PRACTICE_SLACK * PRACTICE_JAC_SLACK_FACTOR
@@ -228,8 +228,8 @@ def test_gmm_sever_deterministic():
     a = gmm_sever(model, hp, RandomSource(42))
     b = gmm_sever(model, hp, RandomSource(42))
     assert sum(1 for e in a.events if e[2]) >= 2  # several random-threshold cuts
-    np.testing.assert_array_equal(a.w, b.w)
-    np.testing.assert_array_equal(a.S.indices, b.S.indices)
+    np.testing.assert_array_equal(a.w_hat, b.w_hat)
+    np.testing.assert_array_equal(a.final_set.indices, b.final_set.indices)
     assert a.events == b.events
 
 
@@ -242,7 +242,7 @@ def test_practice_clean_data_untouched():
     for seed in (0, 1, 2):
         data, _ = make_linear_dataset(seed=seed, n=400, d=3, noise=1.0)
         res = gmm_sever(LinearIVModel(data), hp, RandomSource(seed).child("p"))
-        assert len(res.S) == 400
+        assert len(res.final_set) == 400
 
 
 def test_practice_response_precap_removes_gross_outliers(rng):
@@ -252,11 +252,11 @@ def test_practice_response_precap_removes_gross_outliers(rng):
     spiked = Dataset(X=data.X, Y=Y, Z=data.Z)
     hp = HyperParams(eps=0.1, R0=10.0, gamma=1e-6)
     res = gmm_sever(LinearIVModel(spiked), hp, rng)
-    survivors = set(res.S.indices.tolist())
+    survivors = set(res.final_set.indices.tolist())
     assert not survivors & {3, 17, 29}
     precap = [e for e in res.events if e[1] == "response"]
     assert precap and precap[0][0] == 0 and sum(e[2] for e in precap) >= 3
-    assert np.linalg.norm(res.w - w_true) <= 0.5
+    assert np.linalg.norm(res.w_hat - w_true) <= 0.5
 
 
 def test_practice_zero_mean_moment_skips_jacobian_pass(rng):
@@ -277,7 +277,7 @@ def test_practice_zero_mean_moment_skips_jacobian_pass(rng):
         res = gmm_sever(LinearIVModel(data), hp, rng)
         assert all(kind != "jacobian" for _, kind, _, _ in res.events)
         # the objective is identically zero, so the learner stays at the center
-        np.testing.assert_array_equal(res.w, np.zeros(2))
+        np.testing.assert_array_equal(res.w_hat, np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -298,30 +298,35 @@ def install_stub(monkeypatch, outcomes, calls, reps=3):
         out = outcomes[min(len(calls) - 1, len(outcomes) - 1)]
         if isinstance(out, Exception):
             raise out
-        return SeverResult(
-            w=np.zeros(1),
-            S=ActiveSet(np.arange(out)),
+        return EstimateReport(
+            w_hat=np.zeros(1),
+            final_set=ActiveSet(np.arange(out)),
             rounds=1,
             events=(),
-            learner_flags=(True,),
+            diagnostics={"gamma": hp.gamma, "learner_tolerance_unmet": 0.0,
+                         "outer_rounds": 1.0},
         )
 
     monkeypatch.setattr(sever_mod, "gmm_sever", fake)
     monkeypatch.setattr(sever_mod, "AMPLIFY_REPS", reps)
 
 
+def runs(report):
+    return report.diagnostics["outer_rounds"]
+
+
 def test_amplified_accepts_first_large_run(monkeypatch, rng):
     calls = []
     install_stub(monkeypatch, [10], calls)
     res = amplified_gmm_sever(stub_model(), STUB_HP, rng)
-    assert len(res.S) == 10 and len(calls) == 1 and res.runs == 1
+    assert len(res.final_set) == 10 and len(calls) == 1 and runs(res) == 1
 
 
 def test_amplified_accept_threshold_is_inclusive(monkeypatch, rng):
     calls = []
     install_stub(monkeypatch, [9], calls)  # exactly (1 - 10 * 0.01) * 10
     res = amplified_gmm_sever(stub_model(), STUB_HP, rng)
-    assert len(res.S) == 9 and len(calls) == 1
+    assert len(res.final_set) == 9 and len(calls) == 1
 
 
 def test_amplified_returns_best_after_budget(monkeypatch, rng):
@@ -329,7 +334,7 @@ def test_amplified_returns_best_after_budget(monkeypatch, rng):
     install_stub(monkeypatch, [5, 8, 6], calls)
     res = amplified_gmm_sever(stub_model(), STUB_HP, rng)
     assert len(calls) == 3
-    assert len(res.S) == 8 and res.runs == 3
+    assert len(res.final_set) == 8 and runs(res) == 3
 
 
 def test_amplified_rep_budget_is_amplify_reps(monkeypatch, rng):
@@ -340,11 +345,11 @@ def test_amplified_rep_budget_is_amplify_reps(monkeypatch, rng):
     calls = []
     install_stub(monkeypatch, [5], calls, reps=2)
     res = amplified_gmm_sever(stub_model(), STUB_HP, rng)
-    assert len(calls) == 2 and res.runs == 2 and len(res.S) == 5
+    assert len(calls) == 2 and runs(res) == 2 and len(res.final_set) == 5
     calls.clear()
     install_stub(monkeypatch, [5], calls, reps=1)
     res = amplified_gmm_sever(stub_model(), STUB_HP, rng)
-    assert len(calls) == 1 and res.runs == 1
+    assert len(calls) == 1 and runs(res) == 1
 
 
 def test_amplified_fresh_randomness_per_rep(monkeypatch, rng):
@@ -360,7 +365,7 @@ def test_amplified_tolerates_partial_aborts(monkeypatch, rng):
         monkeypatch, [FilterExhaustedError("gone"), 5, FilterExhaustedError("gone")], calls
     )
     res = amplified_gmm_sever(stub_model(), STUB_HP, rng)
-    assert len(res.S) == 5 and res.runs == 3  # aborted repetitions count
+    assert len(res.final_set) == 5 and runs(res) == 3  # aborted repetitions count
 
 
 def test_amplified_propagates_total_abort(monkeypatch, rng):
@@ -380,12 +385,13 @@ def test_iterated_is_one_amplified_run_from_origin(rng):
     model, hp = all_ones_hte_model(5)
     report = iterated_gmm_sever(model, hp, rng)
     res = amplified_gmm_sever(model, hp, rng.child("outer-1"))
-    np.testing.assert_array_equal(report.w_hat, res.w)
-    np.testing.assert_array_equal(report.final_set.indices, res.S.indices)
-    assert report.filter_events == tuple(e[:3] for e in res.events if e[2])
+    np.testing.assert_array_equal(report.w_hat, res.w_hat)
+    np.testing.assert_array_equal(report.final_set.indices, res.final_set.indices)
+    assert report.rounds == res.rounds and report.events == res.events
+    assert report.events[-1][:3] == (report.rounds, "moment", 0)
     assert report.diagnostics == {
         "gamma": hp.gamma,
-        "learner_tolerance_unmet": float(res.learner_flags.count(False)),
+        "learner_tolerance_unmet": res.diagnostics["learner_tolerance_unmet"],
         "outer_rounds": 1.0,
     }
 
@@ -411,14 +417,14 @@ def test_third_run_fits_desk_cell_where_two_abort(monkeypatch):
     base, _ = corrupt_all_ones(base, 0.3, cell_rng.child("attack"))
     runs = []
     count_calls(monkeypatch, sever_mod, "gmm_sever", runs)
-    w, report = robust_linear_estimate(
+    report = robust_linear_estimate(
         hte_design(base), 0.3, cell_rng.child("robust/iterated-gmm-sever")
     )
     assert [type(r) for r in runs[:2]] == [FilterExhaustedError] * 2
-    assert len(runs) == 3 and isinstance(runs[2], SeverResult)
+    assert len(runs) == 3 and isinstance(runs[2], EstimateReport)
     assert report.diagnostics["outer_rounds"] == 3.0
     assert len(report.final_set) == 1718
-    assert np.linalg.norm(w - theta) < 0.3
+    assert np.linalg.norm(report.w_hat - theta) < 0.3
 
 
 def test_iterated_deterministic(rng):
@@ -427,7 +433,7 @@ def test_iterated_deterministic(rng):
     b = iterated_gmm_sever(model, hp, RandomSource(9))
     np.testing.assert_array_equal(a.w_hat, b.w_hat)
     np.testing.assert_array_equal(a.final_set.indices, b.final_set.indices)
-    assert a.filter_events == b.filter_events and a.filter_events
+    assert a.events == b.events and any(e[2] for e in a.events)
     assert a.diagnostics == b.diagnostics
 
 
@@ -440,14 +446,14 @@ def test_practice_jacobian_pass_spares_clean_negation_rows():
     design = scalar_treatment_design(load_csv(data_csv, CARD_STANDIN_COLUMNS))
     cell_rng = RandomSource(35007).child("eps=0.05/rep=8")
     corrupted, planted = corrupt_negation(design, 0.05, cell_rng.child("attack"))
-    w, report = robust_linear_estimate(
+    report = robust_linear_estimate(
         corrupted, 0.05, cell_rng.child("robust/iterated-gmm-sever")
     )
     assert len(planted) == 150
     assert len(report.final_set) == 2860
     assert not np.isin(planted, report.final_set.indices).any()
-    assert [kind for (_, kind, _) in report.filter_events] == ["response"]
-    assert abs(w[0] - two_stage_least_squares(design)[0]) <= 0.01
+    assert [kind for (_, kind, m, _) in report.events if m] == ["response"]
+    assert abs(report.w_hat[0] - two_stage_least_squares(design)[0]) <= 0.01
 
 
 def count_calls(monkeypatch, owner, name, log):
@@ -479,13 +485,13 @@ def test_plugin_fit_is_one_sever_run(monkeypatch, model_kind, eps):
     count_calls(monkeypatch, experiments_mod, "iterated_gmm_sever", iterated)
     count_calls(monkeypatch, sever_mod, "amplified_gmm_sever", amplified)
     count_calls(monkeypatch, sever_mod, "gmm_sever", runs)
-    w, report = robust_linear_estimate(
+    report = robust_linear_estimate(
         data, eps, RandomSource(5), model_kind=model_kind
     )
     assert len(iterated) == 1 and len(amplified) == 1 and len(runs) == 1
     assert set(report.diagnostics) == {"gamma", "learner_tolerance_unmet", "outer_rounds"}
     assert report.diagnostics["outer_rounds"] == 1.0
-    assert np.isfinite(w).all()
+    assert np.isfinite(report.w_hat).all()
 
 
 def test_plugin_fit_retries_an_exhausted_run(monkeypatch):
@@ -497,9 +503,9 @@ def test_plugin_fit_retries_an_exhausted_run(monkeypatch):
     base, _ = corrupt_all_ones(base, 0.3, cell_rng.child("attack"))
     runs = []
     count_calls(monkeypatch, sever_mod, "gmm_sever", runs)
-    _, report = robust_linear_estimate(
+    report = robust_linear_estimate(
         hte_design(base), 0.3, cell_rng.child("robust/iterated-gmm-sever")
     )
     assert isinstance(runs[0], FilterExhaustedError) and len(runs) == 2
-    assert len(report.final_set) == len(runs[1].S) == 1767
+    assert len(report.final_set) == len(runs[1].final_set) == 1767
     assert report.diagnostics["outer_rounds"] == 2.0
