@@ -19,7 +19,7 @@ from robustgmm import models
 from robustgmm.experiments import corrupt_all_ones, gen_synthetic_hte
 from robustgmm.models import (
     SingleIndexIVModel,
-    _huber_irls,
+    _huber_fit,
     _huber_scale_delta,
     hte_design,
     logistic,
@@ -291,7 +291,7 @@ def test_huber_matches_2sls_when_loss_is_quadratic():
 
 
 def test_huber_noiseless_exact():
-    # with Z = X both stages are residual-free, so IRLS must land exactly
+    # with Z = X both stages are residual-free, so the fit must land exactly
     X = RandomSource(10).normal((80, 3))
     w_true = np.array([0.4, -1.2, 0.3])
     data = Dataset(X=X, Y=X @ w_true, Z=X.copy())
@@ -317,8 +317,55 @@ def test_huber_under_identified_raises():
         two_stage_huber(data)
 
 
-def reference_huber_column(A, b, delta=None, tol=1e-8, max_iter=500):
-    """One column's IRLS fit, written as a plain loop (the stacked reference)."""
+def reference_newton_column(A, b, delta=None, tol=1e-8, max_iter=500):
+    """One column's guarded Newton fit, written as a plain loop (the stacked reference).
+
+    Each round evaluates the residual at x. A loss above the last accepted
+    iterate's halves the step; otherwise x is accepted and the next step
+    solves the in-band normal equations (A^T D A) s = A^T psi, or the IRLS
+    ones when fewer than p rows are in band or they are rank deficient.
+    """
+    n, p = A.shape
+    x = np.linalg.lstsq(A, b, rcond=None)[0]
+    if delta is None:
+        delta = _huber_scale_delta(b - A @ x)
+
+    def evaluate(x):
+        r = b - A @ x
+        psi = np.clip(r, -delta, delta)
+        return r, A.T @ psi, float(np.sum(psi * (r - psi / 2)))
+
+    best_x, best_g = x, np.inf
+    base, base_loss = x, np.inf
+    for _ in range(max_iter):
+        r, g, loss = evaluate(x)
+        g_norm = float(np.linalg.norm(g)) / n
+        if g_norm < best_g:
+            best_x, best_g = x, g_norm
+        if g_norm <= tol:
+            return x, True
+        if loss > base_loss:
+            step = step / 2
+        else:
+            base, base_loss = x, loss
+            inband = np.abs(r) <= delta
+            if inband.sum() >= p and np.linalg.matrix_rank(A[inband]) == p:
+                step = np.linalg.solve(A[inband].T @ A[inband], g)
+            else:
+                wts = delta / np.maximum(np.abs(r), delta)
+                step = np.linalg.solve((A * wts[:, None]).T @ A, g)
+        if np.all(np.abs(step) <= 1e-15):
+            x = base
+            break
+        x = base + step
+    g_norm = float(np.linalg.norm(evaluate(x)[1])) / n
+    if g_norm <= tol:
+        return x, True
+    return (x, False) if g_norm < best_g else (best_x, False)
+
+
+def reference_irls_column(A, b, delta=None, tol=1e-8, max_iter=500):
+    """One column's IRLS fit, written as a plain loop (the slower method)."""
     x = np.linalg.lstsq(A, b, rcond=None)[0]
     if delta is None:
         delta = _huber_scale_delta(b - A @ x)
@@ -348,22 +395,43 @@ def reference_huber_column(A, b, delta=None, tol=1e-8, max_iter=500):
     return (x, False) if g < best_g else (best_x, False)
 
 
-def desk_first_stage(seed=5, eps=0.2):
+def desk_design(seed=5, eps=0.2):
     rng = RandomSource(seed)
     base, _ = gen_synthetic_hte(2000, 10, rng.child("dgp"))
     base, _ = corrupt_all_ones(base, eps, rng.child("attack"))
-    design = hte_design(base)
+    return hte_design(base)
+
+
+def desk_first_stage():
+    design = desk_design()
     return design.Z, design.X
+
+
+def zero_row_design():
+    # 90 all-zero rows of A, with large responses, among 120 regular ones
+    src = RandomSource(17)
+    A = src.normal((120, 3))
+    B = A @ src.normal((3, 5)) + src.normal((120, 5)) ** 3
+    A = np.vstack([A[:70], np.zeros((90, 3)), A[70:]])
+    B = np.vstack([B[:70], 40.0 * src.normal((90, 5)), B[70:]])
+    return A, B
+
+
+def small_delta_design():
+    # at delta 0.05 most of the 40 columns start with fewer than 3 in-band rows
+    src = RandomSource(15)
+    A = src.normal((40, 3))
+    return A, A @ src.normal((3, 40)) + src.normal((40, 40))
 
 
 @pytest.mark.parametrize("max_iter", [500, 1])
 def test_stacked_huber_irls_matches_single_column_fits(max_iter):
     Z, X = desk_first_stage()
-    coef, ok = _huber_irls(Z, X, None, "first stage", max_iter=max_iter)
+    coef, ok = _huber_fit(Z, X, None, "first stage", max_iter=max_iter)
     assert coef.shape == (Z.shape[1], X.shape[1]) and ok.shape == (X.shape[1],)
     for j in range(X.shape[1]):
-        single, ok_single = _huber_irls(Z, X[:, [j]], None, "first stage", max_iter=max_iter)
-        ref, ok_ref = reference_huber_column(Z, X[:, j], max_iter=max_iter)
+        single, ok_single = _huber_fit(Z, X[:, [j]], None, "first stage", max_iter=max_iter)
+        ref, ok_ref = reference_newton_column(Z, X[:, j], max_iter=max_iter)
         scale = np.linalg.norm(ref)
         assert np.linalg.norm(coef[:, j] - single[:, 0]) <= 1e-12 * scale
         assert np.linalg.norm(coef[:, j] - ref) <= 1e-12 * scale
@@ -383,22 +451,25 @@ def test_batched_huber_scale_matches_each_row():
         np.testing.assert_array_equal(
             batched, [_huber_scale_delta(r) for r in rows]
         )
+        # the sort-based medians equal np.median's bit for bit
+        med = np.median(rows, axis=-1, keepdims=True)
+        mad = np.median(np.abs(rows - med), axis=-1)
+        floor = 1e-8 * np.maximum(1.0, np.sqrt(np.mean(rows * rows, axis=-1)))
+        np.testing.assert_array_equal(
+            batched, 1.345 * np.maximum(1.4826 * mad, floor)
+        )
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-3])
 @pytest.mark.parametrize("max_iter", [500, 2])
 def test_huber_irls_zero_rows_add_nothing(max_iter, tol):
     # all-zero rows of A are dropped after the deltas are set; the fit and
-    # its flags must match the plain IRLS over every row, which divides the
+    # its flags must match the plain loop over every row, which divides the
     # gradient by the full n
-    src = RandomSource(17)
-    A = src.normal((120, 3))
-    B = A @ src.normal((3, 5)) + src.normal((120, 5)) ** 3
-    A = np.vstack([A[:70], np.zeros((90, 3)), A[70:]])
-    B = np.vstack([B[:70], 40.0 * src.normal((90, 5)), B[70:]])
-    coef, ok = _huber_irls(A, B, 0.8, "first stage", tol=tol, max_iter=max_iter)
+    A, B = zero_row_design()
+    coef, ok = _huber_fit(A, B, 0.8, "first stage", tol=tol, max_iter=max_iter)
     for j in range(B.shape[1]):
-        ref, ok_ref = reference_huber_column(
+        ref, ok_ref = reference_newton_column(
             A, B[:, j], delta=0.8, tol=tol, max_iter=max_iter
         )
         assert np.linalg.norm(coef[:, j] - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -408,24 +479,83 @@ def test_huber_irls_zero_rows_add_nothing(max_iter, tol):
 def test_stacked_huber_irls_returns_each_columns_best_iterate():
     # a small fixed delta makes some first steps raise the gradient norm, so
     # after one round those columns return their start and the rest their step
-    src = RandomSource(15)
-    A = src.normal((40, 3))
-    B = A @ src.normal((3, 40)) + src.normal((40, 40))
-    coef, ok = _huber_irls(A, B, 0.05, "first stage", max_iter=1)
+    A, B = small_delta_design()
+    coef, ok = _huber_fit(A, B, 0.05, "first stage", max_iter=1)
     start = np.linalg.lstsq(A, B, rcond=None)[0]
     kept_start = np.all(np.abs(coef - start) <= 1e-12, axis=0)
     assert not ok.any() and kept_start.any() and not kept_start.all()
     for j in range(B.shape[1]):
-        ref, _ = reference_huber_column(A, B[:, j], delta=0.05, max_iter=1)
+        ref, _ = reference_newton_column(A, B[:, j], delta=0.05, max_iter=1)
         assert np.linalg.norm(coef[:, j] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_huber_newton_agrees_with_irls_at_convergence():
+    # both methods stop at the same gradient tolerance of the same convex
+    # loss, so their answers differ only within that tolerance
+    design = desk_design()
+    coef, _ = _huber_fit(design.Z, design.X, None, "first stage")
+    A, B = zero_row_design()
+    cases = [
+        (design.Z, design.X, None),  # first stage
+        (design.Z @ coef, design.Y[:, None], None),  # second stage
+        (A, B, 0.8),
+    ]
+    for A, B, delta in cases:
+        fit, ok = _huber_fit(A, B, delta, "stage")
+        assert ok.all()
+        for j in range(B.shape[1]):
+            ref, ok_ref = reference_irls_column(A, B[:, j], delta=delta)
+            assert ok_ref
+            assert np.linalg.norm(fit[:, j] - ref) <= 1e-7 * np.linalg.norm(ref)
+
+
+def test_huber_falls_back_to_irls_without_enough_in_band_rows():
+    A, B = small_delta_design()
+    start = np.linalg.lstsq(A, B, rcond=None)[0]
+    in_band = np.count_nonzero(np.abs(B - A @ start) <= 0.05, axis=0)
+    assert (in_band < A.shape[1]).sum() >= 10
+    coef, ok = _huber_fit(A, B, 0.05, "first stage")
+    assert np.all(np.isfinite(coef))
+    for j in range(B.shape[1]):
+        ref, ok_ref = reference_newton_column(A, B[:, j], delta=0.05)
+        assert np.linalg.norm(coef[:, j] - ref) <= 1e-12 * np.linalg.norm(ref)
+        # one column is slow for IRLS too and misses tol in 500 rounds
+        assert ok[j] == ok_ref == reference_irls_column(A, B[:, j], delta=0.05)[1]
+    assert ok.sum() == len(ok) - 1
+
+
+def test_huber_falls_back_to_irls_when_in_band_rows_are_rank_deficient():
+    # every row with the dummy set sits far out of band in column 0, so its
+    # in-band Gram has a zero dummy row; column 1's is regular
+    src = RandomSource(18)
+    n = 60
+    dummy = (np.arange(n) % 3 == 0).astype(float)
+    A = np.column_stack([np.ones(n), dummy, src.normal(n)])
+    noise = 0.3 * src.normal((n, 2))
+    noise[dummy == 1, 0] = 50.0 * np.where(np.arange(20) % 2, 1.0, -1.0)
+    B = A @ np.array([[1.0, -0.5], [2.0, 0.3], [0.7, 1.1]]) + noise
+    in_band = np.abs(B - A @ np.linalg.lstsq(A, B, rcond=None)[0]) <= 1.0
+    assert [np.linalg.matrix_rank(A[in_band[:, j]]) for j in range(2)] == [2, 3]
+    coef, ok = _huber_fit(A, B, 1.0, "first stage")
+    assert ok.all()
+    for j in range(2):
+        ref, _ = reference_newton_column(A, B[:, j], delta=1.0)
+        assert np.linalg.norm(coef[:, j] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_huber_newton_meets_tolerance_within_six_rounds():
+    # five rounds in the loop plus the final check: six residual evaluations
+    Z, X = desk_first_stage()
+    _, ok = _huber_fit(Z, X, None, "first stage", max_iter=5)
+    assert ok.all()
 
 
 def test_two_stage_huber_warns_when_a_column_misses_tolerance(monkeypatch):
     Z, X = desk_first_stage()
     design = Dataset(X=X, Y=X @ np.linspace(-1.0, 1.0, X.shape[1]), Z=Z)
-    stacked = models._huber_irls
+    stacked = models._huber_fit
     monkeypatch.setattr(
-        models, "_huber_irls", lambda *args: stacked(*args, max_iter=1)
+        models, "_huber_fit", lambda *args: stacked(*args, max_iter=1)
     )
     with pytest.warns(UserWarning, match="did not reach gradient tolerance"):
         two_stage_huber(design)

@@ -20,6 +20,8 @@ from robustgmm import (
 from robustgmm.cli import main
 from robustgmm.experiments import corrupt_negation
 
+from conftest import make_linear_dataset
+
 DATA_CSV = Path(__file__).resolve().parents[1] / "data" / "card_standin.csv"
 
 
@@ -40,6 +42,36 @@ def test_semi_negation_at_eps_0_3_keeps_the_sign():
         corrupted, 0.3, cell_rng.child("robust/iterated-gmm-sever")
     )
     assert report.w_hat[0] > 0.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 3: at eps 0.45 the fit also keeps all 3010 rows "
+    "and returns the attacked ATE -0.1260",
+)
+def test_semi_negation_at_eps_0_45_keeps_the_sign():
+    # the semi-sweep cell at master seed 9000, eps 0.45, rep 0; reps 1 and 2
+    # keep every row as well
+    design = scalar_treatment_design(load_csv(DATA_CSV, CARD_STANDIN_COLUMNS))
+    cell_rng = RandomSource(9000).child("eps=0.45/rep=0")
+    corrupted, _ = corrupt_negation(design, 0.45, cell_rng.child("attack"))
+    report = robust_linear_estimate(
+        corrupted, 0.45, cell_rng.child("robust/iterated-gmm-sever")
+    )
+    assert report.w_hat[0] > 0.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 9: on a noiseless clean design the round-1 moment "
+    "pass fires on a top score of 1.1e-6 and removes 2 of the 80 rows",
+)
+def test_noiseless_clean_design_keeps_every_row():
+    data, _ = make_linear_dataset(seed=7, n=80, d=3, noise=0)
+    report = robust_linear_estimate(data, 0.1, RandomSource(0))
+    assert len(report.final_set) == data.n
 
 
 @pytest.mark.xfail(
