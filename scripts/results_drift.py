@@ -3,27 +3,26 @@
 
     python3 scripts/results_drift.py
 
-Runs the CLI calls of scripts/run_desk_sweep.py and scripts/run_semi_sweep.py
-into a temporary directory and compares every regenerated CSV with its copy
-under results/, which it never writes. Per file and estimator it prints the
-rows that changed and the largest relative drift of the value column (`mean`
-in the .agg.csv companions). Exits 1 when a value switches between a number
-and `failed` (or NaN), or when the two files do not list the same cells in
-the same order; 0 otherwise.
+Runs each CLI call of scripts/run_sweeps.py's SWEEPS into a temporary
+directory and compares every regenerated CSV with its copy under results/,
+which it never writes. Per file and estimator it prints the rows that
+changed and the largest relative drift of the value column (`mean` in the
+.agg.csv companions). Exits 1 when an entry has no committed files, when a
+value switches between a number and `failed` (or NaN), or when the two
+files do not list the same cells in the same order; 0 otherwise.
 """
 
 from __future__ import annotations
 
 import csv
-import importlib.util
 import math
 import os
 import pathlib
 import sys
 import tempfile
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-SCRIPTS = ("run_desk_sweep.py", "run_semi_sweep.py")
+from run_sweeps import ROOT, SWEEPS, main as cli_main
+
 # the columns naming a row; the per-row files add the cell seed
 KEY_COLUMNS = ("epsilon", "estimator", "metric", "seed")
 
@@ -76,26 +75,23 @@ def compare(committed: str, regenerated: str):
     return per_estimator, problems
 
 
-def _load(script: str):
-    spec = importlib.util.spec_from_file_location(script[:-3], ROOT / "scripts" / script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def main() -> int:
     os.chdir(ROOT)  # the semi sweep stamps its repo-relative input path
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for script in SCRIPTS:
-            sweep = _load(script)
-            out = pathlib.Path(tmp) / sweep.OUT_NAME
-            if sweep.main(sweep.ARGV + ["--out", str(out)]) != 0:
-                print(f"{script}: the sweep exited nonzero")
+        for stem, argv in SWEEPS.items():
+            names = (f"{stem}.csv", f"{stem}.agg.csv")
+            if not all((ROOT / "results" / name).exists() for name in names):
+                print(f"{stem}: results/ does not hold {' and '.join(names)}")
+                status = 1
+                continue
+            if cli_main(argv + ["--out", os.path.join(tmp, names[0])]) != 0:
+                print(f"{stem}: the sweep exited nonzero")
                 return 1
-            for name in (out.name, out.name.replace(".csv", ".agg.csv")):
+            for name in names:
                 committed = (ROOT / "results" / name).read_text()
-                per_estimator, problems = compare(committed, (out.parent / name).read_text())
+                regenerated = pathlib.Path(tmp, name).read_text()
+                per_estimator, problems = compare(committed, regenerated)
                 print(f"results/{name}")
                 for estimator, (rows, changed, drift) in per_estimator.items():
                     print(f"  {estimator:<20} {changed:>3} of {rows:>3} rows changed, "
@@ -104,7 +100,6 @@ def main() -> int:
                     print(f"  {problem}")
                 status |= bool(problems)
     return status
-
 
 if __name__ == "__main__":
     sys.exit(main())

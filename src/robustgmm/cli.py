@@ -264,8 +264,11 @@ def _sweep_common(resolved: dict, kind: str, grid: dict) -> dict:
 
 
 def _emit_sweep(args, command: str, resolved: dict, cfg: SweepConfig) -> int:
-    rng = RandomSource(cfg.seed)
-    rows = run_sweep(cfg, rng, jobs=args.jobs)
+    try:
+        rows = run_sweep(cfg, RandomSource(cfg.seed), jobs=args.jobs)
+    except ValueError as err:
+        # a cell could not build its design (columns, attack or grid)
+        raise ConfigError(str(err)) from None
     header = _stamp(command, resolved)
     write_rows_csv(args.out, rows, header)
     root, ext = os.path.splitext(args.out)

@@ -522,8 +522,9 @@ class SweepConfig:
 
     kind "synthetic" generates the HTE DGP per cell and records l2_error
     against the true effect vector; kind "semi" loads a fixed design from
-    data_path, which it requires, and records the fitted ATE. estimators
-    must be a subset of ESTIMATOR_NAMES. The robust estimator fits each cell
+    data_path, which it requires, and records the fitted ATE. eps_grid
+    values are distinct, and estimators are distinct names from
+    ESTIMATOR_NAMES. The robust estimator fits each cell
     at its own eps with plug-in constants (robust_linear_estimate).
     """
 
@@ -550,11 +551,17 @@ class SweepConfig:
         for e in self.eps_grid:
             if not 0.0 < e < 0.5:
                 raise ValueError(f"eps grid values must lie in (0, 0.5), got {e}")
+        if len(set(self.eps_grid)) < len(self.eps_grid):
+            raise ValueError("eps_grid repeats a value")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
+        if len(set(self.estimators)) < len(self.estimators):
+            raise ValueError("estimators repeats a name")
+        if self.n < 1 or self.d < 1:
+            raise ValueError(f"n and d must be at least 1, got n={self.n}, d={self.d}")
         if self.attack not in ("all-ones", "negation", "none"):
             raise ValueError(f"unknown attack {self.attack!r}")
         if self.kind == "synthetic" and self.attack == "negation":
@@ -658,48 +665,29 @@ def run_sweep(cfg: SweepConfig, rng: RandomSource, jobs: int = 1):
     else:
         per_cell = [_run_cell(cfg, master_seed, eps, rep) for eps, rep in cells]
 
-    by_cell = {cell: batch for cell, batch in zip(cells, per_cell)}
-    rows = []
-    for eps in cfg.eps_grid:
-        for name in cfg.estimators:
-            for rep in range(cfg.repetitions):
-                batch = by_cell[(eps, rep)]
-                rows.extend(r for r in batch if r.estimator == name)
+    # cells run in (eps, rep) order and each batch lists its estimators in
+    # order, so a stable sort leaves the reps of each group in order
+    rows = [row for batch in per_cell for row in batch]
+    rows.sort(key=lambda r: (cfg.eps_grid.index(r.epsilon),
+                             cfg.estimators.index(r.estimator)))
     return rows
 
 
 def aggregate_rows(rows: Sequence[SweepRow]):
     """Per (eps, estimator) mean and standard error over successful rows."""
-    order = []
     groups = {}
     for row in rows:
-        key = (row.epsilon, row.estimator, row.metric)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
+        values = groups.setdefault((row.epsilon, row.estimator, row.metric), [])
         if row.value is not None:
-            groups[key].append(row.value)
+            values.append(row.value)
     out = []
-    for key in order:
-        vals = np.asarray(groups[key], dtype=np.float64)
-        count = int(vals.size)
-        if count == 0:
-            mean, stderr = float("nan"), float("nan")
-        elif count == 1:
-            mean, stderr = float(vals[0]), float("nan")
-        else:
-            mean = float(vals.mean())
-            stderr = float(vals.std(ddof=1) / math.sqrt(count))
-        out.append(
-            {
-                "epsilon": key[0],
-                "estimator": key[1],
-                "metric": key[2],
-                "mean": mean,
-                "stderr": stderr,
-                "count": count,
-            }
-        )
+    for (eps, name, metric), values in groups.items():
+        vals = np.asarray(values, dtype=np.float64)
+        count = len(values)
+        mean = float(vals.mean()) if count else math.nan
+        stderr = float(vals.std(ddof=1) / math.sqrt(count)) if count > 1 else math.nan
+        out.append({"epsilon": eps, "estimator": name, "metric": metric,
+                    "mean": mean, "stderr": stderr, "count": count})
     return out
 
 

@@ -26,6 +26,7 @@ from robustgmm.cli import _COMMANDS, main
 from robustgmm.experiments import save_dataset_csv
 
 from conftest import make_linear_dataset
+from run_sweeps import SWEEPS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DATA_CSV = REPO_ROOT / "data" / "card_standin.csv"
@@ -470,20 +471,20 @@ def test_semi_sweep_huber_on_duplicated_covariate_fails_rows(tmp_path, capsys):
 
 
 def test_committed_results_reproduce(tmp_path, monkeypatch):
-    # the CLI calls of scripts/run_desk_sweep.py and scripts/run_semi_sweep.py,
-    # run from the repository root so the stamped input path is repo-relative
+    # every entry of scripts/run_sweeps.py, run from the repository root as
+    # that script runs it, so the stamped input path is repo-relative
     monkeypatch.chdir(REPO_ROOT)
-    runs = {
-        "synth_desk": ["synth-sweep", "--seed", "1001", "--set", "preset=desk"],
-        "semi_negation": ["semi-sweep", "--seed", "9000",
-                          "--set", "input=data/card_standin.csv"],
-    }
-    for stem, argv in runs.items():
+    for stem, argv in SWEEPS.items():
         assert main(argv + ["--out", str(tmp_path / f"{stem}.csv")]) == 0
         for name in (f"{stem}.csv", f"{stem}.agg.csv"):
             committed = (REPO_ROOT / "results" / name).read_bytes()
             got = (tmp_path / name).read_bytes()
             assert got == committed, f"results/{name}: {first_difference(got, committed)}"
+
+
+def test_results_hold_exactly_the_committed_sweeps():
+    expected = {f"{stem}{ext}" for stem in SWEEPS for ext in (".csv", ".agg.csv")}
+    assert {p.name for p in (REPO_ROOT / "results").glob("*.csv")} == expected
 
 
 def first_difference(got: bytes, want: bytes) -> str:
@@ -495,6 +496,32 @@ def first_difference(got: bytes, want: bytes) -> str:
         if a != b:
             return f"line {lineno} reads {a!r}, committed {b!r}"
     return "no line differs"
+
+
+# sweeps whose grid or design no cell can run: each fails before writing
+BAD_SWEEPS = {
+    "n0": ["synth-sweep", "--set", "preset=desk", "--set", "n=0"],
+    "d0": ["synth-sweep", "--set", "preset=desk", "--set", "d=0"],
+    "repeated-eps": ["synth-sweep", "--set", "preset=desk", "--set", "eps_grid=0.1,0.1"],
+    "repeated-estimator": ["synth-sweep", "--set", "preset=desk",
+                           "--set", "estimators=classical-iv,classical-iv"],
+    "two-instruments": ["semi-sweep", "--set", f"input={DATA_CSV}",
+                        "--set", "col_instruments=nearc4,exper"],
+    "no-treatment": ["semi-sweep", "--set", f"input={DATA_CSV}",
+                     "--set", "col_treatment="],
+    # floor(0.001 * 3010) = 3 corrupted rows cannot span the 4 instruments
+    "too-few-corrupted-rows": ["semi-sweep", "--set", f"input={DATA_CSV}",
+                               "--set", "eps_grid=0.001"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_SWEEPS.values(), ids=BAD_SWEEPS.keys())
+def test_sweep_on_a_bad_grid_or_design_is_a_config_error(argv, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_semi_sweep_requires_input(tmp_path, capsys):

@@ -474,10 +474,19 @@ def test_sweep_config_validation():
         SweepConfig(**{**ok, "eps_grid": (0.5,)})
     with pytest.raises(ValueError, match="eps grid"):
         SweepConfig(**{**ok, "eps_grid": (0.6,)})
+    # a repeated value would run its cells twice with the same seeds, and
+    # the aggregate would count each copy as its own sample
+    with pytest.raises(ValueError, match="eps_grid repeats a value"):
+        SweepConfig(**{**ok, "eps_grid": (0.1, 0.2, 0.1)})
     with pytest.raises(ValueError, match="repetitions"):
         SweepConfig(**{**ok, "repetitions": 0})
     with pytest.raises(ValueError, match="unknown estimators"):
         SweepConfig(**{**ok, "estimators": ("ols",)})
+    with pytest.raises(ValueError, match="estimators repeats a name"):
+        SweepConfig(**{**ok, "estimators": ("classical-iv", "classical-iv")})
+    for size in ({"n": 0}, {"d": 0}):
+        with pytest.raises(ValueError, match="n and d must be at least 1"):
+            SweepConfig(**{**ok, **size})
     with pytest.raises(ValueError, match="unknown attack"):
         SweepConfig(**{**ok, "attack": "flip"})
     with pytest.raises(ValueError, match="negation attack"):

@@ -8,10 +8,12 @@ assertion.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from robustgmm import (
     CARD_STANDIN_COLUMNS,
+    Dataset,
     RandomSource,
     load_csv,
     robust_linear_estimate,
@@ -19,6 +21,7 @@ from robustgmm import (
 )
 from robustgmm.cli import main
 from robustgmm.experiments import corrupt_negation
+from robustgmm.models import logistic
 
 from conftest import make_linear_dataset
 
@@ -89,3 +92,27 @@ def test_clean_two_instrument_design_fits(tmp_path):
         "--set", "col_instruments=nearc4,exper", "--set", "eps=0.05",
     ])
     assert code == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 6: |Y - f| <= 1 hides X-side corruption from the "
+    "moment pass and the Jacobian pass does not fire, so the fit keeps all "
+    "4000 rows; its l2 error is 0.459 against 0.111 on the clean design",
+)
+def test_logistic_x_side_attack_at_eps_0_2_is_filtered():
+    src = RandomSource(0)
+    X = src.normal((4000, 4))
+    Z = X + 0.5 * src.normal((4000, 4))
+    w = src.normal(4)
+    Y = (src.uniform(4000) < logistic(X @ w)).astype(np.float64)
+    attacked = X.copy()
+    attacked[:800] = 3.0
+
+    def error(design_X):
+        data = Dataset(X=design_X, Y=Y, Z=Z)
+        report = robust_linear_estimate(data, 0.2, RandomSource(0), model_kind="logistic")
+        return float(np.linalg.norm(report.w_hat - w))
+
+    assert error(attacked) <= 2.0 * error(X)

@@ -1,12 +1,6 @@
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "results_drift.py"
-_spec = importlib.util.spec_from_file_location("results_drift", SCRIPT)
-results_drift = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(results_drift)
+import results_drift
 
 HEADER = "# command=synth-sweep\nepsilon,estimator,metric,value,seed,runtime_ms\n"
 COMMITTED = HEADER + (
@@ -56,3 +50,12 @@ def test_compare_reads_the_aggregate_mean_and_flags_misaligned_rows():
     assert "does not line up" in results_drift.compare(agg, swapped)[1][0]
     shorter = agg.rsplit("0.2,", 1)[0]
     assert "2 committed rows, 1 regenerated" in results_drift.compare(agg, shorter)[1]
+
+
+def test_an_entry_without_committed_files_is_a_problem(monkeypatch, capsys):
+    # an entry added to SWEEPS before its results/ files exist
+    monkeypatch.setattr(results_drift, "SWEEPS", {"absent": ["synth-sweep"]})
+    assert results_drift.main() == 1
+    assert "absent: results/ does not hold absent.csv and absent.agg.csv" in (
+        capsys.readouterr().out
+    )
