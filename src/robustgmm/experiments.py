@@ -371,16 +371,6 @@ def save_dataset_csv(path, data: Dataset) -> None:
     write_lines(path, [",".join(names), *rows])
 
 
-def dataset_columns(data: Dataset) -> Mapping:
-    """Role mapping matching save_dataset_csv output."""
-    return {
-        "response": "y",
-        "treatment": "t" if data.T is not None else None,
-        "instruments": [f"z{j + 1}" for j in range(data.p)],
-        "covariates": [f"x{j + 1}" for j in range(data.d)],
-    }
-
-
 # ---------------------------------------------------------------------------
 # diagnostics and the plug-in hyperparameter rule
 
@@ -516,6 +506,11 @@ def robust_linear_estimate(
 # corruption sweeps
 
 
+def _eps_label(eps: float) -> str:
+    """The eps part of a cell's stream label; every committed seed hangs on it."""
+    return f"{eps:.6g}"
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One corruption sweep: a grid of eps values times repetitions.
@@ -523,7 +518,8 @@ class SweepConfig:
     kind "synthetic" generates the HTE DGP per cell and records l2_error
     against the true effect vector; kind "semi" loads a fixed design from
     data_path, which it requires, and records the fitted ATE. eps_grid
-    values are distinct, and estimators are distinct names from
+    values differ in their first six significant digits, which label each
+    cell's random stream, and estimators are distinct names from
     ESTIMATOR_NAMES. The robust estimator fits each cell
     at its own eps with plug-in constants (robust_linear_estimate).
     """
@@ -551,8 +547,19 @@ class SweepConfig:
         for e in self.eps_grid:
             if not 0.0 < e < 0.5:
                 raise ValueError(f"eps grid values must lie in (0, 0.5), got {e}")
-        if len(set(self.eps_grid)) < len(self.eps_grid):
-            raise ValueError("eps_grid repeats a value")
+        # _run_cell seeds each cell from its eps label, so two values that
+        # share a label would run the same cells under two eps headings
+        labels = {}
+        for e in self.eps_grid:
+            label = _eps_label(e)
+            if label in labels:
+                if labels[label] == e:
+                    raise ValueError("eps_grid repeats a value")
+                raise ValueError(
+                    f"eps_grid values {labels[label]!r} and {e!r} share the "
+                    f"cell stream eps={label}"
+                )
+            labels[label] = e
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
@@ -591,7 +598,7 @@ def _semi_design(cfg: SweepConfig) -> Dataset:
 
 
 def _run_cell(cfg: SweepConfig, master_seed: int, eps: float, rep: int):
-    cell_rng = RandomSource(master_seed).child(f"eps={eps:.6g}/rep={rep}")
+    cell_rng = RandomSource(master_seed).child(f"eps={_eps_label(eps)}/rep={rep}")
     if cfg.kind == "synthetic":
         base, theta = gen_synthetic_hte(cfg.n, cfg.d, cell_rng.child("dgp"))
         if cfg.attack == "all-ones":

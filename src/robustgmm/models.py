@@ -60,6 +60,15 @@ class SingleIndexIVModel(ABC):
     X[idx] @ w at most once. Rows are gathered with ndarray.take, which
     gives the same values as fancy indexing several times faster.
 
+    moments and jacobian_dot return their (m, k) score matrices
+    column-major. Every sever round reduces them one coordinate at a time
+    (the mean moment, the noise-floor scale, each filter pass's centering),
+    and numpy sums a column-major array along axis 0 over contiguous
+    memory, several times faster than row by row. Each element is the
+    product the row-major formula gives, bit for bit; only those means'
+    summation order differs. The gathers and products stay on row-major
+    rows (X[idx] @ w, Z[idx] @ u, sloped.T @ X).
+
     affine : every g_i is affine in w, so the mean Jacobian does not depend
              on w. The sever learner then evaluates its objective from the
              mean moment at 0 and the mean Jacobian, built once per call.
@@ -91,10 +100,10 @@ class SingleIndexIVModel(ABC):
         """Rows f'(X_i . w) Z_i, shape (len(idx), moment_dim)."""
 
     def moments(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Rows g_i(w), shape (len(idx), moment_dim)."""
+        """Rows g_i(w), shape (len(idx), moment_dim), column-major."""
         d = self.data
         resid = d.Y.take(idx) - self.link(d.X.take(idx, axis=0) @ w)
-        return d.Z.take(idx, axis=0) * resid[:, None]
+        return np.multiply(d.Z.take(idx, axis=0), resid[:, None], order="F")
 
     def residuals(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Scalar response residuals behind the moments, shape (len(idx),)."""
@@ -102,9 +111,11 @@ class SingleIndexIVModel(ABC):
         return d.Y.take(idx) - self.link(d.X.take(idx, axis=0) @ w)
 
     def jacobian_dot(self, idx: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Rows (d g_i / d w)^T u, shape (len(idx), param_dim)."""
+        """Rows (d g_i / d w)^T u, shape (len(idx), param_dim), column-major."""
         X = self.data.X.take(idx, axis=0)
-        return -X * (self.sloped_instruments(idx, w) @ u)[:, None]
+        # x * -v is -x * v bit for bit; negating the m-vector spares a copy of X
+        scale = -(self.sloped_instruments(idx, w) @ u)
+        return np.multiply(X, scale[:, None], order="F")
 
     def mean_jacobian_over(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
         """(1/len(idx)) sum of d g_i / d w, shape (moment_dim, param_dim)."""

@@ -503,6 +503,9 @@ BAD_SWEEPS = {
     "n0": ["synth-sweep", "--set", "preset=desk", "--set", "n=0"],
     "d0": ["synth-sweep", "--set", "preset=desk", "--set", "d=0"],
     "repeated-eps": ["synth-sweep", "--set", "preset=desk", "--set", "eps_grid=0.1,0.1"],
+    # equal to six significant digits: both cells would draw one stream
+    "eps-sharing-a-stream": ["synth-sweep", "--set", "preset=desk",
+                             "--set", "eps_grid=0.1,0.1000001"],
     "repeated-estimator": ["synth-sweep", "--set", "preset=desk",
                            "--set", "estimators=classical-iv,classical-iv"],
     "two-instruments": ["semi-sweep", "--set", f"input={DATA_CSV}",

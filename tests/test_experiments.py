@@ -28,7 +28,6 @@ from robustgmm.experiments import (
     aggregate_rows,
     corrupt_all_ones,
     corrupt_negation,
-    dataset_columns,
     derive_hyperparams,
     diagnose_assumptions,
     format_float,
@@ -162,7 +161,13 @@ def test_save_load_round_trip_is_bitwise(tmp_path, rng):
     data, _ = gen_synthetic_hte(60, 3, rng)
     path = tmp_path / "rt.csv"
     save_dataset_csv(path, data)
-    back = load_csv(path, dataset_columns(data))
+    columns = {
+        "response": "y",
+        "treatment": "t",
+        "instruments": [f"z{j + 1}" for j in range(data.p)],
+        "covariates": [f"x{j + 1}" for j in range(data.d)],
+    }
+    back = load_csv(path, columns)
     np.testing.assert_array_equal(back.X, data.X)
     np.testing.assert_array_equal(back.Y, data.Y)
     np.testing.assert_array_equal(back.Z, data.Z)
@@ -478,6 +483,11 @@ def test_sweep_config_validation():
     # the aggregate would count each copy as its own sample
     with pytest.raises(ValueError, match="eps_grid repeats a value"):
         SweepConfig(**{**ok, "eps_grid": (0.1, 0.2, 0.1)})
+    # values equal to six significant digits share a cell stream label, so
+    # both would run the same seeds
+    with pytest.raises(ValueError, match=r"0\.1 and 0\.1000001 share the cell stream"):
+        SweepConfig(**{**ok, "eps_grid": (0.1, 0.2, 0.1000001)})
+    SweepConfig(**{**ok, "eps_grid": (0.1, 0.100001)})
     with pytest.raises(ValueError, match="repetitions"):
         SweepConfig(**{**ok, "repetitions": 0})
     with pytest.raises(ValueError, match="unknown estimators"):

@@ -149,6 +149,27 @@ def test_batched_paths_match_per_sample(cls, rng):
         assert_equal(m.mean_jacobian_over(idx, w), -(Z.T @ X) / len(idx))
 
 
+@pytest.mark.parametrize("cls", [LinearIVModel, LogisticIVModel])
+def test_score_matrices_are_column_major_with_row_major_values(cls, rng):
+    # the sever round averages these matrices one coordinate at a time, which
+    # numpy does over contiguous memory only for a column-major array; the
+    # elements are still the row-major formulas' bits
+    data, _ = make_linear_dataset(seed=5, n=25, d=3, p=4, noise=0.5)
+    m = cls(data)
+    idx = np.array([16, 1, 24, 4, 9, 4])
+    w = rng.normal(3)
+    u = rng.normal(4)
+    X, Z, Y = data.X[idx], data.Z[idx], data.Y[idx]
+
+    def check(got, want):
+        assert got.flags.f_contiguous and not got.flags.c_contiguous
+        # compares the bits, so a zero's sign counts too
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    check(m.moments(idx, w), Z * (Y - m.link(X @ w))[:, None])
+    check(m.jacobian_dot(idx, w, u), -X * (m.sloped_instruments(idx, w) @ u)[:, None])
+
+
 KERNELS = ["residuals", "moments", "jacobian_dot", "mean_jacobian_over", "sloped_instruments"]
 
 

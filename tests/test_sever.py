@@ -140,6 +140,47 @@ def test_two_method_link_fits_like_linear_iv(seed):
     np.testing.assert_allclose(got.w_hat, want.w_hat, rtol=1e-6)
 
 
+class RowMajorScoresIV(LinearIVModel):
+    # the shipped kernels return column-major score matrices; these are the
+    # same elements row-major, so the sever round's means sum row by row
+    def moments(self, idx, w):
+        return np.ascontiguousarray(super().moments(idx, w))
+
+    def jacobian_dot(self, idx, w, u):
+        return np.ascontiguousarray(super().jacobian_dot(idx, w, u))
+
+
+def scaled_cell(kind):
+    # a sweep-style cell, rescaled as robust_linear_estimate rescales it
+    if kind == "desk":
+        src, eps = RandomSource(1001).child("eps=0.3/rep=0"), 0.3
+        base, _ = gen_synthetic_hte(2000, 10, src.child("dgp"))
+        design = hte_design(corrupt_all_ones(base, eps, src.child("attack"))[0])
+    else:
+        src, eps = RandomSource(9000).child("eps=0.15/rep=0"), 0.15
+        data_csv = Path(__file__).resolve().parents[1] / "data" / "card_standin.csv"
+        clean = scalar_treatment_design(load_csv(data_csv, CARD_STANDIN_COLUMNS))
+        design = corrupt_negation(clean, eps, src.child("attack"))[0]
+    X = design.X @ experiments_mod._block_transform(design.X)
+    Z = design.Z @ experiments_mod._block_transform(design.Z)
+    return Dataset(X=X, Y=design.Y, Z=Z), eps, src.child("fit")
+
+
+@pytest.mark.parametrize("kind", ["desk", "semi"])
+def test_score_layout_moves_no_fit_decision(kind):
+    design, eps, rng = scaled_cell(kind)
+    shipped, row_major = LinearIVModel(design), RowMajorScoresIV(design)
+    hp = derive_hyperparams(shipped, eps)
+    want = iterated_gmm_sever(row_major, hp, rng)
+    got = iterated_gmm_sever(shipped, hp, rng)
+    removed = [(r, label, m) for r, label, m, _ in want.events]
+    assert [(r, label, m) for r, label, m, _ in got.events] == removed
+    assert sum(m for _, _, m in removed) > 0
+    np.testing.assert_array_equal(got.final_set.indices, want.final_set.indices)
+    assert got.rounds == want.rounds
+    np.testing.assert_allclose(got.w_hat, want.w_hat, rtol=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # gmm_sever
 
