@@ -148,7 +148,7 @@ class EstimateReport:
                   for every pass, quiet ones included; kind is "response"
                   (the residual screen, round 0, scored by its largest
                   deviation in MADs), "jacobian" or "moment" (scored by the
-                  pass's mean score)
+                  top eigenvalue of the pass's score covariance)
     diagnostics : gamma, learner_tolerance_unmet (learner calls that
                   stopped short of gamma) and outer_rounds (the sever runs
                   amplification made, a retry after an abort included)

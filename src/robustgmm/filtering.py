@@ -1,15 +1,15 @@
 """Randomized spectral outlier filter.
 
-One pass centers the active scores and forms their covariance once. It
-scores every active sample by its squared projection onto the top
-covariance direction, found by an exact eigendecomposition, and, only when
-the average score exceeds a slack multiple of the variance bound, removes
-the samples above a uniformly drawn threshold. The bound is a number or a
-rule evaluated on the pass's own covariance (robust_score_bound, the bulk
-of its spectrum). Ties at the threshold are kept; the comparison is
-strict. Because the threshold is uniform on [0, max score), the expected
-removed mass is biased toward genuine outliers, which is what makes
-repeated application safe for the good samples.
+One pass takes one exact eigendecomposition of the active scores'
+covariance. Its score is the top eigenvalue, the mean squared projection
+onto the top direction. Only when that exceeds a slack multiple of the
+variance bound does the pass project each sample and remove those above a
+uniformly drawn threshold. The bound is a number or a rule evaluated on
+the pass's own spectrum (robust_score_bound, the bulk of it). Ties at the
+threshold are kept; the comparison is strict. Because the threshold is
+uniform on [0, max squared projection), the expected removed mass is
+biased toward genuine outliers, which is what makes repeated application
+safe for the good samples.
 """
 
 from __future__ import annotations
@@ -38,45 +38,45 @@ FILTER_SLACK = 24.0
 _CHI2_1_MEDIAN = 0.4549364231195727
 
 
-def robust_score_bound(centered: np.ndarray, cov: np.ndarray) -> float:
+def robust_score_bound(centered: np.ndarray, eigenvalues: np.ndarray) -> float:
     """Self-calibrated stand-in for a certified variance bound: the bulk of
     the score covariance spectrum.
 
-    Reads the pair numerics.centered_cov forms and spectral_filter has
-    already built for its pass. Returns the mean of all covariance
-    eigenvalues except the largest, so the filter (whose mean score along
-    the top direction is exactly the top eigenvalue) fires only when one
-    direction stands out against the rest of the spectrum. Heavy-tailed
-    clean scores inflate every eigenvalue roughly together — the ratio of
-    the top eigenvalue to the bulk stays small even when a few percent of
-    the rows carry most of the variance — while planted rows concentrate
-    their excess variance in the one direction they share, which the bulk
-    leaves exposed. The trade-off against a certified bound is a blind spot
-    for corruptions spread evenly across all directions; worst-case bounds
-    have no blind spot but on real designs sit orders of magnitude above
-    the variance the good rows actually show at the current iterate,
-    hiding structured corruptions of ordinary norm.
+    Reads the centered scores and ascending covariance spectrum that
+    spectral_filter has already computed for its pass. Returns the mean of
+    all eigenvalues except the largest, so the filter (whose score is the
+    top eigenvalue) fires only when one direction stands out against the
+    rest of the spectrum. Heavy-tailed clean scores inflate every
+    eigenvalue roughly together — the ratio of the top eigenvalue to the
+    bulk stays small even when a few percent of the rows carry most of the
+    variance — while planted rows concentrate their excess variance in the
+    one direction they share, which the bulk leaves exposed. The trade-off
+    against a certified bound is a blind spot for corruptions spread evenly
+    across all directions; worst-case bounds have no blind spot but on real
+    designs sit orders of magnitude above the variance the good rows
+    actually show at the current iterate, hiding structured corruptions of
+    ordinary norm.
 
     One-dimensional scores have no bulk to compare against; they fall back
     to the scaled median of the squared centered scores, which resists
     tails but assumes a roughly Gaussian center. The bulk is clamped at 0:
-    on a singular covariance eigvalsh roundoff can leave it slightly below.
+    on a singular covariance eigh roundoff can leave it slightly below.
     """
-    if centered.ndim != 2 or cov.shape != (centered.shape[1],) * 2:
-        raise ValueError(f"expected (m, k) scores and their covariance, got "
-                         f"shapes {centered.shape} and {cov.shape}")
-    if cov.shape == (1, 1):
+    if centered.ndim != 2 or eigenvalues.shape != (centered.shape[1],):
+        raise ValueError(f"expected (m, k) scores and k eigenvalues, got "
+                         f"shapes {centered.shape} and {eigenvalues.shape}")
+    if eigenvalues.shape == (1,):
         return float(np.median(centered[:, 0] ** 2)) / _CHI2_1_MEDIAN
-    eig = np.linalg.eigvalsh(cov)
-    return max(float(np.mean(eig[:-1])), 0.0)
+    return max(float(np.mean(eigenvalues[:-1])), 0.0)
 
 
 @dataclass(frozen=True)
 class FilterOutcome:
     """Result of one filter pass.
 
-    threshold is None exactly when nothing was removed (the mean score was
-    already within the slack bound). kept and removed partition the input.
+    mean_score is the top eigenvalue of the score covariance. threshold is
+    None exactly when nothing was removed (mean_score was already within
+    the slack bound). kept and removed partition the input.
     """
 
     kept: ActiveSet
@@ -97,8 +97,8 @@ def spectral_filter(
 
     bound is the caller's bound on the variance the good samples can show
     in any direction: a number, or a rule such as robust_score_bound that
-    maps the pass's (centered scores, covariance) to one (gmm_sever passes
-    robust_score_bound itself). slack * bound is the firing level.
+    maps the pass's (centered scores, ascending spectrum) to one (gmm_sever
+    passes robust_score_bound itself). slack * bound is the firing level.
     """
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim != 2:
@@ -111,14 +111,12 @@ def spectral_filter(
         raise ValueError("slack must be positive")
 
     centered, cov = centered_cov(vals)
+    direction, eigenvalues = top_eigenvector(cov)
     if callable(bound):
-        bound = bound(centered, cov)
+        bound = bound(centered, eigenvalues)
     if bound < 0:
         raise ValueError("variance bound must be nonnegative")
-    direction, _ = top_eigenvector(cov)
-    scores = centered @ direction
-    scores = scores * scores
-    mean_score = float(scores.mean())
+    mean_score = float(eigenvalues[-1])  # mean squared projection
 
     if mean_score <= slack * bound:
         empty = ActiveSet(np.empty(0, dtype=np.int64))
@@ -128,8 +126,11 @@ def spectral_filter(
     # draw keeps every seeded result and the acceptance battery as they were.
     # A pass that does not fire draws nothing.
     rng.normal(vals.shape[1])
-    # mean_score > slack * bound >= 0 guarantees a strictly positive max,
-    # and uniform() < 1 guarantees the argmax is always removed.
+    scores = centered @ direction
+    scores = scores * scores
+    # mean_score > slack * bound >= 0 means a nonzero covariance, so a
+    # strictly positive max; uniform() < 1 removes the argmax unless the
+    # scores are subnormal, where uniform() * max can round up to max.
     threshold = float(rng.uniform() * scores.max())
     keep_mask = scores <= threshold
     kept = ActiveSet(active.indices[keep_mask])

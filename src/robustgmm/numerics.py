@@ -1,8 +1,9 @@
 """Deterministic randomness, covariance kernels, and the constrained learner.
 
-The top eigenpair of a covariance comes from one dense eigh call: the
-matrices here are k x k with k the moment or parameter dimension, where an
-exact solve is cheaper than any iteration and has no convergence tolerance.
+One dense eigh call gives a filter pass its top direction, its score (the
+top eigenvalue) and the spectrum its bound reads: the matrices are k x k
+with k the moment or parameter dimension, where an exact solve is cheaper
+than any iteration and has no convergence tolerance.
 
 The learner is a spectral projected-gradient method: Barzilai-Borwein step
 seeding with an Armijo backtracking safeguard and radial projection onto the
@@ -92,11 +93,11 @@ def centered_cov(values: np.ndarray):
 
 
 def top_eigenvector(A: np.ndarray):
-    """Leading eigenpair of a symmetric matrix by a dense eigendecomposition.
+    """Leading eigenvector and full spectrum of a symmetric matrix.
 
-    Returns (unit vector, largest eigenvalue) from np.linalg.eigh; the
-    vector's sign is whatever eigh returns. A matrix of exact zeros returns
-    the first standard basis vector with eigenvalue 0.
+    Returns (unit vector, eigenvalues in ascending order) from one
+    np.linalg.eigh call, so eigenvalues[-1] belongs to the vector; the
+    vector's sign is whatever eigh returns.
     """
     A = np.asarray(A, dtype=np.float64)
     k = A.shape[0]
@@ -106,12 +107,8 @@ def top_eigenvector(A: np.ndarray):
     asym = float(np.abs(A - A.T).max()) if A.size else 0.0
     if asym > 1e-10 * max(1.0, scale):
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    if scale == 0.0:
-        e1 = np.zeros(k)
-        e1[0] = 1.0
-        return e1, 0.0
     vals, vecs = np.linalg.eigh(0.5 * (A + A.T))
-    return vecs[:, -1], float(vals[-1])
+    return vecs[:, -1], vals
 
 
 @dataclass

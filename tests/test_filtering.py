@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustgmm import RandomSource
+from robustgmm import filtering
 from robustgmm.core import ActiveSet
 from robustgmm.filtering import FILTER_SLACK, robust_score_bound, spectral_filter
 from robustgmm.numerics import centered_cov, top_eigenvector
@@ -134,6 +135,12 @@ def test_kept_removed_partition_active(seed, m, k, bound):
     assert np.linalg.norm(out.direction) == pytest.approx(1.0, abs=1e-9)
 
 
+def bulk_bound(vals):
+    # the rule as spectral_filter calls it, on the pass's own spectrum
+    centered, cov = centered_cov(vals)
+    return robust_score_bound(centered, top_eigenvector(cov)[1])
+
+
 def test_score_bound_bulk_spectrum():
     # population covariance diag(1, 1/3, 1/6): bulk mean = (1/3 + 1/6) / 2
     r3 = np.sqrt(3.0)
@@ -148,7 +155,7 @@ def test_score_bound_bulk_spectrum():
             [0.0, 0.0, -rhalf],
         ]
     )
-    got = robust_score_bound(*centered_cov(vals))
+    got = bulk_bound(vals)
     assert got == pytest.approx(0.25, rel=1e-12)
 
 
@@ -156,7 +163,7 @@ def test_score_bound_scalar_fallback():
     # centered squares {4,1,0,1,4}: median 1, scaled by the chi2(1) median
     centered, cov = centered_cov(np.array([[1.0], [2.0], [3.0], [4.0], [5.0]]))
     np.testing.assert_array_equal(centered[:, 0], [-2.0, -1.0, 0.0, 1.0, 2.0])
-    got = robust_score_bound(centered, cov)
+    got = robust_score_bound(centered, top_eigenvector(cov)[1])
     assert got == pytest.approx(1.0 / 0.4549364231195727, rel=1e-12)
 
 
@@ -167,18 +174,18 @@ def test_score_bound_ignores_one_spiked_direction(rng):
     spike = np.zeros((20, 6))
     spike[:, 0] = 40.0
     vals = np.vstack([base, spike])
-    got = robust_score_bound(*centered_cov(vals))
+    got = bulk_bound(vals)
     assert got < 2.0
 
 
 def test_score_bound_is_nonnegative_on_rank_deficient_scores():
-    # rank-one scores have an all-zero bulk, which eigvalsh roundoff can
+    # rank-one scores have an all-zero bulk, which eigh roundoff can
     # leave slightly negative; the bound must stay one spectral_filter takes
     active = ActiveSet(np.arange(6))
     for seed in range(20):
         src = RandomSource(seed)
         vals = np.outer(src.normal(6), src.normal(3))
-        bound = robust_score_bound(*centered_cov(vals))
+        bound = bulk_bound(vals)
         assert bound >= 0.0
         spectral_filter(vals, active, bound, src.child("f"))
         spectral_filter(vals, active, robust_score_bound, src.child("f"))
@@ -186,16 +193,20 @@ def test_score_bound_is_nonnegative_on_rank_deficient_scores():
 
 def test_score_bound_validation():
     with pytest.raises(ValueError, match="expected"):
-        robust_score_bound(np.zeros(4), np.zeros((1, 1)))
-    with pytest.raises(ValueError, match="covariance"):
-        robust_score_bound(np.zeros((3, 2)), np.zeros((3, 3)))
+        robust_score_bound(np.zeros(4), np.zeros(1))
+    with pytest.raises(ValueError, match="eigenvalues"):
+        robust_score_bound(np.zeros((3, 2)), np.zeros(3))
+    # the rule reads a spectrum, not the covariance it came from
+    with pytest.raises(ValueError, match="eigenvalues"):
+        robust_score_bound(np.zeros((3, 2)), np.zeros((2, 2)))
 
 
 def parent_pass(vals, active, rng, slack):
     # the pass as gmm_sever ran it before the rule moved inside: a float
     # bound from its own mean, covariance and eigvalsh (or the scalar
-    # median), then a second covariance, k normals drawn whether or not the
-    # pass fires, and the threshold uniform
+    # median), then a second covariance and eigh, k normals drawn whether
+    # or not the pass fires, the mean squared projection as the score, and
+    # the threshold uniform
     mean, cov = vals.mean(axis=0), centered_cov(vals)[1]
     if vals.shape[1] == 1:
         bound = float(np.median((vals[:, 0] - mean[0]) ** 2)) / 0.4549364231195727
@@ -203,7 +214,7 @@ def parent_pass(vals, active, rng, slack):
         bound = max(float(np.mean(np.linalg.eigvalsh(cov)[:-1])), 0.0)
     mean, cov = vals.mean(axis=0), centered_cov(vals)[1]
     rng.normal(vals.shape[1])
-    direction, _ = top_eigenvector(cov)
+    direction = top_eigenvector(cov)[0]
     scores = ((vals - mean) @ direction) ** 2
     mean_score = float(scores.mean())
     if mean_score <= slack * bound:
@@ -237,12 +248,57 @@ def test_rule_bound_matches_the_two_call_pass(seed, m, k, shape, slack):
     bound, kept, removed, mean_score, threshold, direction = parent_pass(
         vals, active, src.child("f"), slack
     )
-    assert robust_score_bound(*centered_cov(vals)) == bound
+    # one eigh gives the bound and the score: eigvalsh and the projection
+    # agree with them to roundoff of the spectrum's scale, and every
+    # decision, threshold and direction bit for bit
+    scale = 1e-12 * max(mean_score, 1e-300)
+    assert abs(bulk_bound(vals) - bound) <= scale
+    assert abs(fused.mean_score - mean_score) <= scale
     np.testing.assert_array_equal(fused.kept.indices, kept)
     np.testing.assert_array_equal(fused.removed.indices, removed)
     assert fused.threshold == threshold
-    assert fused.mean_score == mean_score
     np.testing.assert_array_equal(fused.direction, direction)
+
+
+class CountingArray(np.ndarray):
+    products = 0
+
+    def __matmul__(self, other):
+        CountingArray.products += 1
+        return np.asarray(self) @ other
+
+
+def test_one_eigh_per_pass_and_a_projection_only_when_it_fires(monkeypatch):
+    eigh_calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        eigh_calls.append(a.shape)
+        return eigh(a)
+
+    def no_eigvalsh(a):
+        raise AssertionError("a pass takes its bulk from eigh's spectrum")
+
+    def counted_cov(vals):
+        centered, cov = centered_cov(vals)
+        return centered.view(CountingArray), cov
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    monkeypatch.setattr(filtering, "centered_cov", counted_cov)
+    CountingArray.products = 0
+    src = RandomSource(93)
+    vals = np.vstack([src.normal((30, 3)), [[40.0, 0.0, 0.0]]])
+    active = ActiveSet(np.arange(31))
+
+    quiet = spectral_filter(vals, active, robust_score_bound, src.child("q"), 1e6)
+    assert quiet.threshold is None
+    assert (len(eigh_calls), CountingArray.products) == (1, 0)
+
+    fired = spectral_filter(vals, active, robust_score_bound, src.child("f"), 1.0)
+    assert fired.threshold is not None
+    assert 30 in fired.removed.indices.tolist()
+    assert (len(eigh_calls), CountingArray.products) == (2, 1)
 
 
 def test_quiet_pass_leaves_the_stream_untouched():

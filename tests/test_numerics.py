@@ -83,30 +83,32 @@ def test_mean_cov_rejects_empty():
 
 
 def test_top_eig_diagonal():
-    v, mu = top_eigenvector(np.diag([2.0, 1.0]))
-    assert mu == pytest.approx(2.0, abs=1e-8)
+    v, eig = top_eigenvector(np.diag([2.0, 1.0]))
+    assert eig == pytest.approx([1.0, 2.0], abs=1e-8)
     assert abs(abs(v[0]) - 1.0) < 1e-6 and abs(v[1]) < 1e-6
 
 
 def test_top_eig_analytic_2x2():
-    v, mu = top_eigenvector(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert mu == pytest.approx(3.0, abs=1e-8)
+    v, eig = top_eigenvector(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    assert eig == pytest.approx([1.0, 3.0], abs=1e-8)
     assert abs(abs(v @ np.array([1.0, 1.0]) / math.sqrt(2))) == pytest.approx(
         1.0, abs=1e-6
     )
 
 
 def test_top_eig_identity_contract():
-    v, mu = top_eigenvector(np.eye(3))
+    v, eig = top_eigenvector(np.eye(3))
+    mu = eig[-1]
     assert mu == pytest.approx(1.0, abs=1e-8)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(np.eye(3) @ v - mu * v) <= 1e-8
 
 
 def test_top_eig_zero_matrix():
-    v, mu = top_eigenvector(np.zeros((4, 4)))
-    assert mu == 0.0
-    np.testing.assert_array_equal(v, [1.0, 0.0, 0.0, 0.0])
+    # eigh needs no special case: an all-zero spectrum and a unit vector
+    v, eig = top_eigenvector(np.zeros((4, 4)))
+    np.testing.assert_array_equal(eig, np.zeros(4))
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_top_eig_rejects_asymmetric():
@@ -116,8 +118,8 @@ def test_top_eig_rejects_asymmetric():
 
 def test_top_eig_resolves_tiny_gap():
     # a 1e-9 eigengap that a power iteration cannot separate in any budget
-    v, mu = top_eigenvector(np.diag([1.0, 1.0 - 1e-9, 0.5]))
-    assert abs(mu - 1.0) <= 1e-12
+    v, eig = top_eigenvector(np.diag([1.0, 1.0 - 1e-9, 0.5]))
+    assert np.abs(eig - [0.5, 1.0 - 1e-9, 1.0]).max() <= 1e-12
     assert np.linalg.norm(np.abs(v) - [1.0, 0.0, 0.0]) <= 1e-12
 
 
@@ -127,7 +129,9 @@ def test_top_eig_dominates_random_rayleigh_quotients(seed, k):
     src = RandomSource(seed)
     B = src.normal((k + 2, k))
     A = B.T @ B / (k + 2)
-    v, mu = top_eigenvector(A)
+    v, eig = top_eigenvector(A)
+    mu = eig[-1]
+    assert (np.diff(eig) >= 0).all()
     probes = src.child("probes").normal((40, k))
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
     quots = np.einsum("ij,jk,ik->i", probes, A, probes)
@@ -138,7 +142,8 @@ def test_top_eig_rayleigh_bound_dense_probes(rng):
     # 1000 random unit directions against one moderately sized PSD matrix
     B = rng.normal((60, 50))
     A = B.T @ B / 60
-    v, mu = top_eigenvector(A)
+    v, eig = top_eigenvector(A)
+    mu = eig[-1]
     probes = rng.child("probes").normal((1000, 50))
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
     quots = np.einsum("ij,jk,ik->i", probes, A, probes)
