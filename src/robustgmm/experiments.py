@@ -416,19 +416,16 @@ def derive_hyperparams(model, eps: float) -> HyperParams:
     return HyperParams(eps=eps, R0=R0, gamma=gamma)
 
 
-def _whitener(columns: np.ndarray) -> np.ndarray:
-    """Symmetric inverse square root of a column block's second-moment matrix.
+def _whitener(second: np.ndarray) -> np.ndarray:
+    """Symmetric inverse square root of a block's second-moment matrix.
 
-    Eigenvalues are floored at 1e-8 of the largest so rank-deficient blocks
-    yield a finite transform instead of amplifying null directions; such
-    designs fail estimation later with a clear singularity error.
+    Eigenvalues are floored at 1e-8 of the largest (positive: the gate only
+    whitens a block with nonzero columns) so rank-deficient blocks yield a
+    finite transform instead of amplifying null directions; such designs
+    fail estimation later with a clear singularity error.
     """
-    second = columns.T @ columns / len(columns)
     evals, evecs = np.linalg.eigh(second)
-    top = float(evals[-1])
-    if top <= 0.0:
-        return np.eye(second.shape[0])
-    evals = np.maximum(evals, 1e-8 * top)
+    evals = np.maximum(evals, 1e-8 * float(evals[-1]))
     return (evecs * evals**-0.5) @ evecs.T
 
 
@@ -447,25 +444,31 @@ def _block_transform(columns: np.ndarray) -> np.ndarray:
 
     Default is diagonal scaling to unit root-mean-square columns, which
     puts score coordinates in like units without depending on the joint
-    column geometry. Only when the rescaled block shows strong
-    collinearity (any off-diagonal cosine above the gate) is it fully
-    whitened, since then the clean score covariance itself is so
-    anisotropic that the spectral bounds would read it as corruption.
-    A column whose root-mean-square overflows float64 raises EstimationError.
+    column geometry. Only when the block shows strong collinearity (any
+    off-diagonal cosine above the gate) is it fully whitened, since then the
+    clean score covariance itself is so anisotropic that the spectral bounds
+    would read it as corruption. The gate and _whitener read one
+    second-moment matrix. A column whose root-mean-square overflows float64
+    raises EstimationError, before any BLAS product.
     """
-    rms = np.sqrt(np.mean(columns**2, axis=0))
-    if not np.all(np.isfinite(rms)):
+    # 2 n max|x|^2 bounds each column's sum of squares with room for
+    # rounding, so only a block near overflow pays for the exact check
+    peak = float(np.abs(columns).max(initial=0.0))
+    if not (math.isfinite(2.0 * len(columns) * peak * peak)
+            or np.isfinite(np.mean(columns**2, axis=0)).all()):
         raise EstimationError("column scale overflows float64; rescale the columns")
-    top = float(rms.max(initial=0.0))
+    second = columns.T @ columns / len(columns)
+    norms = np.sqrt(np.diagonal(second))
+    top = float(norms.max(initial=0.0))
     if top <= 0.0:
         return np.eye(columns.shape[1])
-    rms = np.maximum(rms, 1e-8 * top)
-    unit = columns / rms
-    cos = unit.T @ unit / len(unit)
+    norms = np.maximum(norms, 1e-8 * top)
+    cos = second / np.outer(norms, norms)
     np.fill_diagonal(cos, 0.0)
     if float(np.max(np.abs(cos))) > _COLLINEARITY_GATE:
-        return _whitener(columns)
-    return np.diag(1.0 / rms)
+        return _whitener(second)
+    rms = np.sqrt(np.mean(columns**2, axis=0))
+    return np.diag(1.0 / np.maximum(rms, 1e-8 * float(rms.max())))
 
 
 def robust_linear_estimate(

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .core import ActiveSet
-from .numerics import RandomSource, centered_cov, top_eigenvector
+from .numerics import RandomSource, centered_cov, median, top_eigenvector
 
 __all__ = [
     "FILTER_SLACK",
@@ -66,7 +66,7 @@ def robust_score_bound(centered: np.ndarray, eigenvalues: np.ndarray) -> float:
         raise ValueError(f"expected (m, k) scores and k eigenvalues, got "
                          f"shapes {centered.shape} and {eigenvalues.shape}")
     if eigenvalues.shape == (1,):
-        return float(np.median(centered[:, 0] ** 2)) / _CHI2_1_MEDIAN
+        return float(median(centered[:, 0] ** 2)) / _CHI2_1_MEDIAN
     return max(float(np.mean(eigenvalues[:-1])), 0.0)
 
 
@@ -129,9 +129,10 @@ def spectral_filter(
     scores = centered @ direction
     scores = scores * scores
     # mean_score > slack * bound >= 0 means a nonzero covariance, so a
-    # strictly positive max; uniform() < 1 removes the argmax unless the
-    # scores are subnormal, where uniform() * max can round up to max.
-    threshold = float(rng.uniform() * scores.max())
+    # strictly positive max. uniform() < 1 removes the argmax; the cap keeps
+    # it so on subnormal scores, where uniform() * max can round up to max.
+    top = scores.max()
+    threshold = float(min(rng.uniform() * top, np.nextafter(top, 0.0)))
     keep_mask = scores <= threshold
     kept = ActiveSet(active.indices[keep_mask])
     removed = ActiveSet(active.indices[~keep_mask])

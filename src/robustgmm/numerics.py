@@ -24,6 +24,7 @@ import numpy as np
 __all__ = [
     "RandomSource",
     "centered_cov",
+    "median",
     "top_eigenvector",
     "CriticalPointProblem",
     "LearnerResult",
@@ -77,6 +78,21 @@ class RandomSource:
 
     def __repr__(self):
         return f"RandomSource(seed={self.seed})"
+
+
+def median(x: np.ndarray) -> np.ndarray:
+    """np.median over the last axis of a finite array, by one sort.
+
+    Equal to np.median bit for bit (the mean of the two middle values for an
+    even length) but for the sign of a zero median, and several times faster
+    than its two-point partition. The response screen, the 1-D score bound
+    and the Huber deltas all take it.
+    """
+    s = np.sort(x, axis=-1)
+    h = s.shape[-1] // 2
+    if s.shape[-1] % 2:
+        return s[..., h]
+    return (s[..., h - 1] + s[..., h]) / 2
 
 
 def centered_cov(values: np.ndarray):

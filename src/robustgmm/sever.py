@@ -28,6 +28,7 @@ from .models import SingleIndexIVModel
 from .numerics import (
     CriticalPointProblem,
     RandomSource,
+    median,
     projected_gradient_critical_point,
 )
 
@@ -156,9 +157,9 @@ def gmm_sever(
 
     while True:
         res = model.residuals(S.indices, origin)
-        med = float(np.median(res))
+        med = float(median(res))
         dev = np.abs(res - med)
-        mad = float(np.median(dev))
+        mad = float(median(dev))
         if mad <= 0.0:
             break
         keep_mask = dev <= PRACTICE_RESPONSE_CAP * mad

@@ -652,11 +652,13 @@ def _numpy_uses_openblas() -> bool:
 def test_overflow_checks_hold_under_another_openblas_kernel():
     # OPENBLAS_CORETYPE makes OpenBLAS dispatch the kernels another CPU
     # would get. Under Sandybridge the SVD of an overflowed Z^T X raises
-    # LinAlgError where the default kernel returns NaN, so both overflow
-    # tests pass only if the checks run before any LAPACK call.
+    # LinAlgError where the default kernel returns NaN, and a matmul over
+    # overflowed squares warns "invalid value", so the overflow tests pass
+    # only if the checks run before any BLAS or LAPACK call.
     tests = [
         "tests/test_models.py::test_2sls_overflow_raises_instead_of_nan",
         "tests/test_cli.py::test_diagnose_on_overflowing_design_exits_2",
+        "tests/test_cli.py::test_estimate_on_overflowing_design_names_the_scale",
     ]
     env = dict(os.environ, OPENBLAS_CORETYPE="Sandybridge",
                PYTHONPATH=str(REPO_ROOT / "src"))

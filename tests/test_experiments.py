@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from robustgmm import (
     CARD_STANDIN_COLUMNS,
     Dataset,
+    EstimationError,
     LinearIVModel,
     LogisticIVModel,
     RandomSource,
@@ -460,6 +461,100 @@ def test_block_transform_whitens_collinear_columns(rng):
 def test_block_transform_survives_zero_columns():
     W = _block_transform(np.zeros((10, 2)))
     np.testing.assert_array_equal(W, np.eye(2))
+
+
+def reference_block_transform(columns):
+    # the block transform before its gate read the second-moment matrix:
+    # the gate took the cosines of the rms-scaled columns, and the whitener
+    # formed the second-moment matrix again
+    rms = np.sqrt(np.mean(columns**2, axis=0))
+    if not np.all(np.isfinite(rms)):
+        raise EstimationError("column scale overflows float64; rescale the columns")
+    top = float(rms.max(initial=0.0))
+    if top <= 0.0:
+        return np.eye(columns.shape[1])
+    rms = np.maximum(rms, 1e-8 * top)
+    unit = columns / rms
+    cos = unit.T @ unit / len(unit)
+    np.fill_diagonal(cos, 0.0)
+    if float(np.max(np.abs(cos))) > 0.8:
+        second = columns.T @ columns / len(columns)
+        evals, evecs = np.linalg.eigh(second)
+        top = float(evals[-1])
+        if top <= 0.0:
+            return np.eye(second.shape[0])
+        evals = np.maximum(evals, 1e-8 * top)
+        return (evecs * evals**-0.5) @ evecs.T
+    return np.diag(1.0 / rms)
+
+
+def hte_blocks(n, d):
+    # the X and Z blocks of a synth-sweep cell at eps 0.1 under all-ones
+    cell_rng = RandomSource(1001).child("eps=0.1/rep=0")
+    base, _ = gen_synthetic_hte(n, d, cell_rng.child("dgp"))
+    base, _ = corrupt_all_ones(base, 0.1, cell_rng.child("attack"))
+    design = hte_design(base)
+    return design.X, design.Z
+
+
+def semi_blocks():
+    design = scalar_treatment_design(load_csv(DATA_CSV, CARD_STANDIN_COLUMNS))
+    return design.X, design.Z
+
+
+def block_with_cosine(c):
+    # two unit-rms columns whose sample cosine is c, next to a third
+    # column orthogonal to both
+    q = np.linalg.qr(RandomSource(5).normal((400, 3)))[0] * math.sqrt(400)
+    return np.column_stack([q[:, 0], c * q[:, 0] + math.sqrt(1 - c * c) * q[:, 1],
+                            3.0 * q[:, 2]])
+
+
+def zero_column_block():
+    cols = RandomSource(6).normal((500, 3)) * np.array([1.0, 1.0, 40.0])
+    cols[:, 1] = 0.0
+    return cols
+
+
+BLOCK_CASES = {
+    "desk X": (lambda: hte_blocks(2000, 10)[0], False),
+    "desk Z": (lambda: hte_blocks(2000, 10)[1], False),
+    "paper X": (lambda: hte_blocks(10000, 20)[0], False),
+    "paper Z": (lambda: hte_blocks(10000, 20)[1], False),
+    "semi X": (lambda: semi_blocks()[0], True),
+    "semi Z": (lambda: semi_blocks()[1], True),
+    "zero column": (zero_column_block, False),
+    "cosine 0.79": (lambda: block_with_cosine(0.79), False),
+    "cosine 0.81": (lambda: block_with_cosine(0.81), True),
+    # 2 n max|x|^2 overflows, so the exact per-column check decides
+    "scale 3e152": (lambda: RandomSource(7).normal((300, 2)) * 3e152, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_block_transform_matches_the_reference_bit_for_bit(case):
+    make, whitened = BLOCK_CASES[case]
+    columns = make()
+    got = _block_transform(columns)
+    want = reference_block_transform(columns)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert (np.count_nonzero(got - np.diag(np.diag(got))) > 0) == whitened
+
+
+def overflow_columns(scale):
+    return np.column_stack([np.ones(300), np.tile([1.0, -1.0], 150)]) * scale
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e154])
+def test_block_transform_overflow_raises_like_the_reference(scale):
+    # at 1e160 the squares overflow; at 1e154 each square is finite but
+    # their column sums are not
+    columns = overflow_columns(scale)
+    for transform in (_block_transform, reference_block_transform):
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(EstimationError, match="column scale overflows float64"):
+            transform(columns)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,30 @@ def test_argmax_always_removed_when_fired(rng):
     assert 40 in out.removed.indices.tolist()
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-161])
+def test_top_draw_removes_the_argmax_at_any_scale(scale):
+    # the largest uniform draw times a subnormal max score rounds up to the
+    # max, so the threshold is capped below it; at normal scale the draw
+    # already puts it there and the cap changes nothing
+    vals = three_point_scores() * scale
+    rng = ForcedUniform(1, np.nextafter(1.0, 0.0))
+    out = spectral_filter(vals, ActiveSet(np.arange(3)), 0.0, rng, slack=1.0)
+    assert out.threshold < np.float64(scale) ** 2
+    np.testing.assert_array_equal(out.removed.indices, [0, 1])
+
+
+def test_fired_subnormal_pass_removes_its_argmax():
+    # a seeded pass whose data and draws share one stream; uniform() * max
+    # rounded up to the max score here, and the pass removed nothing
+    src = RandomSource(245)
+    vals = src.normal((10, 2)) * 1e-161
+    out = spectral_filter(vals, ActiveSet.full(10), 0.0, src, 1.0)
+    centered = vals - vals.mean(axis=0)
+    scores = (centered @ out.direction) ** 2
+    assert out.threshold is not None and out.threshold < scores.max()
+    assert int(np.argmax(scores)) in out.removed.indices.tolist()
+
+
 def test_fired_threshold_and_direction_are_pinned():
     # the filter draws k normals, then one uniform for the threshold fraction
     src = RandomSource(77)

@@ -11,6 +11,7 @@ from robustgmm.numerics import (
     centered_cov,
     feasible_descent_norm,
     finite_diff_jacobian,
+    median,
     projected_gradient_critical_point,
     top_eigenvector,
 )
@@ -48,6 +49,20 @@ def test_subset_bounds():
     assert sorted(r.subset(4, 4).tolist()) == [0, 1, 2, 3]
     with pytest.raises(ValueError):
         r.subset(4, 5)
+
+
+# ---------------------------------------------------------------------------
+# median
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 40, 41])
+def test_median_equals_np_median_bit_for_bit(m):
+    x = RandomSource(m).normal(m) * 10.0 ** RandomSource(m + 1).integers(-3, 4, m)
+    # rounding makes ties; adding 0.0 turns its -0.0 into 0.0, whose order
+    # the sort and np.median's partition may break differently
+    for v in (x, np.abs(x), np.round(x) + 0.0, np.zeros(m)):
+        assert median(v).tobytes() == np.median(v).tobytes()
+    assert median(np.round(x)) == np.median(np.round(x))
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,16 @@ def test_desk_all_ones_at_eps_0_3_beats_classical_iv():
     assert robust < iv
 
 
+def test_desk_all_ones_at_eps_0_05_beats_classical_iv():
+    # the committed desk sweep's cell at master seed 1001, eps 0.05, rep 0:
+    # robust 0.146 against classical IV 0.874
+    design, theta, cell_rng = hte_cell(1001, 2000, 10, 0.05, 0, attack=True)
+    robust, iv = robust_and_iv_errors(
+        design, theta, 0.05, cell_rng.child("robust/iterated-gmm-sever")
+    )
+    assert robust < iv
+
+
 def test_semi_negation_at_eps_0_15_keeps_the_sign():
     # the committed semi sweep's cell at master seed 9000, eps 0.15, rep 0;
     # classical IV returns the negated ATE
