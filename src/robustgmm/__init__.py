@@ -4,7 +4,8 @@ Under eps-strong contamination (an adversary replaces up to an eps fraction
 of samples after seeing the data), classical moment estimators can be driven
 arbitrarily far from the truth. This package implements a
 filter-and-reoptimize estimator after the paper's: a spectral outlier
-filter with randomized thresholding, a trust-region moment learner and
+filter with randomized thresholding, a trust-region moment step (one
+linear solve for linear IV, a projected-gradient learner otherwise) and
 probability amplification, run with constants derived from the data. A
 fit is one response screen and amplified filter loop; the paper's
 certified bounds and radius-halving outer loop, whose O(sqrt(eps))

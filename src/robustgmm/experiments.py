@@ -467,7 +467,9 @@ def _block_transform(columns: np.ndarray) -> np.ndarray:
     np.fill_diagonal(cos, 0.0)
     if float(np.max(np.abs(cos))) > _COLLINEARITY_GATE:
         return _whitener(second)
-    rms = np.sqrt(np.mean(columns**2, axis=0))
+    # each column's sum of squares runs over a contiguous row of the squared
+    # transpose, about twice as fast as column means of the narrow block
+    rms = np.sqrt(np.square(columns.T, order="C").sum(axis=1) / len(columns))
     return np.diag(1.0 / np.maximum(rms, 1e-8 * float(rms.max())))
 
 

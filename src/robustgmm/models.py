@@ -70,9 +70,11 @@ class SingleIndexIVModel(ABC):
     summation order differs. The gathers and products stay on row-major
     rows (X[idx] @ w, Z[idx] @ u, sloped.T @ X).
 
-    affine : every g_i is affine in w, so the mean Jacobian does not depend
-             on w. The sever learner then evaluates its objective from the
-             mean moment at 0 and the mean Jacobian, built once per call.
+    affine : every g_i is affine in w, so the mean moment is u0 + J w with
+             u0 the mean moment at 0 and J the constant mean Jacobian.
+             gmm_sever then takes each round's exact minimizer of
+             ||u0 + J w||^2 by one linear solve, and a learner call it falls
+             back to evaluates its objective from u0 and J.
     """
 
     affine: bool = False

@@ -1,12 +1,16 @@
 """Robust GMM estimation: the sever loop and amplification.
 
-gmm_sever screens response outliers, then alternates a constrained learner
-on f(w) = ||mean moment||^2 with two self-calibrated spectral filter passes
-(projected Jacobians, then raw moments), restarting the learner whenever a
-pass removes samples. Every run searches the ball of radius hp.R0 around
-the origin. amplified_gmm_sever repeats that with fresh randomness until a
-run keeps enough samples, and iterated_gmm_sever is the plug-in fit's sever
-stage: one amplified run. Every layer returns the one core.EstimateReport.
+gmm_sever screens response outliers, then alternates a minimization of
+f(w) = ||mean moment||^2 over the ball of radius hp.R0 around the origin
+with two self-calibrated spectral filter passes (projected Jacobians, then
+raw moments), minimizing again whenever a pass removes samples. For an
+affine model (linear IV) f is a convex quadratic, and the step is its exact
+minimizer, one linear solve, whenever that is well posed and inside the
+ball; otherwise, and for every other model, the constrained learner returns
+an approximate critical point. amplified_gmm_sever repeats that with fresh
+randomness until a run keeps enough samples, and iterated_gmm_sever is the
+plug-in fit's sever stage: one amplified run. Every layer returns the one
+core.EstimateReport.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .numerics import (
 __all__ = [
     "ACCEPT_EPS_MULT",
     "AMPLIFY_REPS",
+    "EXACT_FIT_FLOOR",
     "PRACTICE_JAC_SLACK_FACTOR",
     "PRACTICE_RESPONSE_CAP",
     "PRACTICE_SLACK",
@@ -76,6 +81,14 @@ PRACTICE_JAC_SLACK_FACTOR = 5.0
 # are, so the scale estimate has no point masses to break it.
 PRACTICE_RESPONSE_CAP = 60.0
 
+# Neither filter pass runs at an iterate whose mean squared moment row is at
+# most EXACT_FIT_FLOOR times the one at the origin, i.e. whose residuals are
+# about 1e-10 of the responses. The bulk-spectrum bound is scale-free, so on
+# an exact fit it would compare roundoff with roundoff, and whether it fired
+# would depend on the BLAS kernel. Exact fits of noiseless designs read
+# below 1e-25; the desk, paper-scale and semi designs read above 1e-5.
+EXACT_FIT_FLOOR = 1e-20
+
 # amplified_gmm_sever accepts a repetition as soon as its final set keeps at
 # least (1 - ACCEPT_EPS_MULT * eps) * n samples, and makes at most
 # AMPLIFY_REPS of them. Since the survival floor is ceil(2n/3), the
@@ -87,19 +100,25 @@ ACCEPT_EPS_MULT = 10.0
 AMPLIFY_REPS = 3
 
 
+def _affine_terms(model: SingleIndexIVModel, S: ActiveSet):
+    """u0 = E_S g(0) and the constant mean Jacobian J of an affine model,
+    so that E_S g(w) = u0 + J w for every w."""
+    zero = np.zeros(model.param_dim)
+    u0 = model.moments(S.indices, zero).mean(axis=0)
+    return u0, model.mean_jacobian_over(S.indices, zero)
+
+
 def _moment_objective(model: SingleIndexIVModel, S: ActiveSet):
     """f(w) = ||E_S g(w)||^2 with gradient 2 (E_S grad g)^T (E_S g).
 
-    For an affine model E_S g(w) = u0 + J w, with u0 = E_S g(0) and J the
-    constant mean Jacobian; both are built here once, so an evaluation
-    costs O(pd) rather than a pass over the active rows.
+    For an affine model E_S g(w) = u0 + J w (_affine_terms); both are built
+    here once, so an evaluation costs O(pd) rather than a pass over the
+    active rows.
     """
     idx = S.indices
 
     if model.affine:
-        zero = np.zeros(model.param_dim)
-        u0 = model.moments(idx, zero).mean(axis=0)
-        J = model.mean_jacobian_over(idx, zero)
+        u0, J = _affine_terms(model, S)
 
         def objective_grad(w: np.ndarray):
             u = u0 + J @ w
@@ -115,14 +134,47 @@ def _moment_objective(model: SingleIndexIVModel, S: ActiveSet):
     return objective_grad
 
 
+# The exact step of an affine model is taken only when sigma_min(J) exceeds
+# this fraction of the size of the per-row Jacobians (row_scale in
+# gmm_sever). The scale is absolute on purpose: a J that is pure
+# cancellation roundoff (instrument rows in exact +/- pairs) can have a tame
+# condition number sigma_max / sigma_min, and solving it moves w by O(1) on
+# a moment that is zero for every w. That J reads 4e-18 to 3e-17 of the
+# per-row size; the rescaled desk, paper-scale and semi designs read 0.02
+# to 0.12.
+_SOLVE_RTOL = 1e-8
+
+
+def _exact_step(u0: np.ndarray, J: np.ndarray, row_scale: float, radius: float):
+    """The minimizer of ||u0 + J w||^2, or None unless it is well posed.
+
+    Solves J w = -u0 when J is square and by least squares when it has more
+    rows; returns None when p > k, when sigma_min(J) is at most
+    _SOLVE_RTOL * row_scale, or when the solution is not finite or leaves
+    the ball ||w|| <= radius.
+    """
+    k, p = J.shape
+    if k < p or not (np.isfinite(J).all() and np.isfinite(u0).all()):
+        return None
+    if not np.linalg.svd(J, compute_uv=False)[-1] > _SOLVE_RTOL * row_scale:
+        return None
+    w = np.linalg.solve(J, -u0) if k == p else np.linalg.lstsq(J, -u0, rcond=None)[0]
+    if not (np.isfinite(w).all() and float(w @ w) <= radius * radius):
+        return None
+    return w
+
+
 def gmm_sever(
     model: SingleIndexIVModel, hp: HyperParams, rng: RandomSource
 ) -> EstimateReport:
     """Run the filter-until-stable sever loop on the full sample.
 
-    The learner searches the ball of radius hp.R0 around the origin and
-    stops at hp.gamma. Residuals at the origin more than
-    PRACTICE_RESPONSE_CAP MADs out are screened first. Each pass then
+    Residuals at the origin more than PRACTICE_RESPONSE_CAP MADs out are
+    screened first. Each round then minimizes over the ball of radius hp.R0
+    around the origin, by _exact_step for an affine model and otherwise by
+    the learner, which stops at hp.gamma (learner_tolerance_unmet counts
+    the calls that missed it). No pass runs on moment rows below
+    EXACT_FIT_FLOOR of those at the origin. Each pass then
     self-calibrates to the bulk of its score covariance spectrum (mean of
     the non-top eigenvalues) at PRACTICE_SLACK, the Jacobian pass at
     PRACTICE_JAC_SLACK_FACTOR times that, so it fires only when one
@@ -135,8 +187,8 @@ def gmm_sever(
     a blind spot for corruptions spread evenly across directions.
 
     Aborts with FilterExhaustedError once fewer than max(1, ceil(2n/3))
-    samples survive; each learner restart is warm-started from the previous
-    critical point.
+    samples survive; each learner call is warm-started from the previous
+    round's point.
     """
     n = model.n_samples
     origin = np.zeros(model.param_dim)
@@ -149,6 +201,17 @@ def gmm_sever(
                 f"filter exhausted sample set: {len(kept)} of {n} remain"
             )
         return kept
+
+    # the mean squared moment row at the origin, the scale an exact fit's
+    # roundoff is measured against
+    g0 = model.moments(S.indices, origin)
+    origin_scale = float(np.mean(np.sum(g0 * g0, axis=1)))
+    if model.affine:
+        # the per-row Jacobians are the rank-one f'(0) Z_i X_i^T; the product
+        # of the root-mean-square row norms of f'(0) Z and X bounds their mean
+        # Frobenius norm, and is the absolute scale _exact_step reads
+        sloped, X = model.sloped_instruments(S.indices, origin), model.data.X
+        row_scale = math.sqrt(np.vdot(sloped, sloped) * np.vdot(X, X)) / n
 
     events = []
     unmet = 0
@@ -170,32 +233,41 @@ def gmm_sever(
 
     while True:
         rounds += 1
-        prob = CriticalPointProblem(
-            objective_grad=_moment_objective(model, S),
-            center=origin,
-            radius=hp.R0,
-            gamma=hp.gamma,
-            x0=warm,
-        )
-        learned = projected_gradient_critical_point(prob)
-        unmet += not learned.tolerance_met
-        w = learned.x
+        w = None
+        if model.affine:
+            u0, J = _affine_terms(model, S)
+            w = _exact_step(u0, J, row_scale, hp.R0)
+        if w is None:
+            prob = CriticalPointProblem(
+                objective_grad=_moment_objective(model, S),
+                center=origin,
+                radius=hp.R0,
+                gamma=hp.gamma,
+                x0=warm,
+            )
+            learned = projected_gradient_critical_point(prob)
+            unmet += not learned.tolerance_met
+            w = learned.x
         moment_scores = model.moments(S.indices, w)
         u = moment_scores.mean(axis=0)
         # The bulk-spectrum bound is scale-free, so projected-Jacobian
-        # scores taken along a mean moment that is pure roundoff (the
-        # learner can zero an exactly identified system to machine
-        # precision) would be filtered along a meaningless direction.
+        # scores taken along a mean moment that is pure roundoff (the exact
+        # step zeroes an exactly identified system to machine precision, and
+        # the learner can) would be filtered along a meaningless direction.
         # Below the noise floor the mean moment is harmless at this
         # iterate and the raw-moment pass is the active defense.
         mom_scale = float(np.mean(np.sum(moment_scores * moment_scores, axis=1)))
         noise_floor = 1e-16 * max(mom_scale / len(S), 1e-300)
 
-        passes = [("moment", "mom", moment_scores, PRACTICE_SLACK)]
-        if float(u @ u) > noise_floor:
-            jac_scores = model.jacobian_dot(S.indices, w, u)
-            jac_slack = PRACTICE_SLACK * PRACTICE_JAC_SLACK_FACTOR
-            passes.insert(0, ("jacobian", "jac", jac_scores, jac_slack))
+        passes = []
+        # Moment rows at roundoff of the rows at the origin mean an exact
+        # fit (a noiseless design), where neither pass has a signal to test.
+        if mom_scale > EXACT_FIT_FLOOR * origin_scale:
+            passes.append(("moment", "mom", moment_scores, PRACTICE_SLACK))
+            if float(u @ u) > noise_floor:
+                jac_scores = model.jacobian_dot(S.indices, w, u)
+                jac_slack = PRACTICE_SLACK * PRACTICE_JAC_SLACK_FACTOR
+                passes.insert(0, ("jacobian", "jac", jac_scores, jac_slack))
         for kind, label, scores, slack in passes:
             out = spectral_filter(
                 scores, S, robust_score_bound, rng.child(f"{label}-{rounds}"), slack

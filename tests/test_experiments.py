@@ -349,7 +349,9 @@ def test_derive_hyperparams_diagnoses_the_given_model():
 @pytest.mark.parametrize("eps", [0.0, 0.01, 0.3])
 def test_plugin_gamma_is_the_learner_level(monkeypatch, eps):
     # gamma is the PRACTICE_LEARNER_TOL level at every eps, eps = 0
-    # included, and the learner stops at exactly the gamma the report shows
+    # included, and the learner stops at exactly the gamma the report shows.
+    # A linear fit takes the exact step whenever it is well posed, so the
+    # step is refused here and every round falls back to the learner.
     data, _ = make_linear_dataset(seed=3, n=200, d=2, noise=0.5)
     wx, wz = _block_transform(data.X), _block_transform(data.Z)
     scaled = LinearIVModel(Dataset(X=data.X @ wx, Y=data.Y, Z=data.Z @ wz))
@@ -360,6 +362,7 @@ def test_plugin_gamma_is_the_learner_level(monkeypatch, eps):
         seen.append(prob.gamma)
         return learner(prob)
 
+    monkeypatch.setattr(sever_mod, "_exact_step", lambda *args: None)
     monkeypatch.setattr(sever_mod, "projected_gradient_critical_point", spy)
     oracle = np.linalg.solve(data.Z.T @ data.X, data.Z.T @ data.Y)
     report = robust_linear_estimate(data, eps, RandomSource(3))
@@ -466,8 +469,10 @@ def test_block_transform_survives_zero_columns():
 def reference_block_transform(columns):
     # the block transform before its gate read the second-moment matrix:
     # the gate took the cosines of the rms-scaled columns, and the whitener
-    # formed the second-moment matrix again
-    rms = np.sqrt(np.mean(columns**2, axis=0))
+    # formed the second-moment matrix again; the rms is the one the
+    # transform's diagonal branch defines (a pairwise sum over the squared
+    # transpose)
+    rms = np.sqrt(np.square(columns.T, order="C").sum(axis=1) / len(columns))
     if not np.all(np.isfinite(rms)):
         raise EstimationError("column scale overflows float64; rescale the columns")
     top = float(rms.max(initial=0.0))

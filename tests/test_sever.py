@@ -125,7 +125,9 @@ class KernelPathIdentityIV(SingleIndexIVModel):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_two_method_link_fits_like_linear_iv(seed):
+def test_two_method_link_fits_like_linear_iv(monkeypatch, seed):
+    # a non-affine link keeps the learner; so does LinearIVModel once its
+    # exact step is refused, and then both fits agree
     src = RandomSource(seed)
     base, _ = gen_synthetic_hte(2000, 5, src.child("dgp"))
     base, _ = corrupt_all_ones(base, 0.1, src.child("attack"))
@@ -134,8 +136,12 @@ def test_two_method_link_fits_like_linear_iv(seed):
     assert linear.affine and not kernel_path.affine
     hp = derive_hyperparams(linear, 0.1)
     assert derive_hyperparams(kernel_path, 0.1) == hp
-    want = iterated_gmm_sever(linear, hp, src.child("fit"))
+    learner_calls = []
+    count_calls(monkeypatch, sever_mod, "projected_gradient_critical_point", learner_calls)
     got = iterated_gmm_sever(kernel_path, hp, src.child("fit"))
+    assert len(learner_calls) == got.rounds
+    monkeypatch.setattr(sever_mod, "_exact_step", lambda *args: None)
+    want = iterated_gmm_sever(linear, hp, src.child("fit"))
     np.testing.assert_array_equal(got.final_set.indices, want.final_set.indices)
     np.testing.assert_allclose(got.w_hat, want.w_hat, rtol=1e-6)
 
@@ -182,17 +188,115 @@ def test_score_layout_moves_no_fit_decision(kind):
 
 
 # ---------------------------------------------------------------------------
+# the exact step of an affine model
+
+
+def spy_returns(monkeypatch, name, log):
+    inner = getattr(sever_mod, name)
+
+    def spied(*args):
+        out = inner(*args)
+        log.append((args, out))
+        return out
+
+    monkeypatch.setattr(sever_mod, name, spied)
+
+
+def test_exact_step_is_iv_on_the_first_active_set(monkeypatch):
+    # round 1 of a desk cell: the step solves the active rows' moment
+    # equation, which is classical IV on those rows of the rescaled design
+    design, eps, rng = scaled_cell("desk")
+    model = LinearIVModel(design)
+    terms, steps = [], []
+    spy_returns(monkeypatch, "_affine_terms", terms)
+    spy_returns(monkeypatch, "_exact_step", steps)
+    iterated_gmm_sever(model, derive_hyperparams(model, eps), rng)
+    idx = terms[0][0][1].indices
+    w = steps[0][1]
+    Z_S, X_S, Y_S = design.Z[idx], design.X[idx], design.Y[idx]
+    oracle = np.linalg.solve(Z_S.T @ X_S, Z_S.T @ Y_S)
+    assert np.linalg.norm(w - oracle) <= 1e-10 * np.linalg.norm(oracle)
+    assert all(w is not None for _, w in steps)
+
+
+def test_exact_step_outside_the_ball_falls_back_to_the_learner(monkeypatch, rng):
+    # the interior minimizer (near the truth, norm above 1) leaves a ball of
+    # radius 0.1, so every round runs the learner, which stops on the sphere
+    data, w_true = make_linear_dataset(seed=8, n=50, d=2, noise=1.0)
+    model = LinearIVModel(data)
+    hp = HyperParams(eps=0.05, R0=0.1, gamma=1e-8)
+    steps, learner_calls = [], []
+    spy_returns(monkeypatch, "_exact_step", steps)
+    count_calls(monkeypatch, sever_mod, "projected_gradient_critical_point", learner_calls)
+    res = gmm_sever(model, hp, rng)
+    u0, J = sever_mod._affine_terms(model, ActiveSet.full(model.n_samples))
+    assert np.linalg.norm(np.linalg.solve(J, -u0)) > 1.0
+    assert [w for _, w in steps] == [None] * res.rounds
+    assert len(learner_calls) == res.rounds
+    assert 0.1 * (1 - 1e-6) <= np.linalg.norm(res.w_hat) <= 0.1 + 1e-9
+
+
+def test_exact_step_refuses_ill_posed_systems():
+    step = sever_mod._exact_step
+    src = RandomSource(3)
+    J, u0 = src.normal((3, 3)), src.normal(3)
+    np.testing.assert_array_equal(step(u0, J, 1.0, 1e6), np.linalg.solve(J, -u0))
+    # more moments than parameters: the least-squares solution
+    J_tall, u_tall = src.normal((5, 3)), src.normal(5)
+    np.testing.assert_array_equal(
+        step(u_tall, J_tall, 1.0, 1e6), np.linalg.lstsq(J_tall, -u_tall, rcond=None)[0]
+    )
+    assert step(u0, J, 1.0, 1e-3) is None  # outside the ball
+    assert step(u0[:2], J[:2], 1.0, 1e6) is None  # fewer moments than parameters
+    bad = J.copy()
+    bad[0, 0] = np.nan
+    assert step(u0, bad, 1.0, 1e6) is None
+    # a Jacobian of pure roundoff, well conditioned relative to itself but
+    # 1e-16 of the per-row size, is refused
+    assert step(1e-16 * u0, 1e-16 * J, 1.0, 1e6) is None
+    assert step(1e-16 * u0, 1e-16 * J, 1e-16, 1e6) is not None
+
+
+def test_logistic_fit_is_unchanged_by_the_exact_step(monkeypatch):
+    # a logistic fit never builds or solves the affine system, and it returns
+    # what it returned before the exact step existed: the final set and
+    # events exactly, w_hat to roundoff (other BLAS kernels move its last
+    # bits, about 1e-13 relative; ROADMAP item 15)
+    def forbidden(*args):
+        raise AssertionError("the logistic path reached the affine solve")
+
+    monkeypatch.setattr(sever_mod, "_affine_terms", forbidden)
+    monkeypatch.setattr(sever_mod, "_exact_step", forbidden)
+    data, w_true = make_linear_dataset(seed=0, n=400, d=2, noise=0.5)
+    Y = (RandomSource(100).uniform(400) < logistic(data.X @ w_true)).astype(np.float64)
+    Z = data.Z.copy()
+    Z[:40] = 4.0  # planted instrument rows
+    report = robust_linear_estimate(
+        Dataset(X=data.X, Y=Y, Z=Z), 0.1, RandomSource(0), model_kind="logistic"
+    )
+    removed = np.setdiff1d(np.arange(400), report.final_set.indices)
+    assert removed.tolist() == [3, 7, 10, 16, 18, 19, 20, 22, 26, 30, 31, 32, 34, 35, 36]
+    assert [e[:3] for e in report.events] == [
+        (1, "jacobian", 0), (1, "moment", 15), (2, "jacobian", 0), (2, "moment", 0)
+    ]
+    np.testing.assert_allclose(
+        report.w_hat, [-1.7371128472093167, 1.1772763046571129], rtol=1e-12
+    )
+    assert report.diagnostics["learner_tolerance_unmet"] == 0.0
+
+
+# ---------------------------------------------------------------------------
 # gmm_sever
 
 
 def test_clean_noiseless_recovery(rng):
-    # At the exact fit every moment row is roundoff and the bulk-spectrum
-    # bound is scale-free, so the moment pass may drop a row; on a noiseless
-    # design that costs nothing, and the estimate is still the truth.
+    # At the exact fit every moment row is roundoff, and the bulk-spectrum
+    # bound is scale-free, so a pass would compare roundoff with roundoff;
+    # below EXACT_FIT_FLOOR neither pass runs, and every row stays.
     data, w_true = make_linear_dataset(seed=7, n=80, d=3, noise=0.0)
     hp = HyperParams(eps=0.05, R0=10.0, gamma=1e-8)
     res = gmm_sever(LinearIVModel(data), hp, rng)
-    assert len(res.final_set) >= 78
+    assert len(res.final_set) == 80 and res.events == ()
     assert np.linalg.norm(res.w_hat - w_true) <= 1e-4
     assert np.linalg.norm(res.w_hat) <= 10.0 + 1e-9
 
@@ -443,11 +547,11 @@ def test_iterated_noiseless_converges_to_truth(rng):
     hp = HyperParams(eps=0.04, R0=4.0, gamma=1e-6)
     report = iterated_gmm_sever(LinearIVModel(data), hp, rng)
     assert np.linalg.norm(report.w_hat - w_true) <= 1e-3
-    # roundoff-level moment rows can still fire the scale-free moment pass
-    # (see test_clean_noiseless_recovery); this stream's first run is cut
-    # below the floor and amplification retries it
-    assert len(report.final_set) >= 27
-    assert report.diagnostics["outer_rounds"] == 2.0
+    # the exact fit's moment rows are roundoff, below EXACT_FIT_FLOOR, so no
+    # pass runs and the first run keeps every row (see
+    # test_clean_noiseless_recovery)
+    assert len(report.final_set) == 40
+    assert report.diagnostics["outer_rounds"] == 1.0
 
 
 def test_third_run_fits_desk_cell_where_two_abort(monkeypatch):
@@ -536,10 +640,11 @@ def test_plugin_fit_is_one_sever_run(monkeypatch, model_kind, eps):
 
 
 def test_plugin_fit_retries_an_exhausted_run(monkeypatch):
-    # A desk-preset cell (master seed 31006, eps=0.3, rep 2) whose first
-    # practice run strips the sample set to 263 of 2000 rows; the plug-in
-    # fit must repeat it on a fresh stream instead of failing the cell.
-    cell_rng = RandomSource(31006).child("eps=0.3/rep=2")
+    # A desk-preset cell (master seed 31050, eps=0.3, rep 3) whose first
+    # practice run cuts the sample set to 1289 of 2000 rows, below the
+    # floor; the plug-in fit must repeat it on a fresh stream instead of
+    # failing the cell.
+    cell_rng = RandomSource(31050).child("eps=0.3/rep=3")
     base, _ = gen_synthetic_hte(2000, 10, cell_rng.child("dgp"))
     base, _ = corrupt_all_ones(base, 0.3, cell_rng.child("attack"))
     runs = []
@@ -548,5 +653,6 @@ def test_plugin_fit_retries_an_exhausted_run(monkeypatch):
         hte_design(base), 0.3, cell_rng.child("robust/iterated-gmm-sever")
     )
     assert isinstance(runs[0], FilterExhaustedError) and len(runs) == 2
-    assert len(report.final_set) == len(runs[1].final_set) == 1767
+    assert "1289 of 2000 remain" in str(runs[0])
+    assert len(report.final_set) == len(runs[1].final_set) == 1744
     assert report.diagnostics["outer_rounds"] == 2.0
