@@ -4,8 +4,9 @@
     python3 scripts/regime_scan.py --out scan.json
     python3 scripts/regime_scan.py --compare parent.json change.json
 
-The battery (BATTERY) holds three regimes, each cell on the stream a sweep
-gives it, so a scan cell is the robust row of the same sweep cell:
+The battery (BATTERY) holds three regimes; each cell is built by
+experiments.sweep_cell, as the sweeps build it, so a scan cell is the
+robust row of the same sweep cell:
 - desk: all-ones attack, synth-sweep seeds 1001-1040 over the desk grid;
 - paper: all-ones attack, synth-sweep seeds 4001-4010 over the paper grid
   at rep 0;
@@ -19,8 +20,9 @@ and w_hat. --compare pairs two scans cell by cell and prints, per regime and
 eps, the mean change in error (second minus first) with its standard error,
 or the positive-ATE counts on semi; the cells that moved; the aborts; and
 the largest relative w_hat drift. It is a report, not a gate: it always
-exits 0 once both files load. To scan another tree, copy this script into
-its scripts/ directory and run it there.
+exits 0 once both files load. A scan runs the robustgmm of the checkout
+the script sits in; to scan another checkout that has
+experiments.sweep_cell, run its copy of this script.
 """
 
 from __future__ import annotations
@@ -38,71 +40,53 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np
 
-from robustgmm import (
-    CARD_STANDIN_COLUMNS,
-    EstimationError,
-    RandomSource,
-    load_csv,
-    robust_linear_estimate,
-    scalar_treatment_design,
-)
-from robustgmm.experiments import corrupt_all_ones, corrupt_negation, gen_synthetic_hte
-from robustgmm.models import hte_design
+from robustgmm.experiments import FIT_FAILURES, SweepConfig, sweep_cell
+
+SEMI_INPUT = str(ROOT / "data" / "card_standin.csv")
 
 
 @dataclass(frozen=True)
 class Regime:
-    """Cells (seed, eps, rep) of one attack; kind is "synthetic" or "semi"."""
+    """Every cell (eps, rep) of config's sweep at each master seed."""
 
-    kind: str
+    config: SweepConfig
     seeds: tuple
-    eps_grid: tuple
-    reps: int
-    n: int = 0
-    d: int = 0
+
+
+def _grid(kind, eps_grid, reps, **fields):
+    return SweepConfig(kind, eps_grid, reps, seed=0, **fields)
 
 
 BATTERY = {
-    "desk": Regime("synthetic", tuple(range(1001, 1041)), (0.05, 0.1, 0.2, 0.3), 5,
-                   n=2000, d=10),
-    "paper": Regime("synthetic", tuple(range(4001, 4011)),
-                    (0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45), 1,
-                    n=10000, d=20),
-    "semi": Regime("semi", (9000,), (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45),
-                   10),
+    "desk": Regime(_grid("synthetic", (0.05, 0.1, 0.2, 0.3), 5, n=2000, d=10),
+                   tuple(range(1001, 1041))),
+    "paper": Regime(_grid("synthetic",
+                          (0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45), 1,
+                          n=10000, d=20),
+                    tuple(range(4001, 4011))),
+    "semi": Regime(_grid("semi", (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45), 10,
+                         attack="negation", data_path=SEMI_INPUT),
+                   (9000,)),
 }
 
 
-def _cell_rng(seed: int, eps: float, rep: int) -> RandomSource:
-    # the sweep's cell stream (experiments._run_cell)
-    return RandomSource(seed).child(f"eps={eps:.6g}/rep={rep}")
-
-
-def fit_cell(regime: Regime, semi_design, seed: int, eps: float, rep: int) -> dict:
-    """Record one cell's robust fit; semi_design is the clean semi design."""
-    cell_rng = _cell_rng(seed, eps, rep)
-    if regime.kind == "synthetic":
-        base, theta = gen_synthetic_hte(regime.n, regime.d, cell_rng.child("dgp"))
-        base, planted = corrupt_all_ones(base, eps, cell_rng.child("attack"))
-        design = hte_design(base)
-    else:
-        design, planted = corrupt_negation(semi_design, eps, cell_rng.child("attack"))
+def fit_cell(cfg: SweepConfig, seed: int, eps: float, rep: int) -> dict:
+    """Record the robust fit of cell (eps, rep) of cfg's sweep at seed."""
+    cell = sweep_cell(cfg, seed, eps, rep)
     record = {"seed": seed, "eps": eps, "rep": rep, "aborted": False}
     try:
-        report = robust_linear_estimate(
-            design, eps, cell_rng.child("robust/iterated-gmm-sever")
-        )
-    except EstimationError:
+        report = cell.robust_fit(eps)
+    except FIT_FAILURES:
         record["aborted"] = True
         return record
     kept = report.final_set.indices
     w = report.w_hat
-    if regime.kind == "synthetic":
-        record["error"] = float(np.linalg.norm(w - theta))
+    if cell.theta is not None:
+        record["error"] = float(np.linalg.norm(w - cell.theta))
     else:
         record["ate"] = float(w[0])
     record["kept"] = len(kept)
-    record["planted_kept"] = int(np.isin(planted, kept).sum())
+    record["planted_kept"] = int(np.isin(cell.planted, kept).sum())
     record["set_hash"] = hashlib.blake2b(kept.tobytes(), digest_size=8).hexdigest()
     record["w_hat"] = [float(v) for v in w]
     return record
@@ -110,16 +94,12 @@ def fit_cell(regime: Regime, semi_design, seed: int, eps: float, rep: int) -> di
 
 def scan(battery: dict) -> dict:
     """Fit every cell of battery; regime name -> list of cell records."""
-    semi_design = None
-    if any(r.kind == "semi" for r in battery.values()):
-        columns = load_csv(ROOT / "data" / "card_standin.csv", CARD_STANDIN_COLUMNS)
-        semi_design = scalar_treatment_design(columns)
     return {
         name: [
-            fit_cell(regime, semi_design, seed, eps, rep)
+            fit_cell(regime.config, seed, eps, rep)
             for seed in regime.seeds
-            for eps in regime.eps_grid
-            for rep in range(regime.reps)
+            for eps in regime.config.eps_grid
+            for rep in range(regime.config.repetitions)
         ]
         for name, regime in battery.items()
     }

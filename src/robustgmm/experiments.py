@@ -50,6 +50,9 @@ __all__ = [
     "derive_hyperparams",
     "robust_linear_estimate",
     "SweepConfig",
+    "SweepCell",
+    "sweep_cell",
+    "FIT_FAILURES",
     "SweepRow",
     "run_sweep",
     "aggregate_rows",
@@ -467,9 +470,7 @@ def _block_transform(columns: np.ndarray) -> np.ndarray:
     np.fill_diagonal(cos, 0.0)
     if float(np.max(np.abs(cos))) > _COLLINEARITY_GATE:
         return _whitener(second)
-    # each column's sum of squares runs over a contiguous row of the squared
-    # transpose, about twice as fast as column means of the narrow block
-    rms = np.sqrt(np.square(columns.T, order="C").sum(axis=1) / len(columns))
+    rms = np.sqrt(np.mean(columns**2, axis=0))
     return np.diag(1.0 / np.maximum(rms, 1e-8 * float(rms.max())))
 
 
@@ -602,20 +603,46 @@ def _semi_design(cfg: SweepConfig) -> Dataset:
     return scalar_treatment_design(base, intercept=cfg.intercept)
 
 
-def _run_cell(cfg: SweepConfig, master_seed: int, eps: float, rep: int):
+# the errors that make one estimator's fit of a sweep cell a failed row
+FIT_FAILURES = (EstimationError, np.linalg.LinAlgError)
+
+
+@dataclass(frozen=True)
+class SweepCell:
+    """One sweep cell before any fit: its random stream, the design every
+    estimator sees, the true effect vector (None on a semi design) and the
+    indices of the rows the attack planted (empty without one)."""
+
+    rng: RandomSource
+    design: Dataset
+    theta: Optional[np.ndarray]
+    planted: np.ndarray
+
+    def robust_fit(self, eps: float, name: str = ESTIMATOR_NAMES[0]) -> EstimateReport:
+        """The robust estimator's fit of the cell, on its stream robust/<name>."""
+        return robust_linear_estimate(self.design, eps, self.rng.child(f"robust/{name}"))
+
+
+def sweep_cell(cfg: SweepConfig, master_seed: int, eps: float, rep: int) -> SweepCell:
+    """Cell (eps, rep) of cfg's sweep at master_seed, as run_sweep builds it."""
     cell_rng = RandomSource(master_seed).child(f"eps={_eps_label(eps)}/rep={rep}")
+    planted = np.empty(0, dtype=np.int64)
     if cfg.kind == "synthetic":
         base, theta = gen_synthetic_hte(cfg.n, cfg.d, cell_rng.child("dgp"))
         if cfg.attack == "all-ones":
-            base, _ = corrupt_all_ones(base, eps, cell_rng.child("attack"))
+            base, planted = corrupt_all_ones(base, eps, cell_rng.child("attack"))
         design = hte_design(base)
-        metric = "l2_error"
     else:
-        design = _semi_design(cfg)
+        design, theta = _semi_design(cfg), None
         if cfg.attack == "negation":
-            design, _ = corrupt_negation(design, eps, cell_rng.child("attack"))
-        theta = None
-        metric = "ate"
+            design, planted = corrupt_negation(design, eps, cell_rng.child("attack"))
+    return SweepCell(cell_rng, design, theta, planted)
+
+
+def _run_cell(cfg: SweepConfig, master_seed: int, eps: float, rep: int):
+    cell = sweep_cell(cfg, master_seed, eps, rep)
+    design, theta = cell.design, cell.theta
+    metric = "l2_error" if cfg.kind == "synthetic" else "ate"
 
     rows = []
     for name in cfg.estimators:
@@ -629,14 +656,12 @@ def _run_cell(cfg: SweepConfig, master_seed: int, eps: float, rep: int):
                 elif name == "two-stage-huber":
                     w = two_stage_huber(design)
                 else:
-                    w = robust_linear_estimate(
-                        design, eps, cell_rng.child(f"robust/{name}")
-                    ).w_hat
+                    w = cell.robust_fit(eps, name).w_hat
             if cfg.kind == "synthetic":
                 value = float(np.linalg.norm(w - theta))
             else:
                 value = float(w[0])
-        except (EstimationError, np.linalg.LinAlgError):
+        except FIT_FAILURES:
             value = None
         runtime_ms = (time.perf_counter() - start) * 1000.0
         rows.append(
@@ -645,7 +670,7 @@ def _run_cell(cfg: SweepConfig, master_seed: int, eps: float, rep: int):
                 estimator=name,
                 metric=metric,
                 value=value,
-                seed=cell_rng.seed,
+                seed=cell.rng.seed,
                 runtime_ms=runtime_ms if cfg.stamp_runtime else 0.0,
             )
         )

@@ -39,7 +39,6 @@ from .numerics import (
 __all__ = [
     "ACCEPT_EPS_MULT",
     "AMPLIFY_REPS",
-    "EXACT_FIT_FLOOR",
     "PRACTICE_JAC_SLACK_FACTOR",
     "PRACTICE_RESPONSE_CAP",
     "PRACTICE_SLACK",
@@ -81,13 +80,24 @@ PRACTICE_JAC_SLACK_FACTOR = 5.0
 # are, so the scale estimate has no point masses to break it.
 PRACTICE_RESPONSE_CAP = 60.0
 
-# Neither filter pass runs at an iterate whose mean squared moment row is at
-# most EXACT_FIT_FLOOR times the one at the origin, i.e. whose residuals are
-# about 1e-10 of the responses. The bulk-spectrum bound is scale-free, so on
-# an exact fit it would compare roundoff with roundoff, and whether it fired
-# would depend on the BLAS kernel. Exact fits of noiseless designs read
-# below 1e-25; the desk, paper-scale and semi designs read above 1e-5.
-EXACT_FIT_FLOOR = 1e-20
+# A filter pass skips when the quantity it tests is at most _ROUNDOFF_FLOOR
+# times the squared size of a moment row's signal, the screened residuals'
+# mean squared spread about their median (their mean square when every one
+# sits at the median) times the mean squared instrument row: the moment pass
+# tests the mean squared moment row, which an exact fit of a noiseless
+# design leaves at roundoff, and the projected-Jacobian pass the squared
+# mean moment, which an exactly identified system solved to machine
+# precision leaves at roundoff. The bulk-spectrum bound is scale-free, so on
+# roundoff it would compare roundoff with roundoff, and whether it fired
+# would depend on the BLAS kernel. The squared mean moment never exceeds the
+# mean squared row, so the Jacobian pass only runs where the moment pass
+# does. Against that signal scale, exact fits of noiseless designs read
+# below 1e-26; on the desk, paper-scale and semi designs the mean squared
+# row reads 0.03 to 0.7, and the squared mean moment after an exactly
+# identified solve below 1e-28. The screen runs first, so a response it
+# drops cannot inflate the scale, and the spread is taken about the median,
+# so shifting every response does not move it.
+_ROUNDOFF_FLOOR = 1e-20
 
 # amplified_gmm_sever accepts a repetition as soon as its final set keeps at
 # least (1 - ACCEPT_EPS_MULT * eps) * n samples, and makes at most
@@ -108,6 +118,16 @@ def _affine_terms(model: SingleIndexIVModel, S: ActiveSet):
     return u0, model.mean_jacobian_over(S.indices, zero)
 
 
+def _affine_objective(u0: np.ndarray, J: np.ndarray):
+    """f(w) = ||u0 + J w||^2 with gradient 2 J^T (u0 + J w), O(pd) a call."""
+
+    def objective_grad(w: np.ndarray):
+        u = u0 + J @ w
+        return float(u @ u), 2.0 * (J.T @ u)
+
+    return objective_grad
+
+
 def _moment_objective(model: SingleIndexIVModel, S: ActiveSet):
     """f(w) = ||E_S g(w)||^2 with gradient 2 (E_S grad g)^T (E_S g).
 
@@ -118,13 +138,7 @@ def _moment_objective(model: SingleIndexIVModel, S: ActiveSet):
     idx = S.indices
 
     if model.affine:
-        u0, J = _affine_terms(model, S)
-
-        def objective_grad(w: np.ndarray):
-            u = u0 + J @ w
-            return float(u @ u), 2.0 * (J.T @ u)
-
-        return objective_grad
+        return _affine_objective(*_affine_terms(model, S))
 
     def objective_grad(w: np.ndarray):
         u = model.moments(idx, w).mean(axis=0)
@@ -173,8 +187,8 @@ def gmm_sever(
     screened first. Each round then minimizes over the ball of radius hp.R0
     around the origin, by _exact_step for an affine model and otherwise by
     the learner, which stops at hp.gamma (learner_tolerance_unmet counts
-    the calls that missed it). No pass runs on moment rows below
-    EXACT_FIT_FLOOR of those at the origin. Each pass then
+    the calls that missed it). A pass whose scores are roundoff
+    (_ROUNDOFF_FLOOR) is skipped. Each pass then
     self-calibrates to the bulk of its score covariance spectrum (mean of
     the non-top eigenvalues) at PRACTICE_SLACK, the Jacobian pass at
     PRACTICE_JAC_SLACK_FACTOR times that, so it fires only when one
@@ -202,10 +216,6 @@ def gmm_sever(
             )
         return kept
 
-    # the mean squared moment row at the origin, the scale an exact fit's
-    # roundoff is measured against
-    g0 = model.moments(S.indices, origin)
-    origin_scale = float(np.mean(np.sum(g0 * g0, axis=1)))
     if model.affine:
         # the per-row Jacobians are the rank-one f'(0) Z_i X_i^T; the product
         # of the root-mean-square row norms of f'(0) Z and X bounds their mean
@@ -230,6 +240,12 @@ def gmm_sever(
             break
         S = shrink(ActiveSet(S.indices[keep_mask]))
         events.append((0, "response", int((~keep_mask).sum()), float(dev.max() / mad)))
+    # the roundoff level of both passes (_ROUNDOFF_FLOOR), from the screened
+    # residuals at the center (their square when all sit at the median) and
+    # every instrument row
+    Z = model.data.Z
+    spread = float(dev @ dev) or float(res @ res)
+    roundoff = _ROUNDOFF_FLOOR * spread / len(S) * float(np.vdot(Z, Z)) / n
 
     while True:
         rounds += 1
@@ -238,8 +254,12 @@ def gmm_sever(
             u0, J = _affine_terms(model, S)
             w = _exact_step(u0, J, row_scale, hp.R0)
         if w is None:
+            if model.affine:
+                objective = _affine_objective(u0, J)  # this round's terms
+            else:
+                objective = _moment_objective(model, S)
             prob = CriticalPointProblem(
-                objective_grad=_moment_objective(model, S),
+                objective_grad=objective,
                 center=origin,
                 radius=hp.R0,
                 gamma=hp.gamma,
@@ -250,21 +270,13 @@ def gmm_sever(
             w = learned.x
         moment_scores = model.moments(S.indices, w)
         u = moment_scores.mean(axis=0)
-        # The bulk-spectrum bound is scale-free, so projected-Jacobian
-        # scores taken along a mean moment that is pure roundoff (the exact
-        # step zeroes an exactly identified system to machine precision, and
-        # the learner can) would be filtered along a meaningless direction.
-        # Below the noise floor the mean moment is harmless at this
-        # iterate and the raw-moment pass is the active defense.
         mom_scale = float(np.mean(np.sum(moment_scores * moment_scores, axis=1)))
-        noise_floor = 1e-16 * max(mom_scale / len(S), 1e-300)
-
         passes = []
-        # Moment rows at roundoff of the rows at the origin mean an exact
-        # fit (a noiseless design), where neither pass has a signal to test.
-        if mom_scale > EXACT_FIT_FLOOR * origin_scale:
+        if mom_scale > roundoff:
             passes.append(("moment", "mom", moment_scores, PRACTICE_SLACK))
-            if float(u @ u) > noise_floor:
+            # a mean moment at roundoff is harmless at this iterate, and the
+            # raw-moment pass is the active defense
+            if float(u @ u) > roundoff:
                 jac_scores = model.jacobian_dot(S.indices, w, u)
                 jac_slack = PRACTICE_SLACK * PRACTICE_JAC_SLACK_FACTOR
                 passes.insert(0, ("jacobian", "jac", jac_scores, jac_slack))

@@ -469,10 +469,8 @@ def test_block_transform_survives_zero_columns():
 def reference_block_transform(columns):
     # the block transform before its gate read the second-moment matrix:
     # the gate took the cosines of the rms-scaled columns, and the whitener
-    # formed the second-moment matrix again; the rms is the one the
-    # transform's diagonal branch defines (a pairwise sum over the squared
-    # transpose)
-    rms = np.sqrt(np.square(columns.T, order="C").sum(axis=1) / len(columns))
+    # formed the second-moment matrix again
+    rms = np.sqrt(np.mean(columns**2, axis=0))
     if not np.all(np.isfinite(rms)):
         raise EstimationError("column scale overflows float64; rescale the columns")
     top = float(rms.max(initial=0.0))

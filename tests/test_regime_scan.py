@@ -1,12 +1,18 @@
 import copy
 import json
+from dataclasses import replace
+
+import numpy as np
 
 import regime_scan
-from regime_scan import Regime
+from regime_scan import BATTERY, Regime
+from robustgmm.experiments import SweepCell
 
 TINY = {
-    "desk": Regime("synthetic", (1001,), (0.3,), 1, n=400, d=3),
-    "semi": Regime("semi", (9000,), (0.15,), 1),
+    "desk": Regime(replace(BATTERY["desk"].config, eps_grid=(0.3,), repetitions=1,
+                           n=400, d=3), (1001,)),
+    "semi": Regime(replace(BATTERY["semi"].config, eps_grid=(0.15,), repetitions=1),
+                   (9000,)),
 }
 
 
@@ -44,3 +50,14 @@ def test_compare_reports_moves_aborts_and_drift():
     assert lines[2] == "  final sets changed 1, largest relative w_hat drift 0.1"
     assert lines[3] == "  abort only in the second scan: seed 1, eps 0.1, rep 1"
     assert regime_scan.compare(first, {}) == ["desk: missing from the second scan"]
+
+
+def test_a_failed_fit_is_an_aborted_cell(monkeypatch):
+    # the sweeps count a singular solve as a failed row; the scan records the
+    # cell as aborted instead of stopping
+    def singular(self, eps):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(SweepCell, "robust_fit", singular)
+    record = regime_scan.fit_cell(TINY["desk"].config, 1001, 0.3, 0)
+    assert record == {"seed": 1001, "eps": 0.3, "rep": 0, "aborted": True}

@@ -116,9 +116,9 @@ def test_paper_scale_all_ones_at_eps_0_3_beats_classical_iv():
 def test_noiseless_clean_design_keeps_every_row(seed):
     # The learner used to stop short of the truth (6e-4 at seed 7), and the
     # moment pass fired on that leftover. The exact step lands on the truth
-    # to roundoff, and below EXACT_FIT_FLOOR no pass compares roundoff with
-    # roundoff; before that floor these seeds lost 1 to 21 rows, depending
-    # on the BLAS kernel.
+    # to roundoff, and below the roundoff floor (sever._ROUNDOFF_FLOOR) no
+    # pass compares roundoff with roundoff; without that floor these seeds
+    # lost 1 to 21 rows, depending on the BLAS kernel.
     data, w_true = make_linear_dataset(seed=seed, n=80, d=3, noise=0)
     report = robust_linear_estimate(data, 0.1, RandomSource(0))
     assert len(report.final_set) == data.n

@@ -292,13 +292,52 @@ def test_logistic_fit_is_unchanged_by_the_exact_step(monkeypatch):
 def test_clean_noiseless_recovery(rng):
     # At the exact fit every moment row is roundoff, and the bulk-spectrum
     # bound is scale-free, so a pass would compare roundoff with roundoff;
-    # below EXACT_FIT_FLOOR neither pass runs, and every row stays.
+    # below the roundoff floor neither pass runs, and every row stays.
     data, w_true = make_linear_dataset(seed=7, n=80, d=3, noise=0.0)
     hp = HyperParams(eps=0.05, R0=10.0, gamma=1e-8)
     res = gmm_sever(LinearIVModel(data), hp, rng)
     assert len(res.final_set) == 80 and res.events == ()
     assert np.linalg.norm(res.w_hat - w_true) <= 1e-4
     assert np.linalg.norm(res.w_hat) <= 10.0 + 1e-9
+
+
+def test_one_huge_response_leaves_the_filter_passes_running():
+    # The roundoff floor is read after the response screen, from the spread
+    # of the screened responses, so one response at 1e13 that the screen
+    # drops cannot lift it above every later moment row: the all-ones desk
+    # cell still runs its moment passes and removes the planted rows it
+    # removes without that response.
+    src, eps = RandomSource(1001).child("eps=0.3/rep=0"), 0.3
+    base, _ = gen_synthetic_hte(2000, 10, src.child("dgp"))
+    base, planted = corrupt_all_ones(base, eps, src.child("attack"))
+    design = hte_design(base)
+    huge = int(np.setdiff1d(np.arange(2000), planted)[0])
+    Y = design.Y.copy()
+    Y[huge] = 1e13
+    plain = robust_linear_estimate(design, eps, src.child("fit"))
+    report = robust_linear_estimate(
+        Dataset(X=design.X, Y=Y, Z=design.Z), eps, src.child("fit")
+    )
+    assert report.events[0][:3] == (0, "response", 1)
+    assert huge not in report.final_set.indices
+    moment = [m for r, kind, m, _ in report.events if kind == "moment"]
+    assert sum(moment) > 0
+    removed = [int((~np.isin(planted, fit.final_set.indices)).sum()) for fit in (report, plain)]
+    assert removed[0] == removed[1] > 0
+
+
+def test_constant_response_runs_no_pass():
+    # every response equal: the spread about the median is 0, so the floor
+    # reads the responses' own square, and the exact fit's roundoff rows
+    # run neither pass
+    src = RandomSource(5)
+    x = src.normal(200)
+    X = np.column_stack([np.ones(200), x])
+    Z = np.column_stack([np.ones(200), x + 0.5 * src.normal(200)])
+    design = Dataset(X=X, Y=np.full(200, 3.0), Z=Z)
+    report = robust_linear_estimate(design, 0.1, RandomSource(0))
+    assert report.events == () and len(report.final_set) == 200
+    np.testing.assert_allclose(report.w_hat, [3.0, 0.0], atol=1e-12)
 
 
 def test_result_stays_in_ball(rng):
@@ -547,8 +586,8 @@ def test_iterated_noiseless_converges_to_truth(rng):
     hp = HyperParams(eps=0.04, R0=4.0, gamma=1e-6)
     report = iterated_gmm_sever(LinearIVModel(data), hp, rng)
     assert np.linalg.norm(report.w_hat - w_true) <= 1e-3
-    # the exact fit's moment rows are roundoff, below EXACT_FIT_FLOOR, so no
-    # pass runs and the first run keeps every row (see
+    # the exact fit's moment rows are roundoff, below the roundoff floor, so
+    # no pass runs and the first run keeps every row (see
     # test_clean_noiseless_recovery)
     assert len(report.final_set) == 40
     assert report.diagnostics["outer_rounds"] == 1.0
