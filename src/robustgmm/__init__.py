@@ -4,12 +4,13 @@ Under eps-strong contamination (an adversary replaces up to an eps fraction
 of samples after seeing the data), classical moment estimators can be driven
 arbitrarily far from the truth. This package implements a
 filter-and-reoptimize estimator after the paper's: a spectral outlier
-filter with randomized thresholding, a trust-region moment step (one
-linear solve for linear IV, a projected-gradient learner otherwise) and
-probability amplification, run with constants derived from the data. A
-fit is one response screen and amplified filter loop; the paper's
-certified bounds and radius-halving outer loop, whose O(sqrt(eps))
-guarantee needs constants no measured design meets, are not included.
+filter with randomized thresholding, a trust-region moment step (the
+exact ball-constrained minimizer for linear IV, a projected-gradient
+learner otherwise) and probability amplification, run with constants
+derived from the data. A fit is one response screen and amplified filter
+loop; the paper's certified bounds and radius-halving outer loop, whose
+O(sqrt(eps)) guarantee needs constants no measured design meets, are not
+included.
 Also: IV moment models (linear, logistic, heterogeneous treatment
 effects), corruption generators, classical baselines, and a sweep CLI.
 """

@@ -150,7 +150,8 @@ class EstimateReport:
                   deviation in MADs), "jacobian" or "moment" (scored by the
                   top eigenvalue of the pass's score covariance)
     diagnostics : gamma, learner_tolerance_unmet (learner calls that
-                  stopped short of gamma) and outer_rounds (the sever runs
+                  stopped short of gamma; 0 on affine fits, which never
+                  call the learner) and outer_rounds (the sever runs
                   amplification made, a retry after an abort included)
     """
 

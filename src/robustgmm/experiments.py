@@ -72,14 +72,14 @@ _MISSING_MARKERS = {"", "na", "nan", "null"}
 # analysis only needs the looser criticality rate sigma L^1.5 sqrt(eps), but
 # on weakly identified designs a point that critical can sit far along the
 # flat valley of ||mean moment||^2 while the filter has nothing to remove.
-# The level was the tighter of the two on every measured fit: over 304
-# linear plug-in fits (desk sweep seeds 1001 and 1-5, semi sweep seeds 9000
-# and 1-5, paper-preset eps 0.01 and 0.499) the rate was at least 313x the
-# level and the floor on lam never bound, and over 11 logistic fits at eps
-# 0.01 it was at least 150x. So the fit sets gamma to the level and
-# estimates neither L nor sigma. The rate shrinks as sqrt(eps), so at those
-# margins it could only have been tighter for eps below about 1e-7 (linear)
-# or 5e-7 (logistic); such fits, eps = 0 among them, stop at the level too.
+# Only non-affine (logistic) fits run the learner: a linear fit takes each
+# round's exact minimizer and reports gamma without stopping at it. Over 11
+# logistic fits at eps 0.01 the rate was at least 150x the level, so the
+# fit sets gamma to the level and estimates neither L nor sigma. The rate
+# shrinks as sqrt(eps), so at that margin it could only have been tighter
+# for eps below about 5e-7; such fits, eps = 0 among them, stop at the level
+# too. (304 linear fits, measured when they still ran the learner, read at
+# least 313x.)
 PRACTICE_LEARNER_TOL = 1e-3
 
 

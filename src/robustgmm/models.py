@@ -73,8 +73,8 @@ class SingleIndexIVModel(ABC):
     affine : every g_i is affine in w, so the mean moment is u0 + J w with
              u0 the mean moment at 0 and J the constant mean Jacobian.
              gmm_sever then takes each round's exact minimizer of
-             ||u0 + J w||^2 by one linear solve, and a learner call it falls
-             back to evaluates its objective from u0 and J.
+             ||u0 + J w||^2 over the search ball and never calls the
+             learner.
     """
 
     affine: bool = False

@@ -8,10 +8,10 @@ than any iteration and has no convergence tolerance.
 The learner is a spectral projected-gradient method: Barzilai-Borwein step
 seeding with an Armijo backtracking safeguard and radial projection onto the
 feasible ball. It only promises an approximate critical point (criticality
-tolerance gamma), which is all the sever loop needs. Linear fits rarely
-call it: their objective is a convex quadratic, which the sever loop
-minimizes by one linear solve, and the learner serves non-affine models
-and the rounds where that solve is ill posed or leaves the ball.
+tolerance gamma), which is all the sever loop needs. Linear fits never
+call it: their objective is a convex quadratic, whose exact minimizer over
+the ball the sever loop takes every round, so the learner serves
+non-affine models (logistic IV) only.
 """
 
 from __future__ import annotations

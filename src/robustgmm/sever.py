@@ -4,13 +4,13 @@ gmm_sever screens response outliers, then alternates a minimization of
 f(w) = ||mean moment||^2 over the ball of radius hp.R0 around the origin
 with two self-calibrated spectral filter passes (projected Jacobians, then
 raw moments), minimizing again whenever a pass removes samples. For an
-affine model (linear IV) f is a convex quadratic, and the step is its exact
-minimizer, one linear solve, whenever that is well posed and inside the
-ball; otherwise, and for every other model, the constrained learner returns
-an approximate critical point. amplified_gmm_sever repeats that with fresh
-randomness until a run keeps enough samples, and iterated_gmm_sever is the
-plug-in fit's sever stage: one amplified run. Every layer returns the one
-core.EstimateReport.
+affine model (linear IV) f is a convex quadratic, and every round takes its
+exact minimizer over the ball (_exact_step: one SVD and, when the ball
+binds, a scalar multiplier); only non-affine models run the constrained
+learner, which returns an approximate critical point. amplified_gmm_sever
+repeats that with fresh randomness until a run keeps enough samples, and
+iterated_gmm_sever is the plug-in fit's sever stage: one amplified run.
+Every layer returns the one core.EstimateReport.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 from .core import (
     ActiveSet,
     EstimateReport,
+    EstimationError,
     FilterExhaustedError,
     HyperParams,
 )
@@ -118,27 +119,10 @@ def _affine_terms(model: SingleIndexIVModel, S: ActiveSet):
     return u0, model.mean_jacobian_over(S.indices, zero)
 
 
-def _affine_objective(u0: np.ndarray, J: np.ndarray):
-    """f(w) = ||u0 + J w||^2 with gradient 2 J^T (u0 + J w), O(pd) a call."""
-
-    def objective_grad(w: np.ndarray):
-        u = u0 + J @ w
-        return float(u @ u), 2.0 * (J.T @ u)
-
-    return objective_grad
-
-
 def _moment_objective(model: SingleIndexIVModel, S: ActiveSet):
-    """f(w) = ||E_S g(w)||^2 with gradient 2 (E_S grad g)^T (E_S g).
-
-    For an affine model E_S g(w) = u0 + J w (_affine_terms); both are built
-    here once, so an evaluation costs O(pd) rather than a pass over the
-    active rows.
-    """
+    """f(w) = ||E_S g(w)||^2 with gradient 2 (E_S grad g)^T (E_S g), the
+    learner's objective for a non-affine model."""
     idx = S.indices
-
-    if model.affine:
-        return _affine_objective(*_affine_terms(model, S))
 
     def objective_grad(w: np.ndarray):
         u = model.moments(idx, w).mean(axis=0)
@@ -148,34 +132,43 @@ def _moment_objective(model: SingleIndexIVModel, S: ActiveSet):
     return objective_grad
 
 
-# The exact step of an affine model is taken only when sigma_min(J) exceeds
-# this fraction of the size of the per-row Jacobians (row_scale in
-# gmm_sever). The scale is absolute on purpose: a J that is pure
-# cancellation roundoff (instrument rows in exact +/- pairs) can have a tame
-# condition number sigma_max / sigma_min, and solving it moves w by O(1) on
-# a moment that is zero for every w. That J reads 4e-18 to 3e-17 of the
-# per-row size; the rescaled desk, paper-scale and semi designs read 0.02
-# to 0.12.
+# Singular directions of J at or below this fraction of the size of the
+# per-row Jacobians (row_scale in gmm_sever) carry no step. The scale is
+# absolute on purpose: a J that is pure cancellation roundoff (instrument
+# rows in exact +/- pairs) can have a tame condition number
+# sigma_max / sigma_min, and stepping along it moves w by O(1) on a moment
+# that is zero for every w. That J reads 4e-18 to 3e-17 of the per-row size;
+# the rescaled desk, paper-scale and semi designs read 0.02 to 0.12.
 _SOLVE_RTOL = 1e-8
 
 
 def _exact_step(u0: np.ndarray, J: np.ndarray, row_scale: float, radius: float):
-    """The minimizer of ||u0 + J w||^2, or None unless it is well posed.
+    """The minimizer of ||u0 + J w||^2 over the ball ||w|| <= radius.
 
-    Solves J w = -u0 when J is square and by least squares when it has more
-    rows; returns None when p > k, when sigma_min(J) is at most
-    _SOLVE_RTOL * row_scale, or when the solution is not finite or leaves
-    the ball ||w|| <= radius.
+    With J = U diag(s) V^T (thin SVD) and c = -U^T u0, the step is
+    w(mu) = V (s c / (s^2 + mu)) over the directions with s above
+    _SOLVE_RTOL * row_scale; the others stay at zero, so a roundoff J gives
+    the origin and k < p the minimum-norm least-squares solution. mu = 0
+    unless w(0) leaves the ball; then ||w(mu)|| falls as mu grows and
+    mu = ||s c|| / radius is feasible, so bisection finds ||w(mu)|| = radius
+    (Moré & Sorensen 1983). Raises EstimationError on a non-finite system.
     """
-    k, p = J.shape
-    if k < p or not (np.isfinite(J).all() and np.isfinite(u0).all()):
-        return None
-    if not np.linalg.svd(J, compute_uv=False)[-1] > _SOLVE_RTOL * row_scale:
-        return None
-    w = np.linalg.solve(J, -u0) if k == p else np.linalg.lstsq(J, -u0, rcond=None)[0]
-    if not (np.isfinite(w).all() and float(w @ w) <= radius * radius):
-        return None
-    return w
+    if not (np.isfinite(J).all() and np.isfinite(u0).all() and math.isfinite(row_scale)):
+        raise EstimationError(
+            "the sever step's moment system overflows float64; rescale the columns"
+        )
+    U, s, Vt = np.linalg.svd(J, full_matrices=False)
+    keep = s > _SOLVE_RTOL * row_scale
+    s, Vt = s[keep], Vt[keep]
+    sc = s * -(U[:, keep].T @ u0)
+    s2 = s * s
+    w = sc / s2
+    if np.linalg.norm(w) > radius:
+        lo, hi = 0.0, float(np.linalg.norm(sc)) / radius
+        while lo < (mid := 0.5 * (lo + hi)) < hi:  # until lo, hi are adjacent
+            lo, hi = (mid, hi) if np.linalg.norm(sc / (s2 + mid)) > radius else (lo, mid)
+        w = sc / (s2 + hi)
+    return Vt.T @ w
 
 
 def gmm_sever(
@@ -185,10 +178,11 @@ def gmm_sever(
 
     Residuals at the origin more than PRACTICE_RESPONSE_CAP MADs out are
     screened first. Each round then minimizes over the ball of radius hp.R0
-    around the origin, by _exact_step for an affine model and otherwise by
-    the learner, which stops at hp.gamma (learner_tolerance_unmet counts
-    the calls that missed it). A pass whose scores are roundoff
-    (_ROUNDOFF_FLOOR) is skipped. Each pass then
+    around the origin: an affine model's rounds take the exact minimizer
+    (_exact_step) and never reach the learner; other models run the
+    learner, which stops at hp.gamma (learner_tolerance_unmet counts the
+    calls that missed it, so it reads 0 on affine fits). A pass whose
+    scores are roundoff (_ROUNDOFF_FLOOR) is skipped. Each pass then
     self-calibrates to the bulk of its score covariance spectrum (mean of
     the non-top eigenvalues) at PRACTICE_SLACK, the Jacobian pass at
     PRACTICE_JAC_SLACK_FACTOR times that, so it fires only when one
@@ -249,17 +243,11 @@ def gmm_sever(
 
     while True:
         rounds += 1
-        w = None
         if model.affine:
-            u0, J = _affine_terms(model, S)
-            w = _exact_step(u0, J, row_scale, hp.R0)
-        if w is None:
-            if model.affine:
-                objective = _affine_objective(u0, J)  # this round's terms
-            else:
-                objective = _moment_objective(model, S)
+            w = _exact_step(*_affine_terms(model, S), row_scale, hp.R0)
+        else:
             prob = CriticalPointProblem(
-                objective_grad=objective,
+                objective_grad=_moment_objective(model, S),
                 center=origin,
                 radius=hp.R0,
                 gamma=hp.gamma,

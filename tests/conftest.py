@@ -41,3 +41,13 @@ def make_linear_dataset(seed: int, n: int, d: int, noise: float = 0.0, p=None):
     w_true = src.normal(d)
     Y = X @ w_true + noise * src.normal(n)
     return Dataset(X=X, Y=Y, Z=Z), w_true
+
+
+def ball_binding_dataset():
+    """make_linear_dataset(17, 2000, 5, noise=1.0) with the first 100 rows of
+    Z set to 4.0; returns (Dataset, w_true). Fitted at eps 0.05, a round's
+    unconstrained minimizer leaves the search ball."""
+    data, w_true = make_linear_dataset(seed=17, n=2000, d=5, noise=1.0)
+    Z = data.Z.copy()
+    Z[:100] = 4.0
+    return Dataset(X=data.X, Y=data.Y, Z=Z), w_true

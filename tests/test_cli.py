@@ -699,6 +699,23 @@ def test_estimate_on_overflowing_design_names_the_scale(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scale", [1e40, 1e120])
+def test_estimate_on_a_scaled_design_returns_the_unit_scale_fit(scale, tmp_path):
+    # scaling X, Y and Z together leaves the IV parameter where it is; the
+    # fit keeps every row and returns the unit-scale w_hat, not the origin
+    fits = {}
+    for s in (1.0, scale):
+        path, out = tmp_path / f"{s:g}.csv", tmp_path / f"{s:g}.out"
+        save_dataset_csv(path, overflowing_design(s))
+        assert main(["estimate", "--out", str(out), "--set", f"input={path}",
+                     "--set", "eps=0.1", *COLS]) == 0
+        report = parse_report(out)
+        assert int(report["final_set_size"]) == 300
+        fits[s] = np.array([float(v) for v in report["w_hat"].split(",")])
+    np.testing.assert_allclose(fits[1.0], [0.99601269, -0.9969176], rtol=1e-7)
+    np.testing.assert_allclose(fits[scale], fits[1.0], rtol=1e-10)
+
+
 def test_sweep_records_overflowing_classical_iv_as_failed(tmp_path, capsys):
     # classical IV on a 1e160 design is NaN in float64; the cell must fail
     path = tmp_path / "huge.csv"

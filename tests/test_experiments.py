@@ -350,11 +350,14 @@ def test_derive_hyperparams_diagnoses_the_given_model():
 def test_plugin_gamma_is_the_learner_level(monkeypatch, eps):
     # gamma is the PRACTICE_LEARNER_TOL level at every eps, eps = 0
     # included, and the learner stops at exactly the gamma the report shows.
-    # A linear fit takes the exact step whenever it is well posed, so the
-    # step is refused here and every round falls back to the learner.
-    data, _ = make_linear_dataset(seed=3, n=200, d=2, noise=0.5)
+    # A linear fit takes the exact step and never calls the learner, so the
+    # spied fit is a logistic one; it keeps every row here and stops at the
+    # root of the mean moment.
+    data, w_true = make_linear_dataset(seed=3, n=200, d=2, noise=0.5)
+    Y = (RandomSource(9).uniform(200) < logistic(data.X @ w_true)).astype(np.float64)
+    data = Dataset(X=data.X, Y=Y, Z=data.Z)
     wx, wz = _block_transform(data.X), _block_transform(data.Z)
-    scaled = LinearIVModel(Dataset(X=data.X @ wx, Y=data.Y, Z=data.Z @ wz))
+    scaled = LogisticIVModel(Dataset(X=data.X @ wx, Y=data.Y, Z=data.Z @ wz))
     seen = []
     learner = sever_mod.projected_gradient_critical_point
 
@@ -362,13 +365,16 @@ def test_plugin_gamma_is_the_learner_level(monkeypatch, eps):
         seen.append(prob.gamma)
         return learner(prob)
 
-    monkeypatch.setattr(sever_mod, "_exact_step", lambda *args: None)
     monkeypatch.setattr(sever_mod, "projected_gradient_critical_point", spy)
-    oracle = np.linalg.solve(data.Z.T @ data.X, data.Z.T @ data.Y)
-    report = robust_linear_estimate(data, eps, RandomSource(3))
+    model, rows = LogisticIVModel(data), np.arange(data.n)
+    oracle = np.zeros(data.d)
+    for _ in range(20):  # Newton's method on the mean moment
+        u = model.moments(rows, oracle).mean(axis=0)
+        oracle = oracle - np.linalg.solve(model.mean_jacobian_over(rows, oracle), u)
+    report = robust_linear_estimate(data, eps, RandomSource(3), model_kind="logistic")
     assert report.diagnostics["gamma"] == plugin_level(scaled)
     assert seen and set(seen) == {report.diagnostics["gamma"]}
-    assert np.linalg.norm(report.w_hat - oracle) <= 0.05
+    assert np.linalg.norm(report.w_hat - oracle) <= 1e-3
 
 
 @pytest.mark.parametrize("model_kind", ["linear", "logistic"])

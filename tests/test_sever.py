@@ -17,7 +17,7 @@ from robustgmm import (
     scalar_treatment_design,
     two_stage_least_squares,
 )
-from robustgmm.core import ActiveSet, EstimateReport
+from robustgmm.core import ActiveSet, EstimateReport, EstimationError
 from robustgmm.experiments import (
     corrupt_all_ones,
     corrupt_negation,
@@ -36,7 +36,7 @@ from robustgmm.sever import (
 import robustgmm.experiments as experiments_mod
 import robustgmm.sever as sever_mod
 
-from conftest import make_linear_dataset
+from conftest import ball_binding_dataset, make_linear_dataset
 
 
 def scalar_data(y_values):
@@ -63,7 +63,7 @@ def all_ones_hte_model(seed):
 
 
 # ---------------------------------------------------------------------------
-# _moment_objective
+# the round objective ||E_S g(w)||^2
 
 
 LINEAR_DESIGNS = {
@@ -76,6 +76,8 @@ LINEAR_DESIGNS = {
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("design", sorted(LINEAR_DESIGNS))
 def test_affine_objective_matches_kernels(design, seed):
+    # the exact step minimizes ||u0 + J w||^2 over _affine_terms' u0 and J;
+    # u0 + J w is the kernels' mean moment at every w
     src = RandomSource(seed)
     data, _ = gen_synthetic_hte(200, 3, src.child("data"))
     model = LinearIVModel(LINEAR_DESIGNS[design](data))
@@ -87,14 +89,15 @@ def test_affine_objective_matches_kernels(design, seed):
         "one-row": ActiveSet(np.array([int(src.integers(0, n))])),
     }
     for name, S in sets.items():
-        fn = sever_mod._moment_objective(model, S)
+        u0, J = sever_mod._affine_terms(model, S)
         for k in range(3):
             w = src.child(f"w-{name}-{k}").normal(model.param_dim)
             u = model.moments(S.indices, w).mean(axis=0)
-            grad = 2.0 * (model.mean_jacobian_over(S.indices, w).T @ u)
-            f_got, grad_got = fn(w)
-            assert abs(f_got - u @ u) <= 1e-12 * (u @ u), name
-            assert np.linalg.norm(grad_got - grad) <= 1e-12 * np.linalg.norm(grad), name
+            scale = np.linalg.norm(u0) + np.linalg.norm(J @ w)
+            assert np.linalg.norm(u0 + J @ w - u) <= 1e-12 * scale, name
+            np.testing.assert_allclose(
+                J, model.mean_jacobian_over(S.indices, w), rtol=1e-12, err_msg=name
+            )
 
 
 def test_logistic_objective_keeps_kernel_path():
@@ -124,10 +127,16 @@ class KernelPathIdentityIV(SingleIndexIVModel):
         return self.data.Z[idx]
 
 
+class LearnerLinearIV(LinearIVModel):
+    # LinearIVModel with affine left False, so every round runs the learner
+    affine = False
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_two_method_link_fits_like_linear_iv(monkeypatch, seed):
-    # a non-affine link keeps the learner; so does LinearIVModel once its
-    # exact step is refused, and then both fits agree
+    # a non-affine link runs the learner every round and fits as
+    # LinearIVModel does on the learner's path; LinearIVModel itself takes
+    # the exact step and never calls the learner
     src = RandomSource(seed)
     base, _ = gen_synthetic_hte(2000, 5, src.child("dgp"))
     base, _ = corrupt_all_ones(base, 0.1, src.child("attack"))
@@ -138,10 +147,12 @@ def test_two_method_link_fits_like_linear_iv(monkeypatch, seed):
     assert derive_hyperparams(kernel_path, 0.1) == hp
     learner_calls = []
     count_calls(monkeypatch, sever_mod, "projected_gradient_critical_point", learner_calls)
+    iterated_gmm_sever(linear, hp, src.child("fit"))
+    assert learner_calls == []
     got = iterated_gmm_sever(kernel_path, hp, src.child("fit"))
     assert len(learner_calls) == got.rounds
-    monkeypatch.setattr(sever_mod, "_exact_step", lambda *args: None)
-    want = iterated_gmm_sever(linear, hp, src.child("fit"))
+    want = iterated_gmm_sever(LearnerLinearIV(design), hp, src.child("fit"))
+    assert len(learner_calls) == got.rounds + want.rounds
     np.testing.assert_array_equal(got.final_set.indices, want.final_set.indices)
     np.testing.assert_allclose(got.w_hat, want.w_hat, rtol=1e-6)
 
@@ -219,9 +230,11 @@ def test_exact_step_is_iv_on_the_first_active_set(monkeypatch):
     assert all(w is not None for _, w in steps)
 
 
-def test_exact_step_outside_the_ball_falls_back_to_the_learner(monkeypatch, rng):
+def test_exact_step_outside_the_ball_lands_on_the_sphere(monkeypatch, rng):
     # the interior minimizer (near the truth, norm above 1) leaves a ball of
-    # radius 0.1, so every round runs the learner, which stops on the sphere
+    # radius 0.1, so every round steps to the sphere, at the multiplier
+    # mu > 0 with J^T (u0 + J w) + mu w = 0 (the trust-region conditions),
+    # and no round calls the learner
     data, w_true = make_linear_dataset(seed=8, n=50, d=2, noise=1.0)
     model = LinearIVModel(data)
     hp = HyperParams(eps=0.05, R0=0.1, gamma=1e-8)
@@ -229,32 +242,76 @@ def test_exact_step_outside_the_ball_falls_back_to_the_learner(monkeypatch, rng)
     spy_returns(monkeypatch, "_exact_step", steps)
     count_calls(monkeypatch, sever_mod, "projected_gradient_critical_point", learner_calls)
     res = gmm_sever(model, hp, rng)
+    assert learner_calls == [] and len(steps) == res.rounds
+    for _, w in steps:
+        assert np.linalg.norm(w) == pytest.approx(0.1, rel=1e-12)
     u0, J = sever_mod._affine_terms(model, ActiveSet.full(model.n_samples))
     assert np.linalg.norm(np.linalg.solve(J, -u0)) > 1.0
-    assert [w for _, w in steps] == [None] * res.rounds
-    assert len(learner_calls) == res.rounds
-    assert 0.1 * (1 - 1e-6) <= np.linalg.norm(res.w_hat) <= 0.1 + 1e-9
+    for radius in (0.1, 0.5, 1.0):
+        w = sever_mod._exact_step(u0, J, 1.0, radius)
+        assert np.linalg.norm(w) == pytest.approx(radius, rel=1e-12)
+        grad = J.T @ (u0 + J @ w)
+        mu = -float(grad @ w) / float(w @ w)
+        assert mu > 0
+        assert np.linalg.norm(grad + mu * w) <= 1e-12 * np.linalg.norm(grad)
 
 
 def test_exact_step_refuses_ill_posed_systems():
+    # the step never moves along a direction J cannot see, and it refuses a
+    # non-finite system with an error
     step = sever_mod._exact_step
     src = RandomSource(3)
     J, u0 = src.normal((3, 3)), src.normal(3)
-    np.testing.assert_array_equal(step(u0, J, 1.0, 1e6), np.linalg.solve(J, -u0))
+
+    def assert_close(got, want):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    assert_close(step(u0, J, 1.0, 1e6), np.linalg.solve(J, -u0))
     # more moments than parameters: the least-squares solution
     J_tall, u_tall = src.normal((5, 3)), src.normal(5)
-    np.testing.assert_array_equal(
-        step(u_tall, J_tall, 1.0, 1e6), np.linalg.lstsq(J_tall, -u_tall, rcond=None)[0]
-    )
-    assert step(u0, J, 1.0, 1e-3) is None  # outside the ball
-    assert step(u0[:2], J[:2], 1.0, 1e6) is None  # fewer moments than parameters
+    assert_close(step(u_tall, J_tall, 1.0, 1e6), np.linalg.lstsq(J_tall, -u_tall, rcond=None)[0])
+    # fewer moments than parameters: lstsq's minimum-norm solution
+    assert_close(step(u0[:2], J[:2], 1.0, 1e6), np.linalg.lstsq(J[:2], -u0[:2], rcond=None)[0])
+    # a Jacobian of pure roundoff, well conditioned relative to itself but
+    # 1e-16 of the per-row size, gives the origin
+    np.testing.assert_array_equal(step(1e-16 * u0, 1e-16 * J, 1.0, 1e6), np.zeros(3))
+    assert_close(step(1e-16 * u0, 1e-16 * J, 1e-16, 1e6), np.linalg.solve(J, -u0))
     bad = J.copy()
     bad[0, 0] = np.nan
-    assert step(u0, bad, 1.0, 1e6) is None
-    # a Jacobian of pure roundoff, well conditioned relative to itself but
-    # 1e-16 of the per-row size, is refused
-    assert step(1e-16 * u0, 1e-16 * J, 1.0, 1e6) is None
-    assert step(1e-16 * u0, 1e-16 * J, 1e-16, 1e6) is not None
+    with pytest.raises(EstimationError, match="overflows"):
+        step(u0, bad, 1.0, 1e6)
+    with pytest.raises(EstimationError, match="overflows"):
+        step(np.array([np.inf, 0.0, 0.0]), J, 1.0, 1e6)
+    with pytest.raises(EstimationError, match="overflows"):  # row norms overflowed
+        step(u0, J, np.inf, 1e6)
+
+
+def plus_minus_pairs_data(seed):
+    # instrument rows in exact +/- pairs: the mean moment is 0 for every w
+    src = RandomSource(seed)
+    X_half, Z_half = src.normal((20, 2)), src.normal((20, 2))
+    Y_half = X_half @ np.array([1.0, -2.0])
+    return Dataset(
+        X=np.vstack([X_half, X_half]),
+        Y=np.concatenate([Y_half, Y_half]),
+        Z=np.vstack([Z_half, -Z_half]),
+    )
+
+
+def test_affine_fits_never_call_the_learner(monkeypatch, rng):
+    # a desk cell, a cell where the interior step leaves the ball, and a
+    # design whose J is roundoff: every round takes the exact step
+    learner_calls = []
+    count_calls(monkeypatch, sever_mod, "projected_gradient_critical_point", learner_calls)
+    design, eps, fit_rng = scaled_cell("desk")
+    model = LinearIVModel(design)
+    iterated_gmm_sever(model, derive_hyperparams(model, eps), fit_rng)
+    report = robust_linear_estimate(ball_binding_dataset()[0], 0.05, RandomSource(17))
+    assert report.diagnostics["learner_tolerance_unmet"] == 0.0
+    hp = HyperParams(eps=0.1, R0=5.0, gamma=1e-6)
+    paired = gmm_sever(LinearIVModel(plus_minus_pairs_data(6)), hp, rng)
+    np.testing.assert_array_equal(paired.w_hat, np.zeros(2))
+    assert learner_calls == []
 
 
 def test_logistic_fit_is_unchanged_by_the_exact_step(monkeypatch):
