@@ -4,45 +4,65 @@
     python3 scripts/regime_scan.py --out scan.json
     python3 scripts/regime_scan.py --compare parent.json change.json
 
-The battery (BATTERY) holds three regimes; each cell is built by
-experiments.sweep_cell, as the sweeps build it, so a scan cell is the
-robust row of the same sweep cell:
+The battery (BATTERY) holds five regimes. The first three are sweep
+regimes: each cell is built by experiments.sweep_cell, as the sweeps build
+it, so a scan cell is the robust row of the same sweep cell:
 - desk: all-ones attack, synth-sweep seeds 1001-1040 over the desk grid;
 - paper: all-ones attack, synth-sweep seeds 4001-4010 over the paper grid
   at rep 0;
 - semi: negation attack on data/card_standin.csv, semi-sweep seed 9000 at
   eps 0.05-0.45 x 10 reps.
+The other two are repros of attacks no sweep runs, one cell per seed and
+eps, fitted with RandomSource(seed):
+- logistic: logistic IV, n=4000, d=4, Z = X + 0.5 noise, the first eps n
+  rows of X set to 3.0 (ROADMAP item 6), seeds 0-3 at eps 0.1 and 0.2;
+- overidentified: linear IV, n=2000, d=5, p=10, noise 1.0, the first eps n
+  rows set to X = Z = 1, Y = -5 (ROADMAP item 19's point mass), seeds 0-9
+  at eps 0.1 and 0.2.
+The logistic regime runs the learner and the overidentified one the
+projected-Jacobian pass, which the sweep regimes' exactly identified
+designs skip.
 
 --out fits every cell with the robustgmm of this script's checkout and
-writes one JSON record per cell: its error (desk, paper) or fitted ATE
-(semi), kept and planted-kept counts, abort flag, a hash of the final set
-and w_hat. --compare pairs two scans cell by cell and prints, per regime and
-eps, the mean change in error (second minus first) with its standard error,
-or the positive-ATE counts on semi; the cells that moved; the aborts; and
-the largest relative w_hat drift. It is a report, not a gate: it always
-exits 0 once both files load. A scan runs the robustgmm of the checkout
-the script sits in; to scan another checkout that has
-experiments.sweep_cell, run its copy of this script.
+writes one JSON record per cell: its error (desk, paper, the repros) or
+fitted ATE (semi), kept and planted-kept counts, abort flag, a hash of the
+final set and w_hat. It also records numpy's version and the BLAS thread
+count, since paper-scale w_hat differ across BLAS thread counts. --compare
+pairs two scans cell by cell and prints, per regime and eps, the mean
+change in error (second minus first) with its standard error, or the
+positive-ATE counts on semi; the cells that moved; the aborts; and the
+largest relative w_hat drift. It warns on standard error when the two
+scans ran on a different numpy or BLAS thread count, or one of them
+records neither, so such drift is not read as moved cells. It is a report,
+not a gate: it always exits 0 once both files load. A scan runs the
+robustgmm of the checkout the script sits in; to scan another checkout
+that has experiments.sweep_cell, run its copy of this script.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import math
 import pathlib
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np
 
+from robustgmm import Dataset, RandomSource, robust_linear_estimate
 from robustgmm.experiments import FIT_FAILURES, SweepConfig, sweep_cell
+from robustgmm.models import logistic
 
 SEMI_INPUT = str(ROOT / "data" / "card_standin.csv")
+# the key of a scan's environment record; every other key names a regime
+ENVIRONMENT = "environment"
 
 
 @dataclass(frozen=True)
@@ -51,6 +71,73 @@ class Regime:
 
     config: SweepConfig
     seeds: tuple
+
+    @property
+    def eps_grid(self) -> tuple:
+        return self.config.eps_grid
+
+    @property
+    def repetitions(self) -> int:
+        return self.config.repetitions
+
+    def cell(self, seed: int, eps: float, rep: int):
+        return sweep_cell(self.config, seed, eps, rep)
+
+
+@dataclass(frozen=True)
+class ReproCell:
+    """A repro's attacked design, true parameters and planted rows; its fit
+    draws from RandomSource(seed)."""
+
+    design: Dataset
+    theta: np.ndarray
+    planted: np.ndarray
+    seed: int
+    model_kind: str = "linear"
+
+    def robust_fit(self, eps: float):
+        return robust_linear_estimate(self.design, eps, RandomSource(self.seed),
+                                      model_kind=self.model_kind)
+
+
+@dataclass(frozen=True)
+class Repro:
+    """One cell build(seed, eps) of an attack no sweep runs, at each seed and
+    eps of the grid."""
+
+    build: Callable
+    eps_grid: tuple
+    seeds: tuple
+    repetitions = 1
+
+    def cell(self, seed: int, eps: float, rep: int) -> ReproCell:
+        return self.build(seed, eps)
+
+
+def logistic_x_side(seed: int, eps: float) -> ReproCell:
+    """ROADMAP item 6: the first eps n of 4000 rows of X set to 3.0."""
+    src = RandomSource(seed)
+    X = src.normal((4000, 4))
+    Z = X + 0.5 * src.normal((4000, 4))
+    w = src.normal(4)
+    Y = (src.uniform(4000) < logistic(X @ w)).astype(np.float64)
+    m = round(eps * 4000)
+    X[:m] = 3.0
+    return ReproCell(Dataset(X=X, Y=Y, Z=Z), w, np.arange(m), seed, "logistic")
+
+
+def overidentified_point_mass(seed: int, eps: float) -> ReproCell:
+    """ROADMAP item 19's repro A with p = 10: tests/conftest.py's
+    make_linear_dataset(seed, n=2000, d=5, noise=1.0, p=10) with the first
+    eps n rows set to X = Z = 1, Y = -5."""
+    src = RandomSource(seed)
+    X = src.normal((2000, 5))
+    Z = X @ src.normal((5, 10)) * 0.3 + src.normal((2000, 10))
+    w = src.normal(5)
+    Y = X @ w + src.normal(2000)
+    m = round(eps * 2000)
+    X[:m], Z[:m], Y[:m] = 1.0, 1.0, -5.0
+    return ReproCell(Dataset(X=X, Y=Y, Z=Z), w, np.arange(m), seed)
 
 
 def _grid(kind, eps_grid, reps, **fields):
@@ -67,12 +154,48 @@ BATTERY = {
     "semi": Regime(_grid("semi", (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45), 10,
                          attack="negation", data_path=SEMI_INPUT),
                    (9000,)),
+    "logistic": Repro(logistic_x_side, (0.1, 0.2), tuple(range(4))),
+    "overidentified": Repro(overidentified_point_mass, (0.1, 0.2), tuple(range(10))),
 }
 
 
-def fit_cell(cfg: SweepConfig, seed: int, eps: float, rep: int) -> dict:
-    """Record the robust fit of cell (eps, rep) of cfg's sweep at seed."""
-    cell = sweep_cell(cfg, seed, eps, rep)
+def blas_threads():
+    """The thread count of numpy's OpenBLAS, or None when it cannot be read."""
+    here = pathlib.Path(np.__file__).parent
+    libs = [*here.glob(".libs/*openblas*"), *here.parent.glob("numpy.libs/*openblas*")]
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            if hasattr(handle, symbol):
+                return int(getattr(handle, symbol)())
+    return None
+
+
+def environment() -> dict:
+    return {"numpy": np.__version__, "blas_threads": blas_threads()}
+
+
+def environment_warnings(first: dict, second: dict) -> list:
+    """Warnings when two scans ran on a different numpy or BLAS thread count."""
+    a, b = first.get(ENVIRONMENT), second.get(ENVIRONMENT)
+    if a is None or b is None:
+        side = "first" if a is None else "second"
+        return [f"warning: the {side} scan records no numpy version or BLAS thread "
+                "count; moved cells may be their drift"]
+    return [
+        f"warning: {key} differs ({a.get(key)} -> {b.get(key)}); moved cells may be "
+        "its drift, not a change in the fit"
+        for key in ("numpy", "blas_threads") if a.get(key) != b.get(key)
+    ]
+
+
+def fit_cell(regime, seed: int, eps: float, rep: int) -> dict:
+    """Record the robust fit of cell (eps, rep) of regime at seed."""
+    cell = regime.cell(seed, eps, rep)
     record = {"seed": seed, "eps": eps, "rep": rep, "aborted": False}
     try:
         report = cell.robust_fit(eps)
@@ -96,10 +219,10 @@ def scan(battery: dict) -> dict:
     """Fit every cell of battery; regime name -> list of cell records."""
     return {
         name: [
-            fit_cell(regime.config, seed, eps, rep)
+            fit_cell(regime, seed, eps, rep)
             for seed in regime.seeds
-            for eps in regime.config.eps_grid
-            for rep in range(regime.config.repetitions)
+            for eps in regime.eps_grid
+            for rep in range(regime.repetitions)
         ]
         for name, regime in battery.items()
     }
@@ -131,6 +254,8 @@ def compare(first: dict, second: dict) -> list:
     """Report lines pairing two scans cell by cell (second minus first)."""
     lines = []
     for name in first:
+        if name == ENVIRONMENT:
+            continue
         if name not in second:
             lines.append(f"{name}: missing from the second scan")
             continue
@@ -175,9 +300,12 @@ def main(argv=None) -> int:
     group.add_argument("--compare", nargs=2, metavar=("A.json", "B.json"))
     args = parser.parse_args(argv)
     if args.out:
-        pathlib.Path(args.out).write_text(json.dumps(scan(BATTERY)) + "\n")
+        record = {ENVIRONMENT: environment(), **scan(BATTERY)}
+        pathlib.Path(args.out).write_text(json.dumps(record) + "\n")
         return 0
     first, second = (json.loads(pathlib.Path(p).read_text()) for p in args.compare)
+    for line in environment_warnings(first, second):
+        print(line, file=sys.stderr)
     print("\n".join(compare(first, second)))
     return 0
 

@@ -94,7 +94,12 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ActiveSet:
-    """Sorted, duplicate-free set of 0-based sample indices."""
+    """Sorted, duplicate-free set of 0-based sample indices.
+
+    The constructor copies, sorts and deduplicates what it is given. full
+    and subset build sets that are sorted and duplicate-free by
+    construction, so they skip that check.
+    """
 
     indices: np.ndarray
 
@@ -108,8 +113,22 @@ class ActiveSet:
         object.__setattr__(self, "indices", idx)
 
     @classmethod
+    def _of_sorted(cls, idx: np.ndarray) -> "ActiveSet":
+        # idx is a fresh sorted, duplicate-free int64 array no one else holds
+        S = object.__new__(cls)
+        idx.setflags(write=False)
+        object.__setattr__(S, "indices", idx)
+        return S
+
+    @classmethod
     def full(cls, n: int) -> "ActiveSet":
-        return cls(np.arange(n, dtype=np.int64))
+        return cls._of_sorted(np.arange(n, dtype=np.int64))
+
+    def subset(self, mask: np.ndarray) -> "ActiveSet":
+        """The indices where a boolean mask, one entry per index, is true."""
+        if mask.dtype != np.bool_:
+            raise TypeError(f"subset takes a boolean mask, got dtype {mask.dtype}")
+        return self._of_sorted(self.indices[mask])
 
     def __len__(self) -> int:
         return int(self.indices.size)

@@ -411,7 +411,7 @@ def derive_hyperparams(model, eps: float) -> HyperParams:
     """
     design = model.data
     w_ref = two_stage_least_squares(design)
-    J = model.mean_jacobian_over(np.arange(design.n), w_ref)
+    J = model.row_mean_jacobian(design, w_ref)
     svals = np.linalg.svd(J, compute_uv=False)
     lam = max(0.5 * float(svals[-1]), 1e-8 * max(float(svals[0]), 1.0))
     R0 = 4.0 * max(1.0, float(np.linalg.norm(w_ref)))

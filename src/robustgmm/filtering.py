@@ -134,6 +134,6 @@ def spectral_filter(
     top = scores.max()
     threshold = float(min(rng.uniform() * top, np.nextafter(top, 0.0)))
     keep_mask = scores <= threshold
-    kept = ActiveSet(active.indices[keep_mask])
-    removed = ActiveSet(active.indices[~keep_mask])
+    kept = active.subset(keep_mask)
+    removed = active.subset(~keep_mask)
     return FilterOutcome(kept, removed, mean_score, threshold, direction)

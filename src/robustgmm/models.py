@@ -2,18 +2,20 @@
 
 SingleIndexIVModel is the one model contract the robust stack reads. Both
 shipped models are single-index: it writes the four batched kernels once
-for g_i(w) = Z_i (Y_i - f(X_i . w)), and linear IV and logistic IV each
-supply only the link f and the slope-weighted instruments f'(X_i . w) Z_i,
-so a new link is two methods. Heterogeneous treatment effects are linear
-IV on the hte_design lift. The module also holds the two non-robust
-baselines the experiments compare against (two-stage least squares and a
-two-stage Huber regression).
+for g_i(w) = Z_i (Y_i - f(X_i . w)), each read on rows gathered once per
+sample set (row form) or on sample indices (index form), and linear IV and
+logistic IV each supply only the link f and the slope-weighted instruments
+f'(X_i . w) Z_i, so a new link is two methods. Heterogeneous treatment
+effects are linear IV on the hte_design lift. The module also holds the
+two non-robust baselines the experiments compare against (two-stage least
+squares and a two-stage Huber regression).
 """
 
 from __future__ import annotations
 
 import warnings
 from abc import ABC, abstractmethod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .numerics import median
 __all__ = [
     "logistic",
     "logistic_deriv",
+    "Rows",
     "SingleIndexIVModel",
     "LinearIVModel",
     "LogisticIVModel",
@@ -50,25 +53,45 @@ def logistic_deriv(x):
     return s * (1.0 - s)
 
 
+class Rows(NamedTuple):
+    """Sample rows X (m, d), Z (m, p) and Y (m,) that the row-form kernels
+    read: one active set's rows from SingleIndexIVModel.gather, or a whole
+    Dataset, which has the same three fields."""
+
+    X: np.ndarray
+    Z: np.ndarray
+    Y: np.ndarray
+
+
 class SingleIndexIVModel(ABC):
     """Moments g_i(w) = Z_i (Y_i - f(X_i . w)) for a link f.
 
-    Every kernel takes an integer array idx of sample indices; one sample
-    i is the batch np.array([i]). The per-sample Jacobian is the rank-one
-    -f'(X_i . w) Z_i X_i^T, so all four kernels follow from two pieces a
-    subclass supplies: the link f and the slope-weighted instrument rows
-    f'(X_i . w) Z_i. No kernel calls another kernel, so one call evaluates
-    X[idx] @ w at most once. Rows are gathered with ndarray.take, which
-    gives the same values as fancy indexing several times faster.
+    The per-sample Jacobian is the rank-one -f'(X_i . w) Z_i X_i^T, so every
+    kernel follows from two pieces a subclass supplies: the link f and the
+    slope-weighted instrument rows f'(X_i . w) Z_i (row_sloped_instruments).
+
+    Each kernel has a row form and an index form. The row forms
+    (row_residuals, row_moments, row_jacobian_dot, row_mean_jacobian,
+    row_sloped_instruments) read rows already taken: gather(idx) takes
+    X[idx], Z[idx] and Y[idx] once with ndarray.take, which gives the same
+    values as fancy indexing several times faster, and the model's Dataset
+    serves as the rows of every sample without a copy. The index forms
+    (residuals, moments, jacobian_dot, mean_jacobian_over,
+    sloped_instruments) take an integer array idx of sample indices, one
+    sample i being the batch np.array([i]); each gathers its rows, then
+    calls its row form, so a formula is written once and both forms give
+    the same bits. gmm_sever gathers once per active set and calls only the
+    row forms. No index form calls another, so each call is one gather and
+    evaluates X[idx] @ w at most once.
 
     moments and jacobian_dot return their (m, k) score matrices
     column-major. Every sever round reduces them one coordinate at a time
-    (the mean moment, the noise-floor scale, each filter pass's centering),
-    and numpy sums a column-major array along axis 0 over contiguous
-    memory, several times faster than row by row. Each element is the
-    product the row-major formula gives, bit for bit; only those means'
-    summation order differs. The gathers and products stay on row-major
-    rows (X[idx] @ w, Z[idx] @ u, sloped.T @ X).
+    (the mean moment, each filter pass's centering), and numpy sums a
+    column-major array along axis 0 over contiguous memory, several times
+    faster than row by row. Each element is the product the row-major
+    formula gives, bit for bit; only those means' summation order differs.
+    The gathers and products stay on row-major rows (X @ w, Z @ u,
+    sloped.T @ X).
 
     affine : every g_i is affine in w, so the mean moment is u0 + J w with
              u0 the mean moment at 0 and J the constant mean Jacobian.
@@ -94,36 +117,56 @@ class SingleIndexIVModel(ABC):
     def moment_dim(self) -> int:
         return self.data.p
 
+    def gather(self, idx: np.ndarray) -> Rows:
+        """The rows X[idx], Z[idx] and Y[idx], each taken once."""
+        d = self.data
+        return Rows(d.X.take(idx, axis=0), d.Z.take(idx, axis=0), d.Y.take(idx))
+
     @abstractmethod
     def link(self, t: np.ndarray) -> np.ndarray:
         """f applied elementwise to the indices t_i = X_i . w."""
 
     @abstractmethod
-    def sloped_instruments(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Rows f'(X_i . w) Z_i, shape (len(idx), moment_dim)."""
+    def row_sloped_instruments(self, rows: Rows, w: np.ndarray) -> np.ndarray:
+        """Rows f'(X_i . w) Z_i, shape (m, moment_dim)."""
 
-    def moments(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Rows g_i(w), shape (len(idx), moment_dim), column-major."""
-        d = self.data
-        resid = d.Y.take(idx) - self.link(d.X.take(idx, axis=0) @ w)
-        return np.multiply(d.Z.take(idx, axis=0), resid[:, None], order="F")
+    def row_residuals(self, rows: Rows, w: np.ndarray) -> np.ndarray:
+        """Scalar response residuals behind the moments, shape (m,)."""
+        return rows.Y - self.link(rows.X @ w)
+
+    def row_moments(self, rows: Rows, w: np.ndarray) -> np.ndarray:
+        """Rows g_i(w), shape (m, moment_dim), column-major."""
+        return np.multiply(rows.Z, self.row_residuals(rows, w)[:, None], order="F")
+
+    def row_jacobian_dot(self, rows: Rows, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Rows (d g_i / d w)^T u, shape (m, param_dim), column-major."""
+        # x * -v is -x * v bit for bit; negating the m-vector spares a copy of X
+        scale = -(self.row_sloped_instruments(rows, w) @ u)
+        return np.multiply(rows.X, scale[:, None], order="F")
+
+    def row_mean_jacobian(self, rows: Rows, w: np.ndarray) -> np.ndarray:
+        """(1/m) sum of d g_i / d w, shape (moment_dim, param_dim)."""
+        return -(self.row_sloped_instruments(rows, w).T @ rows.X) / len(rows.X)
+
+    def sloped_instruments(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """row_sloped_instruments on the rows idx."""
+        return self.row_sloped_instruments(self.gather(idx), w)
 
     def residuals(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Scalar response residuals behind the moments, shape (len(idx),)."""
-        d = self.data
-        return d.Y.take(idx) - self.link(d.X.take(idx, axis=0) @ w)
+        """row_residuals on the rows idx, shape (len(idx),)."""
+        return self.row_residuals(self.gather(idx), w)
+
+    def moments(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """row_moments on the rows idx, shape (len(idx), moment_dim)."""
+        return self.row_moments(self.gather(idx), w)
 
     def jacobian_dot(self, idx: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Rows (d g_i / d w)^T u, shape (len(idx), param_dim), column-major."""
-        X = self.data.X.take(idx, axis=0)
-        # x * -v is -x * v bit for bit; negating the m-vector spares a copy of X
-        scale = -(self.sloped_instruments(idx, w) @ u)
-        return np.multiply(X, scale[:, None], order="F")
+        """row_jacobian_dot on the rows idx, shape (len(idx), param_dim)."""
+        return self.row_jacobian_dot(self.gather(idx), w, u)
 
     def mean_jacobian_over(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """(1/len(idx)) sum of d g_i / d w, shape (moment_dim, param_dim)."""
-        X = self.data.X.take(idx, axis=0)
-        return -(self.sloped_instruments(idx, w).T @ X) / len(idx)
+        """row_mean_jacobian on the rows idx, shape (moment_dim, param_dim)."""
+        return self.row_mean_jacobian(self.gather(idx), w)
 
 
 class LinearIVModel(SingleIndexIVModel):
@@ -134,8 +177,8 @@ class LinearIVModel(SingleIndexIVModel):
     def link(self, t):
         return t
 
-    def sloped_instruments(self, idx, w):
-        return self.data.Z.take(idx, axis=0)
+    def row_sloped_instruments(self, rows, w):
+        return rows.Z
 
 
 class LogisticIVModel(SingleIndexIVModel):
@@ -144,10 +187,8 @@ class LogisticIVModel(SingleIndexIVModel):
     def link(self, t):
         return logistic(t)
 
-    def sloped_instruments(self, idx, w):
-        d = self.data
-        slope = logistic_deriv(d.X.take(idx, axis=0) @ w)
-        return d.Z.take(idx, axis=0) * slope[:, None]
+    def row_sloped_instruments(self, rows, w):
+        return rows.Z * logistic_deriv(rows.X @ w)[:, None]
 
 
 _MODEL_KINDS = {"linear": LinearIVModel, "logistic": LogisticIVModel}

@@ -7,10 +7,13 @@ raw moments), minimizing again whenever a pass removes samples. For an
 affine model (linear IV) f is a convex quadratic, and every round takes its
 exact minimizer over the ball (_exact_step: one SVD and, when the ball
 binds, a scalar multiplier); only non-affine models run the constrained
-learner, which returns an approximate critical point. amplified_gmm_sever
-repeats that with fresh randomness until a run keeps enough samples, and
-iterated_gmm_sever is the plug-in fit's sever stage: one amplified run.
-Every layer returns the one core.EstimateReport.
+learner, which returns an approximate critical point. The loop gathers the
+active set's rows once per set, after the screen and after each pass that
+removes rows, and every kernel of a round reads them through the model's
+row forms. amplified_gmm_sever repeats that with fresh randomness until a
+run keeps enough samples, and iterated_gmm_sever is the plug-in fit's
+sever stage: one amplified run. Every layer returns the one
+core.EstimateReport.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .core import (
     HyperParams,
 )
 from .filtering import robust_score_bound, spectral_filter
-from .models import SingleIndexIVModel
+from .models import Rows, SingleIndexIVModel
 from .numerics import (
     CriticalPointProblem,
     RandomSource,
@@ -111,22 +114,26 @@ ACCEPT_EPS_MULT = 10.0
 AMPLIFY_REPS = 3
 
 
-def _affine_terms(model: SingleIndexIVModel, S: ActiveSet):
+def _affine_terms(model: SingleIndexIVModel, S: ActiveSet, rows: Optional[Rows] = None):
     """u0 = E_S g(0) and the constant mean Jacobian J of an affine model,
-    so that E_S g(w) = u0 + J w for every w."""
+    so that E_S g(w) = u0 + J w for every w. rows are S's gathered rows;
+    without them S is gathered here."""
+    if rows is None:
+        rows = model.gather(S.indices)
     zero = np.zeros(model.param_dim)
-    u0 = model.moments(S.indices, zero).mean(axis=0)
-    return u0, model.mean_jacobian_over(S.indices, zero)
+    u0 = model.row_moments(rows, zero).mean(axis=0)
+    return u0, model.row_mean_jacobian(rows, zero)
 
 
 def _moment_objective(model: SingleIndexIVModel, S: ActiveSet):
     """f(w) = ||E_S g(w)||^2 with gradient 2 (E_S grad g)^T (E_S g), the
-    learner's objective for a non-affine model."""
-    idx = S.indices
+    learner's objective for a non-affine model; S is gathered once, when
+    the objective is built."""
+    rows = model.gather(S.indices)
 
     def objective_grad(w: np.ndarray):
-        u = model.moments(idx, w).mean(axis=0)
-        grad = 2.0 * (model.mean_jacobian_over(idx, w).T @ u)
+        u = model.row_moments(rows, w).mean(axis=0)
+        grad = 2.0 * (model.row_mean_jacobian(rows, w).T @ u)
         return float(u @ u), grad
 
     return objective_grad
@@ -214,7 +221,7 @@ def gmm_sever(
         # the per-row Jacobians are the rank-one f'(0) Z_i X_i^T; the product
         # of the root-mean-square row norms of f'(0) Z and X bounds their mean
         # Frobenius norm, and is the absolute scale _exact_step reads
-        sloped, X = model.sloped_instruments(S.indices, origin), model.data.X
+        sloped, X = model.row_sloped_instruments(model.data, origin), model.data.X
         row_scale = math.sqrt(np.vdot(sloped, sloped) * np.vdot(X, X)) / n
 
     events = []
@@ -222,8 +229,10 @@ def gmm_sever(
     warm: Optional[np.ndarray] = None
     rounds = 0
 
+    # a residual at the center reads its own row only, so one evaluation over
+    # every sample serves each screen pass, subset by that pass's keep mask
+    res = model.row_residuals(model.data, origin)
     while True:
-        res = model.residuals(S.indices, origin)
         med = float(median(res))
         dev = np.abs(res - med)
         mad = float(median(dev))
@@ -232,7 +241,8 @@ def gmm_sever(
         keep_mask = dev <= PRACTICE_RESPONSE_CAP * mad
         if keep_mask.all():
             break
-        S = shrink(ActiveSet(S.indices[keep_mask]))
+        S = shrink(S.subset(keep_mask))
+        res = res[keep_mask]
         events.append((0, "response", int((~keep_mask).sum()), float(dev.max() / mad)))
     # the roundoff level of both passes (_ROUNDOFF_FLOOR), from the screened
     # residuals at the center (their square when all sit at the median) and
@@ -241,10 +251,13 @@ def gmm_sever(
     spread = float(dev @ dev) or float(res @ res)
     roundoff = _ROUNDOFF_FLOOR * spread / len(S) * float(np.vdot(Z, Z)) / n
 
+    # S's rows, gathered once per active set: after the screen and after each
+    # pass that removes rows
+    rows = model.gather(S.indices)
     while True:
         rounds += 1
         if model.affine:
-            w = _exact_step(*_affine_terms(model, S), row_scale, hp.R0)
+            w = _exact_step(*_affine_terms(model, S, rows), row_scale, hp.R0)
         else:
             prob = CriticalPointProblem(
                 objective_grad=_moment_objective(model, S),
@@ -256,16 +269,19 @@ def gmm_sever(
             learned = projected_gradient_critical_point(prob)
             unmet += not learned.tolerance_met
             w = learned.x
-        moment_scores = model.moments(S.indices, w)
+        moment_scores = model.row_moments(rows, w)
         u = moment_scores.mean(axis=0)
-        mom_scale = float(np.mean(np.sum(moment_scores * moment_scores, axis=1)))
+        # one sum over the contiguous column-major matrix: it only meets the
+        # roundoff floor, from which every measured design sits a factor of
+        # 1e6 or more away, so the summation order cannot move the decision
+        mom_scale = float(np.sum(moment_scores * moment_scores)) / len(S)
         passes = []
         if mom_scale > roundoff:
             passes.append(("moment", "mom", moment_scores, PRACTICE_SLACK))
             # a mean moment at roundoff is harmless at this iterate, and the
             # raw-moment pass is the active defense
             if float(u @ u) > roundoff:
-                jac_scores = model.jacobian_dot(S.indices, w, u)
+                jac_scores = model.row_jacobian_dot(rows, w, u)
                 jac_slack = PRACTICE_SLACK * PRACTICE_JAC_SLACK_FACTOR
                 passes.insert(0, ("jacobian", "jac", jac_scores, jac_slack))
         for kind, label, scores, slack in passes:
@@ -283,6 +299,7 @@ def gmm_sever(
             }
             return EstimateReport(w, S, rounds, tuple(events), diagnostics)
         S = shrink(out.kept)
+        rows = model.gather(S.indices)
         warm = w
 
 

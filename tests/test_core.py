@@ -68,8 +68,21 @@ def test_active_set_rejects_negative():
 def test_active_set_full_and_subset():
     full = ActiveSet.full(5)
     assert full.indices.tolist() == [0, 1, 2, 3, 4]
+    assert full.indices.dtype == np.int64 and not full.indices.flags.writeable
     sub = ActiveSet(full.indices[[3, 1]])
     assert sub.indices.tolist() == [1, 3]
+    # a boolean mask's subsets skip the constructor's check: they come out
+    # sorted, read-only and equal to indices[mask]
+    S = ActiveSet(np.array([9, 2, 5, 2, 7, 0]))
+    mask = np.array([True, False, True, True, False])
+    for part in (mask, ~mask, np.zeros(5, dtype=bool)):
+        got = S.subset(part).indices
+        np.testing.assert_array_equal(got, S.indices[part])
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert np.all(np.diff(got) > 0)
+    assert S.indices.tolist() == [0, 2, 5, 7, 9]
+    with pytest.raises(TypeError, match="boolean mask"):
+        S.subset(np.array([3, 1]))
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,44 @@ def test_kernels_gather_the_rows_they_are_given(cls, kernel, rng):
     np.testing.assert_array_equal(got, want)
 
 
+ROW_FORMS = {
+    "residuals": "row_residuals",
+    "moments": "row_moments",
+    "jacobian_dot": "row_jacobian_dot",
+    "mean_jacobian_over": "row_mean_jacobian",
+    "sloped_instruments": "row_sloped_instruments",
+}
+TREATMENT_DESIGNS = {
+    "hte": hte_design,
+    "hte-full": lambda data: hte_design(data, "full"),
+    "scalar": scalar_treatment_design,
+}
+
+
+@pytest.mark.parametrize("design", sorted(TREATMENT_DESIGNS))
+@pytest.mark.parametrize("cls", [LinearIVModel, LogisticIVModel])
+def test_row_forms_give_the_index_forms_bits(cls, design):
+    # the sever loop reads only the row forms, on rows gathered once per
+    # active set or on the whole Dataset; each must equal its index form
+    data, _ = make_treatment_dataset(seed=7, n=60, d=3)
+    model = cls(TREATMENT_DESIGNS[design](data))
+    n, src = model.n_samples, RandomSource(7)
+    w = 0.5 * src.normal(model.param_dim)
+    u = src.normal(model.moment_dim)
+    sets = {
+        "full": np.arange(n),
+        "subset": src.subset(n, 35),
+        "one-row": np.array([int(src.integers(0, n))]),
+    }
+    for name, idx in sets.items():
+        for rows in [model.gather(idx)] + ([model.data] if name == "full" else []):
+            for index_form, row_form in ROW_FORMS.items():
+                args = (w, u) if index_form == "jacobian_dot" else (w,)
+                want = getattr(model, index_form)(idx, *args)
+                got = getattr(model, row_form)(rows, *args)
+                assert np.array_equal(got, want), (name, row_form)
+
+
 def build_fd_models():
     lin_data, _ = make_linear_dataset(seed=31, n=20, d=3, p=3, noise=0.3)
     log_data, _ = make_linear_dataset(seed=32, n=20, d=3, p=3, noise=0.3)

@@ -123,8 +123,8 @@ class KernelPathIdentityIV(SingleIndexIVModel):
     def link(self, t):
         return t
 
-    def sloped_instruments(self, idx, w):
-        return self.data.Z[idx]
+    def row_sloped_instruments(self, rows, w):
+        return rows.Z
 
 
 class LearnerLinearIV(LinearIVModel):
@@ -160,11 +160,11 @@ def test_two_method_link_fits_like_linear_iv(monkeypatch, seed):
 class RowMajorScoresIV(LinearIVModel):
     # the shipped kernels return column-major score matrices; these are the
     # same elements row-major, so the sever round's means sum row by row
-    def moments(self, idx, w):
-        return np.ascontiguousarray(super().moments(idx, w))
+    def row_moments(self, rows, w):
+        return np.ascontiguousarray(super().row_moments(rows, w))
 
-    def jacobian_dot(self, idx, w, u):
-        return np.ascontiguousarray(super().jacobian_dot(idx, w, u))
+    def row_jacobian_dot(self, rows, w, u):
+        return np.ascontiguousarray(super().row_jacobian_dot(rows, w, u))
 
 
 def scaled_cell(kind):
@@ -228,6 +228,38 @@ def test_exact_step_is_iv_on_the_first_active_set(monkeypatch):
     oracle = np.linalg.solve(Z_S.T @ X_S, Z_S.T @ Y_S)
     assert np.linalg.norm(w - oracle) <= 1e-10 * np.linalg.norm(oracle)
     assert all(w is not None for _, w in steps)
+
+
+@pytest.mark.parametrize("kind", ["desk", "semi"])
+def test_a_fit_gathers_each_active_set_once(monkeypatch, kind):
+    # gmm_sever gathers its rows after the screen (which removes rows on the
+    # semi cell) and after each pass that removes rows; every round reads
+    # them through the row forms, so no index-form kernel runs in a fit
+    design, eps, rng = scaled_cell(kind)
+    model = LinearIVModel(design)
+    hp = derive_hyperparams(model, eps)
+    gathered = []
+    gather = SingleIndexIVModel.gather
+
+    def spied(self, idx):
+        gathered.append(idx.copy())
+        return gather(self, idx)
+
+    def forbidden(*args):
+        raise AssertionError("an index-form kernel ran inside a fit")
+
+    monkeypatch.setattr(SingleIndexIVModel, "gather", spied)
+    for kernel in ("residuals", "moments", "jacobian_dot", "mean_jacobian_over",
+                   "sloped_instruments"):
+        monkeypatch.setattr(SingleIndexIVModel, kernel, forbidden)
+    report = iterated_gmm_sever(model, hp, rng)
+    assert report.diagnostics["outer_rounds"] == 1.0
+    removing = [e for e in report.events if e[1] != "response" and e[2] > 0]
+    assert len(gathered) == len(removing) + 1 == report.rounds
+    assert len({idx.tobytes() for idx in gathered}) == len(gathered)
+    np.testing.assert_array_equal(gathered[-1], report.final_set.indices)
+    screened = [e for e in report.events if e[1] == "response"]
+    assert len(gathered[0]) == design.n - sum(e[2] for e in screened)
 
 
 def test_exact_step_outside_the_ball_lands_on_the_sphere(monkeypatch, rng):
