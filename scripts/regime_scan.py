@@ -1,31 +1,42 @@
 #!/usr/bin/env python3
-"""Fit one fixed battery of attacked cells and compare two such scans.
+"""Fit one fixed battery of cells, attacked and clean, and compare two scans.
 
     python3 scripts/regime_scan.py --out scan.json
     python3 scripts/regime_scan.py --compare parent.json change.json
 
-The battery (BATTERY) holds five regimes. The first three are sweep
-regimes: each cell is built by experiments.sweep_cell, as the sweeps build
-it, so a scan cell is the robust row of the same sweep cell:
+The battery (BATTERY) holds eleven regimes. Five are sweep regimes: each
+cell is built by experiments.sweep_cell, as the sweeps build it, so a scan
+cell is the robust row of the same sweep cell:
 - desk: all-ones attack, synth-sweep seeds 1001-1040 over the desk grid;
 - paper: all-ones attack, synth-sweep seeds 4001-4010 over the paper grid
   at rep 0;
 - semi: negation attack on data/card_standin.csv, semi-sweep seed 9000 at
-  eps 0.05-0.45 x 10 reps.
-The other two are repros of attacks no sweep runs, one cell per seed and
+  eps 0.05-0.45 x 10 reps;
+- clean-desk and clean-semi: the desk and semi cells without their attack.
+The other six are repros of attacks no sweep runs, one cell per seed and
 eps, fitted with RandomSource(seed):
 - logistic: logistic IV, n=4000, d=4, Z = X + 0.5 noise, the first eps n
   rows of X set to 3.0 (ROADMAP item 6), seeds 0-3 at eps 0.1 and 0.2;
-- overidentified: linear IV, n=2000, d=5, p=10, noise 1.0, the first eps n
-  rows set to X = Z = 1, Y = -5 (ROADMAP item 19's point mass), seeds 0-9
-  at eps 0.1 and 0.2.
+- overidentified and identified: linear IV, n=2000, d=5, noise 1.0, the
+  first eps n rows set to X = Z = 1, Y = -5 (ROADMAP item 19's repro A),
+  with p=10 and p=5 instruments, seeds 0-9 at eps 0.1 and 0.2;
+- isotropic: linear IV, n=2000, d=p=10, noise 1.0, the first eps n rows
+  spread evenly over the instrument directions at c = 8 (item 19's repro
+  B), seeds 0-9 at eps 0.05 and 0.1;
+- point-mass and point-mass-paper: the clean desk (paper) sweep cell at
+  eps 0.1, rep 0 with floor(eps n) random rows set to X = 0, Y = -10 and Z
+  on the instrument direction the regressors reach least (item 19's repro
+  C), desk seeds 2001-2010 at eps 0.05, 0.1 and 0.2 and paper seeds
+  4101-4105 at eps 0.1 and 0.2.
 The logistic regime runs the learner and the overidentified one the
 projected-Jacobian pass, which the sweep regimes' exactly identified
-designs skip.
+designs skip. The repro builders are the only copy of each attack: the
+Tier-1 regime tests fit the same cells, and tests/conftest.py takes its
+make_linear_dataset from here.
 
 --out fits every cell with the robustgmm of this script's checkout and
 writes one JSON record per cell: its error (desk, paper, the repros) or
-fitted ATE (semi), kept and planted-kept counts, abort flag, a hash of the
+fitted ATE (semi, clean-semi), kept and planted-kept counts, abort flag, a hash of the
 final set and w_hat. It also records numpy's version and the BLAS thread
 count, since paper-scale w_hat differ across BLAS thread counts. --compare
 pairs two scans cell by cell and prints, per regime and eps, the mean
@@ -48,7 +59,8 @@ import json
 import math
 import pathlib
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -114,6 +126,30 @@ class Repro:
         return self.build(seed, eps)
 
 
+def make_linear_dataset(seed: int, n: int, d: int, noise: float = 0.0, p=None):
+    """Linear IV data with Z correlated to X; returns (Dataset, w_true)."""
+    src = RandomSource(seed)
+    p = d if p is None else p
+    X = src.normal((n, d))
+    Z = X @ src.normal((d, p)) * 0.3 + src.normal((n, p))
+    w_true = src.normal(d)
+    Y = X @ w_true + noise * src.normal(n)
+    return Dataset(X=X, Y=Y, Z=Z), w_true
+
+
+def _plant(data: Dataset, rows: np.ndarray, x, z, y) -> Dataset:
+    """data with X, Z and Y of the given rows set to x, z and y."""
+    X, Z, Y = data.X.copy(), data.Z.copy(), data.Y.copy()
+    X[rows], Z[rows], Y[rows] = x, z, y
+    return Dataset(X=X, Y=Y, Z=Z)
+
+
+def _weakest_direction(data: Dataset) -> np.ndarray:
+    """The last left singular vector of E Z X^T, the instrument direction
+    the regressors reach least."""
+    return np.linalg.svd(data.Z.T @ data.X / data.n)[0][:, -1]
+
+
 def logistic_x_side(seed: int, eps: float) -> ReproCell:
     """ROADMAP item 6: the first eps n of 4000 rows of X set to 3.0."""
     src = RandomSource(seed)
@@ -126,36 +162,65 @@ def logistic_x_side(seed: int, eps: float) -> ReproCell:
     return ReproCell(Dataset(X=X, Y=Y, Z=Z), w, np.arange(m), seed, "logistic")
 
 
-def overidentified_point_mass(seed: int, eps: float) -> ReproCell:
-    """ROADMAP item 19's repro A with p = 10: tests/conftest.py's
-    make_linear_dataset(seed, n=2000, d=5, noise=1.0, p=10) with the first
-    eps n rows set to X = Z = 1, Y = -5."""
-    src = RandomSource(seed)
-    X = src.normal((2000, 5))
-    Z = X @ src.normal((5, 10)) * 0.3 + src.normal((2000, 10))
-    w = src.normal(5)
-    Y = X @ w + src.normal(2000)
-    m = round(eps * 2000)
-    X[:m], Z[:m], Y[:m] = 1.0, 1.0, -5.0
-    return ReproCell(Dataset(X=X, Y=Y, Z=Z), w, np.arange(m), seed)
+def point_mass(seed: int, eps: float, p: int) -> ReproCell:
+    """ROADMAP item 19's repro A: make_linear_dataset(seed, n=2000, d=5,
+    noise=1.0, p) with the first eps n rows set to X = Z = 1, Y = -5."""
+    data, w = make_linear_dataset(seed, 2000, 5, noise=1.0, p=p)
+    planted = np.arange(round(eps * 2000))
+    return ReproCell(_plant(data, planted, 1.0, 1.0, -5.0), w, planted, seed)
+
+
+def isotropic_spread(seed: int, eps: float) -> ReproCell:
+    """ROADMAP item 19's repro B: make_linear_dataset(seed, n=2000, d=10,
+    noise=1.0) with the first eps n rows set to X = 0, Y = 1 and instruments
+    8 (t + b s_i e_j(i)): t the last left singular vector of E Z X^T,
+    b = 2 sqrt(p), signs s_i drawn from RandomSource(seed).child("signs")
+    and cycled coordinates j(i)."""
+    data, w = make_linear_dataset(seed, 2000, 10, noise=1.0)
+    m, p = int(eps * data.n), data.p
+    planted = np.arange(m)
+    signs = np.where(RandomSource(seed).child("signs").uniform(m) < 0.5, -1.0, 1.0)
+    spread = np.tile(_weakest_direction(data), (m, 1))
+    spread[planted, planted % p] += 2.0 * np.sqrt(p) * signs
+    return ReproCell(_plant(data, planted, 0.0, 8.0 * spread, 1.0), w, planted, seed)
+
+
+def hidden_point_mass(config: SweepConfig, seed: int, eps: float) -> ReproCell:
+    """ROADMAP item 19's repro C: the clean cell (seed, eps 0.1, rep 0) of
+    config's sweep with floor(eps n) rows, drawn by RandomSource(seed), set to
+    X = 0, Y = -10 and Z = 8 t, t the last left singular vector of E Z X^T."""
+    cell = sweep_cell(config, seed, 0.1, 0)
+    data = cell.design
+    planted = RandomSource(seed).subset(data.n, math.floor(eps * data.n))
+    attacked = _plant(data, planted, 0.0, 8.0 * _weakest_direction(data), -10.0)
+    return ReproCell(attacked, cell.theta, planted, seed)
 
 
 def _grid(kind, eps_grid, reps, **fields):
     return SweepConfig(kind, eps_grid, reps, seed=0, **fields)
 
 
+DESK = _grid("synthetic", (0.05, 0.1, 0.2, 0.3), 5, n=2000, d=10)
+PAPER = _grid("synthetic", (0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45), 1,
+              n=10000, d=20)
+SEMI = _grid("semi", (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45), 10,
+             attack="negation", data_path=SEMI_INPUT)
+DESK_SEEDS = tuple(range(1001, 1041))
+
 BATTERY = {
-    "desk": Regime(_grid("synthetic", (0.05, 0.1, 0.2, 0.3), 5, n=2000, d=10),
-                   tuple(range(1001, 1041))),
-    "paper": Regime(_grid("synthetic",
-                          (0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45), 1,
-                          n=10000, d=20),
-                    tuple(range(4001, 4011))),
-    "semi": Regime(_grid("semi", (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45), 10,
-                         attack="negation", data_path=SEMI_INPUT),
-                   (9000,)),
+    "desk": Regime(DESK, DESK_SEEDS),
+    "paper": Regime(PAPER, tuple(range(4001, 4011))),
+    "semi": Regime(SEMI, (9000,)),
     "logistic": Repro(logistic_x_side, (0.1, 0.2), tuple(range(4))),
-    "overidentified": Repro(overidentified_point_mass, (0.1, 0.2), tuple(range(10))),
+    "overidentified": Repro(partial(point_mass, p=10), (0.1, 0.2), tuple(range(10))),
+    "clean-desk": Regime(replace(DESK, attack="none"), DESK_SEEDS),
+    "clean-semi": Regime(replace(SEMI, attack="none"), (9000,)),
+    "point-mass": Repro(partial(hidden_point_mass, replace(DESK, attack="none")),
+                        (0.05, 0.1, 0.2), tuple(range(2001, 2011))),
+    "point-mass-paper": Repro(partial(hidden_point_mass, replace(PAPER, attack="none")),
+                              (0.1, 0.2), tuple(range(4101, 4106))),
+    "identified": Repro(partial(point_mass, p=5), (0.1, 0.2), tuple(range(10))),
+    "isotropic": Repro(isotropic_spread, (0.05, 0.1), tuple(range(10))),
 }
 
 

@@ -618,9 +618,11 @@ class SweepCell:
     theta: Optional[np.ndarray]
     planted: np.ndarray
 
-    def robust_fit(self, eps: float, name: str = ESTIMATOR_NAMES[0]) -> EstimateReport:
-        """The robust estimator's fit of the cell, on its stream robust/<name>."""
-        return robust_linear_estimate(self.design, eps, self.rng.child(f"robust/{name}"))
+    def robust_fit(self, eps: float) -> EstimateReport:
+        """The sweep's robust fit of the cell, on its stream
+        robust/iterated-gmm-sever."""
+        stream = self.rng.child("robust/iterated-gmm-sever")
+        return robust_linear_estimate(self.design, eps, stream)
 
 
 def sweep_cell(cfg: SweepConfig, master_seed: int, eps: float, rep: int) -> SweepCell:
@@ -656,7 +658,7 @@ def _run_cell(cfg: SweepConfig, master_seed: int, eps: float, rep: int):
                 elif name == "two-stage-huber":
                     w = two_stage_huber(design)
                 else:
-                    w = cell.robust_fit(eps, name).w_hat
+                    w = cell.robust_fit(eps).w_hat
             if cfg.kind == "synthetic":
                 value = float(np.linalg.norm(w - theta))
             else:

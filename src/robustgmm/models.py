@@ -70,19 +70,19 @@ class SingleIndexIVModel(ABC):
     kernel follows from two pieces a subclass supplies: the link f and the
     slope-weighted instrument rows f'(X_i . w) Z_i (row_sloped_instruments).
 
-    Each kernel has a row form and an index form. The row forms
-    (row_residuals, row_moments, row_jacobian_dot, row_mean_jacobian,
-    row_sloped_instruments) read rows already taken: gather(idx) takes
-    X[idx], Z[idx] and Y[idx] once with ndarray.take, which gives the same
-    values as fancy indexing several times faster, and the model's Dataset
-    serves as the rows of every sample without a copy. The index forms
-    (residuals, moments, jacobian_dot, mean_jacobian_over,
-    sloped_instruments) take an integer array idx of sample indices, one
-    sample i being the batch np.array([i]); each gathers its rows, then
-    calls its row form, so a formula is written once and both forms give
-    the same bits. gmm_sever gathers once per active set and calls only the
-    row forms. No index form calls another, so each call is one gather and
-    evaluates X[idx] @ w at most once.
+    Each kernel has a row form, and all but row_sloped_instruments an
+    index form. The row forms (row_residuals, row_moments,
+    row_jacobian_dot, row_mean_jacobian, row_sloped_instruments) read rows
+    already taken: gather(idx) takes X[idx], Z[idx] and Y[idx] once with
+    ndarray.take, which gives the same values as fancy indexing several
+    times faster, and the model's Dataset serves as the rows of every
+    sample without a copy. The index forms (residuals, moments,
+    jacobian_dot, mean_jacobian_over) take an integer array idx of sample
+    indices, one sample i being the batch np.array([i]); each gathers its
+    rows, then calls its row form, so a formula is written once and both
+    forms give the same bits. gmm_sever gathers once per active set and
+    calls only the row forms. No index form calls another, so each call is
+    one gather and evaluates X[idx] @ w at most once.
 
     moments and jacobian_dot return their (m, k) score matrices
     column-major. Every sever round reduces them one coordinate at a time
@@ -147,10 +147,6 @@ class SingleIndexIVModel(ABC):
     def row_mean_jacobian(self, rows: Rows, w: np.ndarray) -> np.ndarray:
         """(1/m) sum of d g_i / d w, shape (moment_dim, param_dim)."""
         return -(self.row_sloped_instruments(rows, w).T @ rows.X) / len(rows.X)
-
-    def sloped_instruments(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """row_sloped_instruments on the rows idx."""
-        return self.row_sloped_instruments(self.gather(idx), w)
 
     def residuals(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
         """row_residuals on the rows idx, shape (len(idx),)."""

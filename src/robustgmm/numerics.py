@@ -137,7 +137,6 @@ class CriticalPointProblem:
     objective_grad : w -> (f(w), grad f(w))
     center, radius : the feasible ball B_radius(center)
     gamma          : criticality tolerance
-    max_iters      : None selects 10 * d * ceil(log(1/gamma)), capped at 1e5
     x0             : warm-start point (projected into the ball); None = center
     """
 
@@ -145,7 +144,6 @@ class CriticalPointProblem:
     center: np.ndarray
     radius: float
     gamma: float
-    max_iters: Optional[int] = None
     x0: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -154,13 +152,6 @@ class CriticalPointProblem:
             raise ValueError("radius must be nonnegative")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-
-    def resolved_max_iters(self) -> int:
-        if self.max_iters is not None:
-            return self.max_iters
-        d = self.center.size
-        steps = 10 * d * math.ceil(max(1.0, math.log(1.0 / self.gamma)))
-        return min(100000, steps)
 
 
 @dataclass(frozen=True)
@@ -209,8 +200,8 @@ def projected_gradient_critical_point(prob: CriticalPointProblem) -> LearnerResu
     Spectral projected gradient: the Barzilai-Borwein quotient seeds the step
     size, Armijo backtracking (constant 1e-4, halving) accepts it. Returns
     the best iterate seen, always in the ball, with tolerance_met=False once
-    the budget runs out or no step makes progress; iterations counts the
-    accepted steps.
+    the budget of 10 d ceil(log(1/gamma)) steps (at most 1e5) runs out or no
+    step makes progress; iterations counts the accepted steps.
     """
     center, radius = prob.center, prob.radius
     if radius == 0.0:
@@ -224,7 +215,8 @@ def projected_gradient_critical_point(prob: CriticalPointProblem) -> LearnerResu
     crit = feasible_descent_norm(g_x, x, center, radius)
     best_x, best_crit = x.copy(), crit
     step = 1.0 / max(1.0, math.sqrt(g_x @ g_x))
-    max_iters = prob.resolved_max_iters()
+    budget = 10 * center.size * math.ceil(max(1.0, math.log(1.0 / prob.gamma)))
+    max_iters = min(100000, budget)
 
     for it in range(max_iters):
         if crit <= prob.gamma:

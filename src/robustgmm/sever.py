@@ -114,22 +114,18 @@ ACCEPT_EPS_MULT = 10.0
 AMPLIFY_REPS = 3
 
 
-def _affine_terms(model: SingleIndexIVModel, S: ActiveSet, rows: Optional[Rows] = None):
-    """u0 = E_S g(0) and the constant mean Jacobian J of an affine model,
-    so that E_S g(w) = u0 + J w for every w. rows are S's gathered rows;
-    without them S is gathered here."""
-    if rows is None:
-        rows = model.gather(S.indices)
+def _affine_terms(model: SingleIndexIVModel, rows: Rows):
+    """u0 = E_S g(0) and the constant mean Jacobian J of an affine model on
+    an active set S's gathered rows, so that E_S g(w) = u0 + J w for every w."""
     zero = np.zeros(model.param_dim)
     u0 = model.row_moments(rows, zero).mean(axis=0)
     return u0, model.row_mean_jacobian(rows, zero)
 
 
-def _moment_objective(model: SingleIndexIVModel, S: ActiveSet):
+def _moment_objective(model: SingleIndexIVModel, rows: Rows):
     """f(w) = ||E_S g(w)||^2 with gradient 2 (E_S grad g)^T (E_S g), the
-    learner's objective for a non-affine model; S is gathered once, when
-    the objective is built."""
-    rows = model.gather(S.indices)
+    learner's objective for a non-affine model on an active set S's
+    gathered rows."""
 
     def objective_grad(w: np.ndarray):
         u = model.row_moments(rows, w).mean(axis=0)
@@ -257,10 +253,10 @@ def gmm_sever(
     while True:
         rounds += 1
         if model.affine:
-            w = _exact_step(*_affine_terms(model, S, rows), row_scale, hp.R0)
+            w = _exact_step(*_affine_terms(model, rows), row_scale, hp.R0)
         else:
             prob = CriticalPointProblem(
-                objective_grad=_moment_objective(model, S),
+                objective_grad=_moment_objective(model, rows),
                 center=origin,
                 radius=hp.R0,
                 gamma=hp.gamma,

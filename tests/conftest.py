@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from regime_scan import make_linear_dataset
 from robustgmm import Dataset, RandomSource
 
 
@@ -30,17 +31,6 @@ class ForcedUniform(RandomSource):
 @pytest.fixture
 def rng():
     return RandomSource(20260815)
-
-
-def make_linear_dataset(seed: int, n: int, d: int, noise: float = 0.0, p=None):
-    """Linear IV data with Z correlated to X; returns (Dataset, w_true)."""
-    src = RandomSource(seed)
-    p = d if p is None else p
-    X = src.normal((n, d))
-    Z = X @ src.normal((d, p)) * 0.3 + src.normal((n, p))
-    w_true = src.normal(d)
-    Y = X @ w_true + noise * src.normal(n)
-    return Dataset(X=X, Y=Y, Z=Z), w_true
 
 
 def ball_binding_dataset():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regime_scan import BATTERY
 from robustgmm import (
     CARD_STANDIN_COLUMNS,
     Dataset,
@@ -497,12 +498,9 @@ def reference_block_transform(columns):
     return np.diag(1.0 / rms)
 
 
-def hte_blocks(n, d):
-    # the X and Z blocks of a synth-sweep cell at eps 0.1 under all-ones
-    cell_rng = RandomSource(1001).child("eps=0.1/rep=0")
-    base, _ = gen_synthetic_hte(n, d, cell_rng.child("dgp"))
-    base, _ = corrupt_all_ones(base, 0.1, cell_rng.child("attack"))
-    design = hte_design(base)
+def hte_blocks(regime):
+    # the X and Z blocks of a synth-sweep cell (master seed 1001, eps 0.1)
+    design = BATTERY[regime].cell(1001, 0.1, 0).design
     return design.X, design.Z
 
 
@@ -526,10 +524,10 @@ def zero_column_block():
 
 
 BLOCK_CASES = {
-    "desk X": (lambda: hte_blocks(2000, 10)[0], False),
-    "desk Z": (lambda: hte_blocks(2000, 10)[1], False),
-    "paper X": (lambda: hte_blocks(10000, 20)[0], False),
-    "paper Z": (lambda: hte_blocks(10000, 20)[1], False),
+    "desk X": (lambda: hte_blocks("desk")[0], False),
+    "desk Z": (lambda: hte_blocks("desk")[1], False),
+    "paper X": (lambda: hte_blocks("paper")[0], False),
+    "paper Z": (lambda: hte_blocks("paper")[1], False),
     "semi X": (lambda: semi_blocks()[0], True),
     "semi Z": (lambda: semi_blocks()[1], True),
     "zero column": (zero_column_block, False),

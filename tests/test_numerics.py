@@ -226,9 +226,15 @@ def test_learner_warm_start_is_projected():
 
 
 def test_learner_reports_unmet_tolerance():
-    prob = CriticalPointProblem(
-        quadratic([50.0, 0.0]), np.zeros(2), 100.0, 1e-14, max_iters=1
-    )
+    # Rosenbrock's valley from the origin: the budget of
+    # 10 d ceil(log(1/gamma)) = 60 steps runs out at criticality 0.125
+    def rosenbrock(w):
+        x, y = w
+        bend = y - x * x
+        grad = np.array([-2.0 * (1.0 - x) - 400.0 * x * bend, 200.0 * bend])
+        return (1.0 - x) ** 2 + 100.0 * bend**2, grad
+
+    prob = CriticalPointProblem(rosenbrock, np.zeros(2), 100.0, 0.1)
     res = projected_gradient_critical_point(prob)
     assert not res.tolerance_met
     assert np.linalg.norm(res.x) <= 100.0 + 1e-12
@@ -240,7 +246,7 @@ def test_learner_counts_iterations_when_no_step_progresses():
     def fg(w):
         return float(w @ w), np.array([1.0, 0.0])
 
-    prob = CriticalPointProblem(fg, np.zeros(2), 1.0, 1e-8, max_iters=50)
+    prob = CriticalPointProblem(fg, np.zeros(2), 1.0, 1e-8)
     res = projected_gradient_critical_point(prob)
     assert not res.tolerance_met
     assert res.iterations == 0

@@ -1,5 +1,6 @@
 import copy
 import json
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -78,6 +79,19 @@ def test_repro_cells_plant_their_attack():
     data = point.design
     assert np.all(data.X[:400] == 1.0) and np.all(data.Z[:400] == 1.0)
     assert np.all(data.Y[:400] == -5.0) and not np.any(data.Y[400:] == -5.0)
+
+
+def test_every_regime_builds_its_first_cell_the_same_twice():
+    # a scan pairs cells across checkouts by (seed, eps, rep), so a build
+    # must be a function of them; pickle writes every array's bytes and the
+    # fit stream's seed and state
+    for name, regime in BATTERY.items():
+        first, second = (regime.cell(regime.seeds[0], regime.eps_grid[0], 0)
+                         for _ in range(2))
+        assert pickle.dumps(first) == pickle.dumps(second), name
+        planted, n = first.planted, first.design.n
+        assert np.array_equal(np.unique(planted), planted), name
+        assert planted.size == 0 or 0 <= planted[0] <= planted[-1] < n, name
 
 
 def test_compare_reports_moves_aborts_and_drift():

@@ -6,8 +6,11 @@ change that breaks a working regime shows in Tier-1. The known failures
 are pinned as strict xfails: each asserts the behaviour the fit should
 have and names the ROADMAP item that tracks the failure. Strict mode turns
 an unexpected pass into a failure, so the change that mends a regime must
-turn its test into a plain assertion. The attack generators of item 19
-live here; the library has no attack option for them.
+turn its test into a plain assertion. The cells come from
+scripts/regime_scan.py, the scan's one builder for each: its BATTERY's
+sweep cells, which experiments.sweep_cell builds as the sweeps do, and
+its repro generators (ROADMAP items 6 and 19), attacks the library has no
+option for.
 """
 
 from pathlib import Path
@@ -15,40 +18,30 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robustgmm import (
-    CARD_STANDIN_COLUMNS,
-    Dataset,
-    RandomSource,
-    load_csv,
-    robust_linear_estimate,
-    scalar_treatment_design,
+from regime_scan import (
+    BATTERY,
+    hidden_point_mass,
+    isotropic_spread,
+    logistic_x_side,
+    point_mass,
 )
+from robustgmm import RandomSource, robust_linear_estimate
 from robustgmm.cli import main
-from robustgmm.experiments import corrupt_all_ones, corrupt_negation, gen_synthetic_hte
-from robustgmm.models import hte_design, logistic, two_stage_least_squares
+from robustgmm.models import two_stage_least_squares
 
 from conftest import ball_binding_dataset, make_linear_dataset
 
 DATA_CSV = Path(__file__).resolve().parents[1] / "data" / "card_standin.csv"
 
 
-def semi_design():
-    return scalar_treatment_design(load_csv(DATA_CSV, CARD_STANDIN_COLUMNS))
+def robust_and_iv_errors(cell, report):
+    w_iv = two_stage_least_squares(cell.design)
+    return (float(np.linalg.norm(report.w_hat - cell.theta)),
+            float(np.linalg.norm(w_iv - cell.theta)))
 
 
-def hte_cell(seed, n, d, eps, rep, attack):
-    # a synth-sweep cell: its stream, the HTE design and the true effects
-    cell_rng = RandomSource(seed).child(f"eps={eps}/rep={rep}")
-    base, theta = gen_synthetic_hte(n, d, cell_rng.child("dgp"))
-    if attack:
-        base, _ = corrupt_all_ones(base, eps, cell_rng.child("attack"))
-    return hte_design(base), theta, cell_rng
-
-
-def robust_and_iv_errors(design, theta, eps, rng):
-    w_robust = robust_linear_estimate(design, eps, rng).w_hat
-    w_iv = two_stage_least_squares(design)
-    return float(np.linalg.norm(w_robust - theta)), float(np.linalg.norm(w_iv - theta))
+def fit_error(cell, eps):
+    return float(np.linalg.norm(cell.robust_fit(eps).w_hat - cell.theta))
 
 
 # ---------------------------------------------------------------------------
@@ -57,58 +50,43 @@ def robust_and_iv_errors(design, theta, eps, rng):
 
 def test_clean_desk_cell_keeps_every_row():
     # desk preset without an attack; master seeds 1-10 all keep every row
-    design, _, cell_rng = hte_cell(1, 2000, 10, 0.1, 0, attack=False)
-    report = robust_linear_estimate(
-        design, 0.1, cell_rng.child("robust/iterated-gmm-sever")
-    )
-    assert len(report.final_set) == design.n == 2000
+    cell = BATTERY["clean-desk"].cell(1, 0.1, 0)
+    assert len(cell.robust_fit(0.1).final_set) == cell.design.n == 2000
 
 
 def test_clean_semi_design_keeps_every_row():
-    design = semi_design()
-    cell_rng = RandomSource(9000).child("eps=0.05/rep=0")
-    report = robust_linear_estimate(
-        design, 0.05, cell_rng.child("robust/iterated-gmm-sever")
-    )
-    assert len(report.final_set) == design.n == 3010
+    cell = BATTERY["clean-semi"].cell(9000, 0.05, 0)
+    assert len(cell.robust_fit(0.05).final_set) == cell.design.n == 3010
 
 
 def test_desk_all_ones_at_eps_0_3_beats_classical_iv():
     # the committed desk sweep's cell at master seed 1001, eps 0.3, rep 0:
     # robust 0.239 against classical IV 0.332
-    design, theta, cell_rng = hte_cell(1001, 2000, 10, 0.3, 0, attack=True)
-    robust, iv = robust_and_iv_errors(
-        design, theta, 0.3, cell_rng.child("robust/iterated-gmm-sever")
-    )
+    cell = BATTERY["desk"].cell(1001, 0.3, 0)
+    robust, iv = robust_and_iv_errors(cell, cell.robust_fit(0.3))
     assert robust < iv
 
 
 def test_desk_all_ones_at_eps_0_05_beats_classical_iv():
     # the committed desk sweep's cell at master seed 1001, eps 0.05, rep 0:
     # robust 0.146 against classical IV 0.874
-    design, theta, cell_rng = hte_cell(1001, 2000, 10, 0.05, 0, attack=True)
-    robust, iv = robust_and_iv_errors(
-        design, theta, 0.05, cell_rng.child("robust/iterated-gmm-sever")
-    )
+    cell = BATTERY["desk"].cell(1001, 0.05, 0)
+    robust, iv = robust_and_iv_errors(cell, cell.robust_fit(0.05))
     assert robust < iv
 
 
 def test_semi_negation_at_eps_0_15_keeps_the_sign():
     # the committed semi sweep's cell at master seed 9000, eps 0.15, rep 0;
     # classical IV returns the negated ATE
-    cell_rng = RandomSource(9000).child("eps=0.15/rep=0")
-    corrupted, _ = corrupt_negation(semi_design(), 0.15, cell_rng.child("attack"))
-    report = robust_linear_estimate(
-        corrupted, 0.15, cell_rng.child("robust/iterated-gmm-sever")
-    )
-    assert report.w_hat[0] > 0.0
+    assert BATTERY["semi"].cell(9000, 0.15, 0).robust_fit(0.15).w_hat[0] > 0.0
 
 
 def test_paper_scale_all_ones_at_eps_0_3_beats_classical_iv():
     # n=10000, d=20 at master seed 7, eps 0.3, rep 0: robust 0.0997
     # against classical IV 0.426
-    design, theta, cell_rng = hte_cell(7, 10000, 20, 0.3, 0, attack=True)
-    robust, iv = robust_and_iv_errors(design, theta, 0.3, cell_rng.child("robust"))
+    cell = BATTERY["paper"].cell(7, 0.3, 0)
+    report = robust_linear_estimate(cell.design, 0.3, cell.rng.child("robust"))
+    robust, iv = robust_and_iv_errors(cell, report)
     assert robust < iv
 
 
@@ -150,13 +128,7 @@ def test_noiseless_clean_design_keeps_every_row(seed):
 def test_semi_negation_at_eps_0_3_keeps_the_sign():
     # the semi-sweep cell at master seed 9000, eps 0.3, rep 0; 9 of the
     # sweep's 10 reps at this eps return the attacked answer
-    design = semi_design()
-    cell_rng = RandomSource(9000).child("eps=0.3/rep=0")
-    corrupted, _ = corrupt_negation(design, 0.3, cell_rng.child("attack"))
-    report = robust_linear_estimate(
-        corrupted, 0.3, cell_rng.child("robust/iterated-gmm-sever")
-    )
-    assert report.w_hat[0] > 0.0
+    assert BATTERY["semi"].cell(9000, 0.3, 0).robust_fit(0.3).w_hat[0] > 0.0
 
 
 @pytest.mark.xfail(
@@ -168,13 +140,7 @@ def test_semi_negation_at_eps_0_3_keeps_the_sign():
 def test_semi_negation_at_eps_0_45_keeps_the_sign():
     # the semi-sweep cell at master seed 9000, eps 0.45, rep 0; reps 1 and 2
     # keep every row as well
-    design = semi_design()
-    cell_rng = RandomSource(9000).child("eps=0.45/rep=0")
-    corrupted, _ = corrupt_negation(design, 0.45, cell_rng.child("attack"))
-    report = robust_linear_estimate(
-        corrupted, 0.45, cell_rng.child("robust/iterated-gmm-sever")
-    )
-    assert report.w_hat[0] > 0.0
+    assert BATTERY["semi"].cell(9000, 0.45, 0).robust_fit(0.45).w_hat[0] > 0.0
 
 
 @pytest.mark.xfail(
@@ -202,25 +168,9 @@ def test_clean_two_instrument_design_fits(tmp_path):
     "4000 rows; its l2 error is 0.459 against 0.111 on the clean design",
 )
 def test_logistic_x_side_attack_at_eps_0_2_is_filtered():
-    src = RandomSource(0)
-    X = src.normal((4000, 4))
-    Z = X + 0.5 * src.normal((4000, 4))
-    w = src.normal(4)
-    Y = (src.uniform(4000) < logistic(X @ w)).astype(np.float64)
-    attacked = X.copy()
-    attacked[:800] = 3.0
-
-    def error(design_X):
-        data = Dataset(X=design_X, Y=Y, Z=Z)
-        report = robust_linear_estimate(data, 0.2, RandomSource(0), model_kind="logistic")
-        return float(np.linalg.norm(report.w_hat - w))
-
-    assert error(attacked) <= 2.0 * error(X)
-
-
-def fit_error(data, w_true, eps):
-    report = robust_linear_estimate(data, eps, RandomSource(0))
-    return float(np.linalg.norm(report.w_hat - w_true))
+    # the battery's logistic repro at seed 0, eps 0.2, against its clean design
+    attacked, clean = logistic_x_side(0, 0.2), logistic_x_side(0, 0.0)
+    assert fit_error(attacked, 0.2) <= 2.0 * fit_error(clean, 0.2)
 
 
 @pytest.mark.xfail(
@@ -231,25 +181,9 @@ def fit_error(data, w_true, eps):
     "200 planted rows, l2 error 19.09 against 0.097 clean (classical IV 19.11)",
 )
 def test_point_mass_that_moves_the_iterate_is_filtered():
-    data, w_true = make_linear_dataset(seed=0, n=2000, d=5, noise=1.0)
-    X, Z, Y = data.X.copy(), data.Z.copy(), data.Y.copy()
-    X[:200], Z[:200], Y[:200] = 1.0, 1.0, -5.0
-    attacked = Dataset(X=X, Y=Y, Z=Z)
-    assert fit_error(attacked, w_true, 0.1) <= 2.0 * fit_error(data, w_true, 0.1)
-
-
-def isotropic_spread(data, eps, c, rng):
-    # item 19's repro B: planted rows with X = 0, Y = 1 and instruments
-    # c * (t + b * s_i * e_j(i)), t the last left singular vector of E Z X^T,
-    # b = 2 sqrt(p), random signs s_i and cycled coordinates j(i)
-    m, p = int(eps * data.n), data.p
-    t = np.linalg.svd(data.Z.T @ data.X / data.n)[0][:, -1]
-    signs = np.where(rng.uniform(m) < 0.5, -1.0, 1.0)
-    planted = np.tile(t, (m, 1))
-    planted[np.arange(m), np.arange(m) % p] += 2.0 * np.sqrt(p) * signs
-    X, Z, Y = data.X.copy(), data.Z.copy(), data.Y.copy()
-    X[:m], Y[:m], Z[:m] = 0.0, 1.0, c * planted
-    return Dataset(X=X, Y=Y, Z=Z)
+    # repro A at p = 5, seed 0, eps 0.1
+    attacked, clean = point_mass(0, 0.1, p=5), point_mass(0, 0.0, p=5)
+    assert fit_error(attacked, 0.1) <= 2.0 * fit_error(clean, 0.1)
 
 
 @pytest.mark.xfail(
@@ -261,6 +195,20 @@ def isotropic_spread(data, eps, c, rng):
     "l2 error 8.16 against 0.33 clean (classical IV 6.80)",
 )
 def test_isotropic_spread_is_filtered():
-    data, w_true = make_linear_dataset(seed=0, n=2000, d=10, noise=1.0)
-    attacked = isotropic_spread(data, 0.05, 8.0, RandomSource(0).child("signs"))
-    assert fit_error(attacked, w_true, 0.05) <= 2.0 * fit_error(data, w_true, 0.05)
+    attacked, clean = isotropic_spread(0, 0.05), isotropic_spread(0, 0.0)
+    assert fit_error(attacked, 0.05) <= 2.0 * fit_error(clean, 0.05)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 19: repro C's 200 planted rows (X = 0, Y = -10, Z on "
+    "the weakest instrument direction) sit under the screen cap and move the "
+    "iterate, so no pass fires; the fit keeps all of them, l2 error 30.52 "
+    "against 0.140 clean (classical IV 30.52)",
+)
+def test_hidden_point_mass_on_a_desk_cell_is_filtered():
+    # the battery's point-mass cell at desk seed 2001, eps 0.1
+    attacked = BATTERY["point-mass"].cell(2001, 0.1, 0)
+    clean = hidden_point_mass(BATTERY["clean-desk"].config, 2001, 0.0)
+    assert fit_error(attacked, 0.1) <= 3.0 * fit_error(clean, 0.1)

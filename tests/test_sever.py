@@ -1,10 +1,8 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
+from regime_scan import BATTERY
 from robustgmm import (
-    CARD_STANDIN_COLUMNS,
     Dataset,
     FilterExhaustedError,
     HyperParams,
@@ -12,7 +10,6 @@ from robustgmm import (
     LogisticIVModel,
     RandomSource,
     iterated_gmm_sever,
-    load_csv,
     robust_linear_estimate,
     scalar_treatment_design,
     two_stage_least_squares,
@@ -20,7 +17,6 @@ from robustgmm import (
 from robustgmm.core import ActiveSet, EstimateReport, EstimationError
 from robustgmm.experiments import (
     corrupt_all_ones,
-    corrupt_negation,
     derive_hyperparams,
     gen_synthetic_hte,
 )
@@ -89,7 +85,7 @@ def test_affine_objective_matches_kernels(design, seed):
         "one-row": ActiveSet(np.array([int(src.integers(0, n))])),
     }
     for name, S in sets.items():
-        u0, J = sever_mod._affine_terms(model, S)
+        u0, J = sever_mod._affine_terms(model, model.gather(S.indices))
         for k in range(3):
             w = src.child(f"w-{name}-{k}").normal(model.param_dim)
             u = model.moments(S.indices, w).mean(axis=0)
@@ -105,7 +101,7 @@ def test_logistic_objective_keeps_kernel_path():
     model = LogisticIVModel(data)
     assert not model.affine
     S = ActiveSet(RandomSource(4).subset(150, 100))
-    fn = sever_mod._moment_objective(model, S)
+    fn = sever_mod._moment_objective(model, model.gather(S.indices))
     for k in range(3):
         w = RandomSource(k).normal(3) * 0.5
         _, grad = fn(w)
@@ -167,20 +163,24 @@ class RowMajorScoresIV(LinearIVModel):
         return np.ascontiguousarray(super().row_jacobian_dot(rows, w, u))
 
 
+def instrument_attacked_logistic_data():
+    # a logistic response with 40 of 400 instrument rows set to 4.0
+    data, w_true = make_linear_dataset(seed=0, n=400, d=2, noise=0.5)
+    Y = (RandomSource(100).uniform(400) < logistic(data.X @ w_true)).astype(np.float64)
+    Z = data.Z.copy()
+    Z[:40] = 4.0
+    return Dataset(X=data.X, Y=Y, Z=Z)
+
+
 def scaled_cell(kind):
-    # a sweep-style cell, rescaled as robust_linear_estimate rescales it
-    if kind == "desk":
-        src, eps = RandomSource(1001).child("eps=0.3/rep=0"), 0.3
-        base, _ = gen_synthetic_hte(2000, 10, src.child("dgp"))
-        design = hte_design(corrupt_all_ones(base, eps, src.child("attack"))[0])
-    else:
-        src, eps = RandomSource(9000).child("eps=0.15/rep=0"), 0.15
-        data_csv = Path(__file__).resolve().parents[1] / "data" / "card_standin.csv"
-        clean = scalar_treatment_design(load_csv(data_csv, CARD_STANDIN_COLUMNS))
-        design = corrupt_negation(clean, eps, src.child("attack"))[0]
+    # a sweep cell (desk: master seed 1001, eps 0.3; semi: 9000, eps 0.15;
+    # rep 0), rescaled as robust_linear_estimate rescales it
+    seed, eps = {"desk": (1001, 0.3), "semi": (9000, 0.15)}[kind]
+    cell = BATTERY[kind].cell(seed, eps, 0)
+    design = cell.design
     X = design.X @ experiments_mod._block_transform(design.X)
     Z = design.Z @ experiments_mod._block_transform(design.Z)
-    return Dataset(X=X, Y=design.Y, Z=Z), eps, src.child("fit")
+    return Dataset(X=X, Y=design.Y, Z=Z), eps, cell.rng.child("fit")
 
 
 @pytest.mark.parametrize("kind", ["desk", "semi"])
@@ -222,21 +222,25 @@ def test_exact_step_is_iv_on_the_first_active_set(monkeypatch):
     spy_returns(monkeypatch, "_affine_terms", terms)
     spy_returns(monkeypatch, "_exact_step", steps)
     iterated_gmm_sever(model, derive_hyperparams(model, eps), rng)
-    idx = terms[0][0][1].indices
+    rows = terms[0][0][1]
     w = steps[0][1]
-    Z_S, X_S, Y_S = design.Z[idx], design.X[idx], design.Y[idx]
-    oracle = np.linalg.solve(Z_S.T @ X_S, Z_S.T @ Y_S)
+    oracle = np.linalg.solve(rows.Z.T @ rows.X, rows.Z.T @ rows.Y)
     assert np.linalg.norm(w - oracle) <= 1e-10 * np.linalg.norm(oracle)
     assert all(w is not None for _, w in steps)
 
 
-@pytest.mark.parametrize("kind", ["desk", "semi"])
+@pytest.mark.parametrize("kind", ["desk", "semi", "logistic"])
 def test_a_fit_gathers_each_active_set_once(monkeypatch, kind):
     # gmm_sever gathers its rows after the screen (which removes rows on the
     # semi cell) and after each pass that removes rows; every round reads
-    # them through the row forms, so no index-form kernel runs in a fit
-    design, eps, rng = scaled_cell(kind)
-    model = LinearIVModel(design)
+    # them through the row forms, so no index-form kernel runs in a fit. A
+    # logistic round's learner objective reads the round's rows as well.
+    if kind == "logistic":
+        design, eps, rng = instrument_attacked_logistic_data(), 0.1, RandomSource(0)
+        model = LogisticIVModel(design)
+    else:
+        design, eps, rng = scaled_cell(kind)
+        model = LinearIVModel(design)
     hp = derive_hyperparams(model, eps)
     gathered = []
     gather = SingleIndexIVModel.gather
@@ -249,8 +253,7 @@ def test_a_fit_gathers_each_active_set_once(monkeypatch, kind):
         raise AssertionError("an index-form kernel ran inside a fit")
 
     monkeypatch.setattr(SingleIndexIVModel, "gather", spied)
-    for kernel in ("residuals", "moments", "jacobian_dot", "mean_jacobian_over",
-                   "sloped_instruments"):
+    for kernel in ("residuals", "moments", "jacobian_dot", "mean_jacobian_over"):
         monkeypatch.setattr(SingleIndexIVModel, kernel, forbidden)
     report = iterated_gmm_sever(model, hp, rng)
     assert report.diagnostics["outer_rounds"] == 1.0
@@ -277,7 +280,7 @@ def test_exact_step_outside_the_ball_lands_on_the_sphere(monkeypatch, rng):
     assert learner_calls == [] and len(steps) == res.rounds
     for _, w in steps:
         assert np.linalg.norm(w) == pytest.approx(0.1, rel=1e-12)
-    u0, J = sever_mod._affine_terms(model, ActiveSet.full(model.n_samples))
+    u0, J = sever_mod._affine_terms(model, model.data)
     assert np.linalg.norm(np.linalg.solve(J, -u0)) > 1.0
     for radius in (0.1, 0.5, 1.0):
         w = sever_mod._exact_step(u0, J, 1.0, radius)
@@ -356,12 +359,8 @@ def test_logistic_fit_is_unchanged_by_the_exact_step(monkeypatch):
 
     monkeypatch.setattr(sever_mod, "_affine_terms", forbidden)
     monkeypatch.setattr(sever_mod, "_exact_step", forbidden)
-    data, w_true = make_linear_dataset(seed=0, n=400, d=2, noise=0.5)
-    Y = (RandomSource(100).uniform(400) < logistic(data.X @ w_true)).astype(np.float64)
-    Z = data.Z.copy()
-    Z[:40] = 4.0  # planted instrument rows
     report = robust_linear_estimate(
-        Dataset(X=data.X, Y=Y, Z=Z), 0.1, RandomSource(0), model_kind="logistic"
+        instrument_attacked_logistic_data(), 0.1, RandomSource(0), model_kind="logistic"
     )
     removed = np.setdiff1d(np.arange(400), report.final_set.indices)
     assert removed.tolist() == [3, 7, 10, 16, 18, 19, 20, 22, 26, 30, 31, 32, 34, 35, 36]
@@ -396,16 +395,14 @@ def test_one_huge_response_leaves_the_filter_passes_running():
     # drops cannot lift it above every later moment row: the all-ones desk
     # cell still runs its moment passes and removes the planted rows it
     # removes without that response.
-    src, eps = RandomSource(1001).child("eps=0.3/rep=0"), 0.3
-    base, _ = gen_synthetic_hte(2000, 10, src.child("dgp"))
-    base, planted = corrupt_all_ones(base, eps, src.child("attack"))
-    design = hte_design(base)
+    cell, eps = BATTERY["desk"].cell(1001, 0.3, 0), 0.3
+    design, planted = cell.design, cell.planted
     huge = int(np.setdiff1d(np.arange(2000), planted)[0])
     Y = design.Y.copy()
     Y[huge] = 1e13
-    plain = robust_linear_estimate(design, eps, src.child("fit"))
+    plain = robust_linear_estimate(design, eps, cell.rng.child("fit"))
     report = robust_linear_estimate(
-        Dataset(X=design.X, Y=Y, Z=design.Z), eps, src.child("fit")
+        Dataset(X=design.X, Y=Y, Z=design.Z), eps, cell.rng.child("fit")
     )
     assert report.events[0][:3] == (0, "response", 1)
     assert huge not in report.final_set.indices
@@ -685,19 +682,15 @@ def test_iterated_noiseless_converges_to_truth(rng):
 def test_third_run_fits_desk_cell_where_two_abort(monkeypatch):
     # the desk-sweep cell at master seed 28005, eps=0.3, rep 2: its first two
     # sever runs exhaust the sample set and the third keeps 1718 of 2000
-    cell_rng = RandomSource(28005).child("eps=0.3/rep=2")
-    base, theta = gen_synthetic_hte(2000, 10, cell_rng.child("dgp"))
-    base, _ = corrupt_all_ones(base, 0.3, cell_rng.child("attack"))
+    cell = BATTERY["desk"].cell(28005, 0.3, 2)
     runs = []
     count_calls(monkeypatch, sever_mod, "gmm_sever", runs)
-    report = robust_linear_estimate(
-        hte_design(base), 0.3, cell_rng.child("robust/iterated-gmm-sever")
-    )
+    report = cell.robust_fit(0.3)
     assert [type(r) for r in runs[:2]] == [FilterExhaustedError] * 2
     assert len(runs) == 3 and isinstance(runs[2], EstimateReport)
     assert report.diagnostics["outer_rounds"] == 3.0
     assert len(report.final_set) == 1718
-    assert np.linalg.norm(report.w_hat - theta) < 0.3
+    assert np.linalg.norm(report.w_hat - cell.theta) < 0.3
 
 
 def test_iterated_deterministic(rng):
@@ -715,13 +708,9 @@ def test_practice_jacobian_pass_spares_clean_negation_rows():
     # Jacobian pass firing at twice the slack it kept stripping clean rows
     # after the response screen had removed all planted ones, down to 535
     # of 3010, and the fit ended in FilterExhaustedError.
-    data_csv = Path(__file__).resolve().parents[1] / "data" / "card_standin.csv"
-    design = scalar_treatment_design(load_csv(data_csv, CARD_STANDIN_COLUMNS))
-    cell_rng = RandomSource(35007).child("eps=0.05/rep=8")
-    corrupted, planted = corrupt_negation(design, 0.05, cell_rng.child("attack"))
-    report = robust_linear_estimate(
-        corrupted, 0.05, cell_rng.child("robust/iterated-gmm-sever")
-    )
+    cell = BATTERY["semi"].cell(35007, 0.05, 8)
+    design = BATTERY["clean-semi"].cell(35007, 0.05, 8).design
+    planted, report = cell.planted, cell.robust_fit(0.05)
     assert len(planted) == 150
     assert len(report.final_set) == 2860
     assert not np.isin(planted, report.final_set.indices).any()
@@ -772,14 +761,10 @@ def test_plugin_fit_retries_an_exhausted_run(monkeypatch):
     # practice run cuts the sample set to 1289 of 2000 rows, below the
     # floor; the plug-in fit must repeat it on a fresh stream instead of
     # failing the cell.
-    cell_rng = RandomSource(31050).child("eps=0.3/rep=3")
-    base, _ = gen_synthetic_hte(2000, 10, cell_rng.child("dgp"))
-    base, _ = corrupt_all_ones(base, 0.3, cell_rng.child("attack"))
+    cell = BATTERY["desk"].cell(31050, 0.3, 3)
     runs = []
     count_calls(monkeypatch, sever_mod, "gmm_sever", runs)
-    report = robust_linear_estimate(
-        hte_design(base), 0.3, cell_rng.child("robust/iterated-gmm-sever")
-    )
+    report = cell.robust_fit(0.3)
     assert isinstance(runs[0], FilterExhaustedError) and len(runs) == 2
     assert "1289 of 2000 remain" in str(runs[0])
     assert len(report.final_set) == len(runs[1].final_set) == 1744
