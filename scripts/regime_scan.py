@@ -4,7 +4,7 @@
     python3 scripts/regime_scan.py --out scan.json
     python3 scripts/regime_scan.py --compare parent.json change.json
 
-The battery (BATTERY) holds eleven regimes. Five are sweep regimes: each
+The battery (BATTERY) holds twelve regimes. Five are sweep regimes: each
 cell is built by experiments.sweep_cell, as the sweeps build it, so a scan
 cell is the robust row of the same sweep cell:
 - desk: all-ones attack, synth-sweep seeds 1001-1040 over the desk grid;
@@ -13,8 +13,8 @@ cell is the robust row of the same sweep cell:
 - semi: negation attack on data/card_standin.csv, semi-sweep seed 9000 at
   eps 0.05-0.45 x 10 reps;
 - clean-desk and clean-semi: the desk and semi cells without their attack.
-The other six are repros of attacks no sweep runs, one cell per seed and
-eps, fitted with RandomSource(seed):
+The other seven are repros, one cell per seed and eps, fitted with
+RandomSource(seed). Six plant attacks no sweep runs:
 - logistic: logistic IV, n=4000, d=4, Z = X + 0.5 noise, the first eps n
   rows of X set to 3.0 (ROADMAP item 6), seeds 0-3 at eps 0.1 and 0.2;
 - overidentified and identified: linear IV, n=2000, d=5, noise 1.0, the
@@ -28,6 +28,11 @@ eps, fitted with RandomSource(seed):
   on the instrument direction the regressors reach least (item 19's repro
   C), desk seeds 2001-2010 at eps 0.05, 0.1 and 0.2 and paper seeds
   4101-4105 at eps 0.1 and 0.2.
+The seventh, clean-two-instrument, plants nothing: data/card_standin.csv
+read as `robustgmm estimate` reads it with response lwage, covariates
+educ,exper and instruments nearc4,exper, a linear fit whose two moments
+make the clean score covariance look corrupted (ROADMAP item 11), seeds
+0-4 at eps 0, 0.05 and 0.1. It records the educ coefficient as its ate.
 The logistic regime runs the learner and the overidentified one the
 projected-Jacobian pass, which the sweep regimes' exactly identified
 designs skip. The repro builders are the only copy of each attack: the
@@ -35,19 +40,21 @@ Tier-1 regime tests fit the same cells, and tests/conftest.py takes its
 make_linear_dataset from here.
 
 --out fits every cell with the robustgmm of this script's checkout and
-writes one JSON record per cell: its error (desk, paper, the repros) or
-fitted ATE (semi, clean-semi), kept and planted-kept counts, abort flag, a hash of the
-final set and w_hat. It also records numpy's version and the BLAS thread
-count, since paper-scale w_hat differ across BLAS thread counts. --compare
-pairs two scans cell by cell and prints, per regime and eps, the mean
-change in error (second minus first) with its standard error, or the
-positive-ATE counts on semi; the cells that moved; the aborts; and the
-largest relative w_hat drift. It warns on standard error when the two
-scans ran on a different numpy or BLAS thread count, or one of them
-records neither, so such drift is not read as moved cells. It is a report,
-not a gate: it always exits 0 once both files load. A scan runs the
-robustgmm of the checkout the script sits in; to scan another checkout
-that has experiments.sweep_cell, run its copy of this script.
+writes one JSON record per cell: its error (desk, paper, the attack
+repros) or fitted ATE (semi, clean-semi, clean-two-instrument), kept and
+planted-kept counts, abort flag, a hash of the final set and w_hat. It
+also records numpy's version and the BLAS thread count, since
+paper-scale w_hat differ across BLAS thread counts. --compare pairs two
+scans cell by cell and prints, per regime and eps, the mean change in
+error (second minus first) with its standard error, or the positive-ATE
+counts on the ATE regimes (or that no cell fitted in both scans); the
+cells that moved; the aborts; and the largest relative w_hat drift. It
+warns on standard error when the two scans ran on a different numpy or
+BLAS thread count, or one of them records neither, so such drift is not
+read as moved cells. It is a report, not a gate: it always exits 0 once
+both files load. A scan runs the robustgmm of the checkout the script
+sits in; to scan another checkout that has experiments.sweep_cell, run its
+copy of this script.
 """
 
 from __future__ import annotations
@@ -61,14 +68,14 @@ import pathlib
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, Optional
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np
 
-from robustgmm import Dataset, RandomSource, robust_linear_estimate
+from robustgmm import Dataset, RandomSource, load_csv, robust_linear_estimate
 from robustgmm.experiments import FIT_FAILURES, SweepConfig, sweep_cell
 from robustgmm.models import logistic
 
@@ -98,11 +105,11 @@ class Regime:
 
 @dataclass(frozen=True)
 class ReproCell:
-    """A repro's attacked design, true parameters and planted rows; its fit
-    draws from RandomSource(seed)."""
+    """A repro's attacked design, true parameters (None when unknown) and
+    planted rows; its fit draws from RandomSource(seed)."""
 
     design: Dataset
-    theta: np.ndarray
+    theta: Optional[np.ndarray]
     planted: np.ndarray
     seed: int
     model_kind: str = "linear"
@@ -114,8 +121,8 @@ class ReproCell:
 
 @dataclass(frozen=True)
 class Repro:
-    """One cell build(seed, eps) of an attack no sweep runs, at each seed and
-    eps of the grid."""
+    """One cell build(seed, eps) of a design no sweep builds, at each seed
+    and eps of the grid."""
 
     build: Callable
     eps_grid: tuple
@@ -196,15 +203,23 @@ def hidden_point_mass(config: SweepConfig, seed: int, eps: float) -> ReproCell:
     return ReproCell(attacked, cell.theta, planted, seed)
 
 
-def _grid(kind, eps_grid, reps, **fields):
-    return SweepConfig(kind, eps_grid, reps, seed=0, **fields)
+TWO_INSTRUMENT_COLUMNS = {"response": "lwage", "covariates": ["educ", "exper"],
+                          "instruments": ["nearc4", "exper"]}
 
 
-DESK = _grid("synthetic", (0.05, 0.1, 0.2, 0.3), 5, n=2000, d=10)
-PAPER = _grid("synthetic", (0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45), 1,
-              n=10000, d=20)
-SEMI = _grid("semi", (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45), 10,
-             attack="negation", data_path=SEMI_INPUT)
+def clean_two_instrument(seed: int, eps: float) -> ReproCell:
+    """ROADMAP item 11's clean design: data/card_standin.csv with the
+    TWO_INSTRUMENT_COLUMNS roles, no attack and no known parameters."""
+    design = load_csv(SEMI_INPUT, TWO_INSTRUMENT_COLUMNS)
+    return ReproCell(design, None, np.empty(0, dtype=np.int64), seed)
+
+
+DESK = SweepConfig("synthetic", (0.05, 0.1, 0.2, 0.3), 5, n=2000, d=10)
+PAPER = SweepConfig("synthetic",
+                    (0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45), 1,
+                    n=10000, d=20)
+SEMI = SweepConfig("semi", (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45), 10,
+                   attack="negation", data_path=SEMI_INPUT)
 DESK_SEEDS = tuple(range(1001, 1041))
 
 BATTERY = {
@@ -221,6 +236,7 @@ BATTERY = {
                               (0.1, 0.2), tuple(range(4101, 4106))),
     "identified": Repro(partial(point_mass, p=5), (0.1, 0.2), tuple(range(10))),
     "isotropic": Repro(isotropic_spread, (0.05, 0.1), tuple(range(10))),
+    "clean-two-instrument": Repro(clean_two_instrument, (0.0, 0.05, 0.1), tuple(range(5))),
 }
 
 
@@ -334,11 +350,13 @@ def compare(first: dict, second: dict) -> list:
             moved = sum(_moved(a, b) for a, b in at)
             aborts = (sum(a["aborted"] for a, _ in at), sum(b["aborted"] for _, b in at))
             both = [(a, b) for a, b in at if not (a["aborted"] or b["aborted"])]
-            if metric == "ate":
+            if not both:
+                stat = "no cell fitted in both scans"
+            elif metric == "ate":
                 pos = (sum(a["ate"] > 0 for a, _ in both), sum(b["ate"] > 0 for _, b in both))
                 stat = f"positive ATE {pos[0]} -> {pos[1]} of {len(both)}"
             else:
-                mean, se = _mean_stderr([b["error"] - a["error"] for a, b in both] or [0.0])
+                mean, se = _mean_stderr([b["error"] - a["error"] for a, b in both])
                 stat = f"error {mean:+.4f} +/- {se:.4f}"
             lines.append(
                 f"  eps {eps:<5g} {stat}, {moved} of {len(at)} moved, "

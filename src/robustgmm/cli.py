@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .core import ActiveSet, EstimationError
+from .core import EstimationError
 from .experiments import (
     CARD_STANDIN_COLUMNS,
     ESTIMATOR_NAMES,
@@ -256,18 +256,20 @@ def _sweep_common(resolved: dict, kind: str, grid: dict) -> dict:
             _parse_float(tok, "eps_grid") for tok in _split_list(grid["eps_grid"])
         ),
         "repetitions": _parse_int(grid["reps"], "reps"),
-        "seed": _parse_int(resolved["seed"], "seed"),
         "estimators": tuple(_split_list(resolved["estimators"])),
         "attack": resolved["attack"],
         "stamp_runtime": _parse_bool(resolved["stamp_runtime"]),
     }
 
 
-def _emit_sweep(args, command: str, resolved: dict, cfg: SweepConfig) -> int:
+def _emit_sweep(args, command: str, resolved: dict, fields: dict) -> int:
+    """Run the SweepConfig of fields at the resolved seed; write both CSVs."""
+    rng = RandomSource(_parse_int(resolved["seed"], "seed"))
     try:
-        rows = run_sweep(cfg, RandomSource(cfg.seed), jobs=args.jobs)
+        rows = run_sweep(SweepConfig(**fields), rng, jobs=args.jobs)
     except ValueError as err:
-        # a cell could not build its design (columns, attack or grid)
+        # a bad config, or a cell that could not build its design (columns,
+        # attack or grid)
         raise ConfigError(str(err)) from None
     header = _stamp(command, resolved)
     write_rows_csv(args.out, rows, header)
@@ -288,15 +290,11 @@ def cmd_synth_sweep(args) -> int:
     for key in merged:
         if resolved.get(key):
             merged[key] = resolved[key]
-    try:
-        cfg = SweepConfig(
-            n=_parse_int(merged["n"], "n"),
-            d=_parse_int(merged["d"], "d"),
-            **_sweep_common(resolved, "synthetic", merged),
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    return _emit_sweep(args, "synth-sweep", resolved, cfg)
+    return _emit_sweep(args, "synth-sweep", resolved, {
+        "n": _parse_int(merged["n"], "n"),
+        "d": _parse_int(merged["d"], "d"),
+        **_sweep_common(resolved, "synthetic", merged),
+    })
 
 
 _SEMI_SPEC = {
@@ -317,16 +315,12 @@ _SEMI_SPEC = {
 
 def cmd_semi_sweep(args) -> int:
     resolved = _resolve(args, _SEMI_SPEC)
-    try:
-        cfg = SweepConfig(
-            data_path=_require(resolved, "input"),
-            columns=_columns_from(resolved),
-            intercept=_parse_bool(resolved["intercept"]),
-            **_sweep_common(resolved, "semi", resolved),
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    return _emit_sweep(args, "semi-sweep", resolved, cfg)
+    return _emit_sweep(args, "semi-sweep", resolved, {
+        "data_path": _require(resolved, "input"),
+        "columns": _columns_from(resolved),
+        "intercept": _parse_bool(resolved["intercept"]),
+        **_sweep_common(resolved, "semi", resolved),
+    })
 
 
 _DIAGNOSE_SPEC = {
@@ -345,7 +339,7 @@ def cmd_diagnose(args) -> int:
         w_ref = two_stage_least_squares(design)
     except EstimationError:
         w_ref = np.zeros(design.d)
-    diag = diagnose_assumptions(model, ActiveSet.full(design.n), w_ref)
+    diag = diagnose_assumptions(model, w_ref)
     lines = [f"n={design.n}", f"d={design.d}", f"p={design.p}"]
     lines.append(f"w_ref={','.join(format_float(v) for v in w_ref)}")
     lines.extend(f"{key}={format_float(diag[key])}" for key in sorted(diag))

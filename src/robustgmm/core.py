@@ -140,9 +140,10 @@ class HyperParams:
 
     eps   : corruption fraction, 0 <= eps < 1/2; amplification accepts a
             run that keeps at least (1 - ACCEPT_EPS_MULT * eps) * n samples
-    R0    : search radius of the learner's ball around the origin
-    gamma : learner criticality tolerance, the gradient size at which the
-            learner stops
+    R0    : radius of the search ball around the origin that every sever
+            round minimizes over
+    gamma : the gradient size at which the learner stops; only the
+            logistic (non-affine) fits run the learner and read it
     """
 
     eps: float
@@ -162,7 +163,8 @@ class HyperParams:
 class EstimateReport:
     """Outcome of a sever run; len(final_set) is the kept count.
 
-    rounds      : learner calls of the run, one per sever round
+    rounds      : sever rounds of the run, one minimization each (an exact
+                  step on affine fits, a learner call otherwise)
     events      : tuple of (sever round, filter kind, removed count, score)
                   for every pass, quiet ones included; kind is "response"
                   (the residual screen, round 0, scored by its largest

@@ -20,7 +20,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .core import (
-    ActiveSet,
     Dataset,
     EstimateReport,
     EstimationError,
@@ -119,14 +118,15 @@ CARD_STANDIN_COLUMNS = {
 }
 
 
-def gen_card_standin(rng: RandomSource, n: int = 3010):
-    """Synthetic stand-in with the schooling-returns schema.
+def gen_card_standin(rng: RandomSource):
+    """Synthetic stand-in with the schooling-returns schema, 3010 rows.
 
     Columns (lwage, educ, nearc4, exper, expersq): log wage, years of
     education (endogenous through latent ability), a binary proximity
     instrument, experience, and its square. The structural education effect
     is 0.10. Returns a dict of column name -> array, in schema order.
     """
+    n = 3010
     ability = rng.normal(n)
     nearc4 = (rng.uniform(n) < 0.68).astype(np.float64)
     exper = np.floor(rng.uniform(n) * 21.0)
@@ -149,11 +149,11 @@ def gen_card_standin(rng: RandomSource, n: int = 3010):
     }
 
 
-def write_card_standin(path, seed: int = 20260815, n: int = 3010) -> None:
-    cols = gen_card_standin(RandomSource(seed), n)
-    names = list(cols)
-    rows = (",".join(format_float(cols[c][i]) for c in names) for i in range(n))
-    write_lines(path, [",".join(names), *rows])
+def write_card_standin(path) -> None:
+    """Write data/card_standin.csv's bytes: gen_card_standin at seed 20260815."""
+    cols = gen_card_standin(RandomSource(20260815))
+    rows = (",".join(map(format_float, row)) for row in zip(*cols.values()))
+    write_lines(path, [",".join(cols), *rows])
 
 
 # ---------------------------------------------------------------------------
@@ -378,18 +378,18 @@ def save_dataset_csv(path, data: Dataset) -> None:
 # diagnostics and the plug-in hyperparameter rule
 
 
-def diagnose_assumptions(model, S: ActiveSet, w_ref: np.ndarray) -> dict:
-    """Identification constants of model on S at w_ref, for `diagnose`.
+def diagnose_assumptions(model, w_ref: np.ndarray) -> dict:
+    """Identification constants of model.data at w_ref, for `diagnose`.
 
     jacobian_sigma_min is the smallest singular value of the mean Jacobian
     (0.0 when p < d, as the Jacobian then has a null direction) and
-    moment_norm is || E_S g(w_ref) ||. A non-finite w_ref, mean Jacobian or
-    moment norm raises EstimationError: the design overflows float64.
+    moment_norm is || E g(w_ref) ||, both over every row, read in place by
+    the row-form kernels. A non-finite w_ref, mean Jacobian or moment norm
+    raises EstimationError: the design overflows float64.
     """
     w_ref = np.asarray(w_ref, dtype=np.float64)
-    idx = S.indices
-    J = model.mean_jacobian_over(idx, w_ref)
-    norm = float(np.linalg.norm(model.moments(idx, w_ref).mean(axis=0)))
+    J = model.row_mean_jacobian(model.data, w_ref)
+    norm = float(np.linalg.norm(model.row_moments(model.data, w_ref).mean(axis=0)))
     if not (np.isfinite(w_ref).all() and np.isfinite(J).all() and math.isfinite(norm)):
         raise EstimationError("diagnostics overflow float64; rescale the columns")
     p, d = J.shape
@@ -526,14 +526,14 @@ class SweepConfig:
     data_path, which it requires, and records the fitted ATE. eps_grid
     values differ in their first six significant digits, which label each
     cell's random stream, and estimators are distinct names from
-    ESTIMATOR_NAMES. The robust estimator fits each cell
-    at its own eps with plug-in constants (robust_linear_estimate).
+    ESTIMATOR_NAMES. The robust estimator fits each cell at its own eps with
+    plug-in constants (robust_linear_estimate). The master seed is not part
+    of the config: run_sweep and sweep_cell take it as an argument.
     """
 
     kind: str
     eps_grid: tuple
     repetitions: int
-    seed: int
     estimators: tuple = ESTIMATOR_NAMES
     attack: str = "all-ones"
     n: int = 10000

@@ -81,7 +81,9 @@ class SingleIndexIVModel(ABC):
     indices, one sample i being the batch np.array([i]); each gathers its
     rows, then calls its row form, so a formula is written once and both
     forms give the same bits. gmm_sever gathers once per active set and
-    calls only the row forms. No index form calls another, so each call is
+    calls only the row forms, as diagnose_assumptions does on the model's
+    Dataset; the index forms serve the acceptance battery and the
+    benchmark's kernel hooks. No index form calls another, so each call is
     one gather and evaluates X[idx] @ w at most once.
 
     moments and jacobian_dot return their (m, k) score matrices
@@ -423,23 +425,22 @@ def _huber_fit(A, B, delta, stage, tol=1e-8, max_iter=500):
     return X.T, ok
 
 
-def two_stage_huber(design: Dataset, huber_delta=None) -> np.ndarray:
+def two_stage_huber(design: Dataset) -> np.ndarray:
     """Huberized 2SLS: both regression stages minimize Huber loss (_huber_fit).
 
-    huber_delta=None picks 1.345 x a MAD-based residual scale per column and
-    stage. The first stage fits every column of X in one stacked fit of
-    guarded semismooth Newton steps. A column that misses the gradient
-    tolerance within 500 rounds returns its best iterate and emits a
-    warning; rank-deficient instruments or fitted regressors raise
-    WeakInstrumentsError.
+    Each column of each stage gets delta 1.345 x a MAD-based scale of its
+    least-squares residuals. The first stage fits every column of X in one
+    stacked fit. A column that misses the gradient tolerance within 500
+    rounds returns its best iterate and emits a warning; rank-deficient
+    instruments or fitted regressors raise WeakInstrumentsError.
     """
     Z, X, Y = design.Z, design.X, design.Y
     if design.p < design.d:
         raise WeakInstrumentsError(
             f"under-identified: {design.p} instruments for {design.d} parameters"
         )
-    coef, ok_first = _huber_fit(Z, X, huber_delta, "first stage")
-    w, ok_second = _huber_fit(Z @ coef, Y[:, None], huber_delta, "second stage")
+    coef, ok_first = _huber_fit(Z, X, None, "first stage")
+    w, ok_second = _huber_fit(Z @ coef, Y[:, None], None, "second stage")
     if not (ok_first.all() and ok_second.all()):
         warnings.warn("Huber fit did not reach gradient tolerance in 500 rounds")
     return w[:, 0]

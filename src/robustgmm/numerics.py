@@ -102,13 +102,14 @@ def centered_cov(values: np.ndarray):
     """Mean-centered rows and their (1/m)-normalized covariance.
 
     The 1/m normalization (not 1/(m-1)) matches the filtering analysis.
+    numpy computes centered.T @ centered with syrk, so the covariance is
+    symmetric bit for bit without averaging it with its transpose.
     """
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim != 2 or vals.shape[0] == 0:
         raise ValueError(f"expected a nonempty (m, k) array, got shape {vals.shape}")
     centered = vals - vals.mean(axis=0)
-    cov = centered.T @ centered / vals.shape[0]
-    return centered, 0.5 * (cov + cov.T)
+    return centered, centered.T @ centered / vals.shape[0]
 
 
 def top_eigenvector(A: np.ndarray):

@@ -237,7 +237,6 @@ def test_criterion_06_synthetic_sweep_ordering():
         kind="synthetic",
         eps_grid=(0.05, 0.1, 0.2, 0.3),
         repetitions=5,
-        seed=1001,
         n=2000,
         d=10,
     )
@@ -267,7 +266,6 @@ def test_criterion_07_sqrt_eps_scaling():
         kind="synthetic",
         eps_grid=(0.01, 0.16),
         repetitions=10,
-        seed=7001,
         n=5000,
         d=5,
         estimators=("iterated-gmm-sever",),
@@ -291,7 +289,6 @@ def test_criterion_08_no_corruption_sanity():
         kind="synthetic",
         eps_grid=(0.02,),
         repetitions=10,
-        seed=8000,
         n=2000,
         d=10,
         attack="none",
@@ -318,7 +315,6 @@ def test_criterion_09_semi_synthetic_sign_recovery():
         kind="semi",
         eps_grid=(0.05, 0.10, 0.15),
         repetitions=10,
-        seed=9000,
         attack="negation",
         estimators=("iterated-gmm-sever", "classical-iv"),
         data_path=str(DATA_CSV),

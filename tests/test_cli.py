@@ -532,6 +532,17 @@ def test_semi_sweep_requires_input(tmp_path, capsys):
     assert "required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["synth-sweep", "semi-sweep"])
+def test_sweep_parses_the_seed_before_building_its_config(command, tmp_path, capsys):
+    # eps 0.7 fails SweepConfig's checks; the bad seed is reported first
+    source = f"input={DATA_CSV}" if command == "semi-sweep" else "preset=desk"
+    argv = [command, "--out", str(tmp_path / "o.csv"), "--set", source,
+            "--set", "seed=abc", "--set", "eps_grid=0.7"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: key seed: expected an integer, got 'abc'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unwritable_out_and_missing_input_exit_1(linear_csv, tmp_path, capsys):
     path, _, _ = linear_csv
     missing_dir = tmp_path / "no-such-dir"

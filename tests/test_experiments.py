@@ -21,7 +21,6 @@ from robustgmm import (
     scalar_treatment_design,
     two_stage_least_squares,
 )
-from robustgmm.core import ActiveSet
 from robustgmm.experiments import (
     PRACTICE_LEARNER_TOL,
     SweepConfig,
@@ -84,11 +83,11 @@ def test_synthetic_hte_moments_valid_at_truth():
 
 
 def test_card_standin_schema(rng):
-    cols = gen_card_standin(rng, n=400)
+    cols = gen_card_standin(rng)
     assert list(cols) == ["lwage", "educ", "nearc4", "exper", "expersq"]
     assert set(np.unique(cols["nearc4"])) <= {0.0, 1.0}
     np.testing.assert_allclose(cols["expersq"], cols["exper"] ** 2)
-    assert all(len(v) == 400 for v in cols.values())
+    assert all(len(v) == 3010 for v in cols.values())
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +255,7 @@ def test_diagnostics_on_identity_design():
     X = src.normal((4000, 3))
     w_true = np.array([1.0, -0.5, 2.0])
     data = Dataset(X=X, Y=X @ w_true, Z=X.copy())
-    diag = diagnose_assumptions(
-        LinearIVModel(data), ActiveSet.full(4000), w_true
-    )
+    diag = diagnose_assumptions(LinearIVModel(data), w_true)
     # mean Jacobian is -X^T X / n ~ -I
     assert diag["jacobian_sigma_min"] == pytest.approx(1.0, abs=0.15)
     assert diag["moment_norm"] <= 1e-12
@@ -271,17 +268,18 @@ def test_jacobian_sigma_min_is_zero_when_underidentified():
     model = LinearIVModel(Dataset(X=data.X, Y=data.Y, Z=data.Z[:, :1]))
     J = model.mean_jacobian_over(np.arange(300), w_true)
     assert np.linalg.svd(J, compute_uv=False)[-1] > 0.1
-    diag = diagnose_assumptions(model, ActiveSet.full(300), w_true)
+    diag = diagnose_assumptions(model, w_true)
     assert diag["jacobian_sigma_min"] == 0.0
 
 
-def loop_diagnostics(model, S, w, rng, n_directions):
-    """Reference built one moment axis at a time from jacobian_dot.
+def loop_diagnostics(model, w, rng, n_directions):
+    """Reference built one moment axis at a time from jacobian_dot over
+    every row.
 
     Also returns the smallest ||J v|| over sampled unit v, which is no
     smaller than the exact smallest singular value.
     """
-    idx = S.indices
+    idx = np.arange(model.n_samples)
     J = np.stack(
         [model.jacobian_dot(idx, w, e).mean(axis=0) for e in np.eye(model.moment_dim)]
     )
@@ -303,10 +301,9 @@ def test_blocked_diagnostics_match_direction_loop(cls, n, n_directions):
     # the exact sigma_min bounds ||J v|| of every sampled unit v from below
     data, w_true = make_linear_dataset(seed=21, n=n, d=3, p=4, noise=0.5)
     model = cls(data)
-    S = ActiveSet.full(n)
     w = 0.5 * w_true
-    got = diagnose_assumptions(model, S, w)
-    ref = loop_diagnostics(model, S, w, RandomSource(22), n_directions)
+    got = diagnose_assumptions(model, w)
+    ref = loop_diagnostics(model, w, RandomSource(22), n_directions)
     for key in ("jacobian_sigma_min", "moment_norm"):
         assert got[key] == pytest.approx(ref[key], rel=1e-12, abs=0.0), key
     assert got["jacobian_sigma_min"] <= ref["sampled_sigma"] * (1 + 1e-12)
@@ -316,8 +313,7 @@ def plugin_level(model):
     # gamma = 2 lam^2 PRACTICE_LEARNER_TOL max(1, R0), with lam half the
     # smallest singular value of the mean Jacobian at classical IV
     w_ref = two_stage_least_squares(model.data)
-    S = ActiveSet.full(model.n_samples)
-    lam = 0.5 * diagnose_assumptions(model, S, w_ref)["jacobian_sigma_min"]
+    lam = 0.5 * diagnose_assumptions(model, w_ref)["jacobian_sigma_min"]
     R0 = 4.0 * max(1.0, float(np.linalg.norm(w_ref)))
     return 2.0 * lam**2 * PRACTICE_LEARNER_TOL * max(1.0, R0)
 
@@ -569,7 +565,7 @@ def test_block_transform_overflow_raises_like_the_reference(scale):
 
 
 def test_sweep_config_validation():
-    ok = dict(kind="synthetic", eps_grid=(0.1,), repetitions=1, seed=0)
+    ok = dict(kind="synthetic", eps_grid=(0.1,), repetitions=1)
     SweepConfig(**ok)
     with pytest.raises(ValueError, match="unknown sweep kind"):
         SweepConfig(**{**ok, "kind": "real"})
@@ -604,16 +600,12 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError, match="negation attack"):
         SweepConfig(**{**ok, "attack": "negation"})
     with pytest.raises(ValueError, match="all-ones attack"):
-        SweepConfig(
-            kind="semi", eps_grid=(0.1,), repetitions=1, seed=0, attack="all-ones"
-        )
+        SweepConfig(kind="semi", eps_grid=(0.1,), repetitions=1, attack="all-ones")
 
 
 def test_semi_sweep_config_requires_data_path():
     with pytest.raises(ValueError, match="semi sweep requires data_path"):
-        SweepConfig(
-            kind="semi", eps_grid=(0.1,), repetitions=1, seed=0, attack="negation"
-        )
+        SweepConfig(kind="semi", eps_grid=(0.1,), repetitions=1, attack="negation")
 
 
 def tiny_synth_config(**overrides):
@@ -621,7 +613,6 @@ def tiny_synth_config(**overrides):
         kind="synthetic",
         eps_grid=(0.1,),
         repetitions=2,
-        seed=0,
         n=200,
         d=2,
     )
@@ -656,12 +647,23 @@ def test_run_sweep_deterministic_and_jobs_invariant():
     assert serial == parallel
 
 
+def test_run_sweep_draws_every_cell_from_the_master_seed():
+    # the config holds no seed: one config at two master seeds runs other
+    # cells, so every row's seed and value differ
+    cfg = tiny_synth_config()
+    first, second = (run_sweep(cfg, RandomSource(seed)) for seed in (123, 124))
+    assert [(r.epsilon, r.estimator) for r in first] == [
+        (r.epsilon, r.estimator) for r in second
+    ]
+    for a, b in zip(first, second):
+        assert a.seed != b.seed and a.value != b.value
+
+
 def test_run_sweep_semi_matches_direct_estimate():
     cfg = SweepConfig(
         kind="semi",
         eps_grid=(0.05,),
         repetitions=1,
-        seed=7,
         attack="none",
         estimators=("classical-iv",),
         data_path=str(DATA_CSV),

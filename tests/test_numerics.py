@@ -73,6 +73,13 @@ def test_mean_cov_symmetric_pair():
     centered, cov = centered_cov(np.array([[1.0, 0.0], [-1.0, 0.0]]))
     np.testing.assert_allclose(centered, [[1.0, 0.0], [-1.0, 0.0]])
     np.testing.assert_allclose(cov, [[1.0, 0.0], [0.0, 0.0]])
+    # centered_cov does no symmetrizing of its own: the product itself is
+    # symmetric bit for bit, on column-major scores (the kernels' layout) too
+    for m, k in ((50, 1), (301, 7), (3050, 20)):
+        vals = RandomSource(m).normal((m, k)) * np.arange(1.0, k + 1.0)
+        for scores in (vals, np.asfortranarray(vals)):
+            cov = centered_cov(scores)[1]
+            assert np.array_equal(cov, cov.T), (m, k, scores.flags.f_contiguous)
 
 
 def test_mean_cov_singleton():

@@ -7,6 +7,7 @@ import numpy as np
 
 import regime_scan
 from regime_scan import BATTERY, Regime
+from robustgmm.cli import _build_design
 from robustgmm.experiments import SweepCell
 
 TINY = {
@@ -81,6 +82,17 @@ def test_repro_cells_plant_their_attack():
     assert np.all(data.Y[:400] == -5.0) and not np.any(data.Y[400:] == -5.0)
 
 
+def test_clean_two_instrument_cell_is_the_design_estimate_reads():
+    cell = BATTERY["clean-two-instrument"].cell(3, 0.05, 0)
+    assert cell.theta is None and cell.planted.size == 0 and cell.seed == 3
+    resolved = {"model": "linear", "input": regime_scan.SEMI_INPUT,
+                "col_response": "lwage", "col_treatment": "",
+                "col_covariates": "educ,exper", "col_instruments": "nearc4,exper"}
+    design, kind, _ = _build_design(resolved)
+    assert (kind, cell.model_kind) == ("linear", "linear")
+    assert pickle.dumps(cell.design) == pickle.dumps(design)
+
+
 def test_every_regime_builds_its_first_cell_the_same_twice():
     # a scan pairs cells across checkouts by (seed, eps, rep), so a build
     # must be a function of them; pickle writes every array's bytes and the
@@ -109,6 +121,10 @@ def test_compare_reports_moves_aborts_and_drift():
     assert lines[2] == "  final sets changed 1, largest relative w_hat drift 0.1"
     assert lines[3] == "  abort only in the second scan: seed 1, eps 0.1, rep 1"
     assert regime_scan.compare(first, {}) == ["desk: missing from the second scan"]
+    # a regime whose every cell aborts in one scan has no change to report
+    aborted = {"desk": [second["desk"][1]]}
+    assert regime_scan.compare({"desk": [other]}, aborted)[1] == (
+        "  eps 0.1   no cell fitted in both scans, 1 of 1 moved, aborts 0 -> 1")
 
 
 def test_a_failed_fit_is_an_aborted_cell(monkeypatch):
