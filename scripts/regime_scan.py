@@ -48,7 +48,8 @@ paper-scale w_hat differ across BLAS thread counts. --compare pairs two
 scans cell by cell and prints, per regime and eps, the mean change in
 error (second minus first) with its standard error, or the positive-ATE
 counts on the ATE regimes (or that no cell fitted in both scans); the
-cells that moved; the aborts; and the largest relative w_hat drift. It
+cells that moved; the aborts; and, per regime, the changed final sets and
+the largest relative w_hat drift (or again that no cell fitted in both). It
 warns on standard error when the two scans ran on a different numpy or
 BLAS thread count, or one of them records neither, so such drift is not
 read as moved cells. It is a report, not a gate: it always exits 0 once
@@ -363,9 +364,12 @@ def compare(first: dict, second: dict) -> list:
                 f"aborts {aborts[0]} -> {aborts[1]}"
             )
         fitted = [(a, b) for a, b in pairs if not (a["aborted"] or b["aborted"])]
-        sets = sum(a["set_hash"] != b["set_hash"] for a, b in fitted)
-        drift = max((_drift(a, b) for a, b in fitted), default=0.0)
-        lines.append(f"  final sets changed {sets}, largest relative w_hat drift {drift:.3g}")
+        if fitted:
+            sets = sum(a["set_hash"] != b["set_hash"] for a, b in fitted)
+            drift = max(_drift(a, b) for a, b in fitted)
+            lines.append(f"  final sets changed {sets}, largest relative w_hat drift {drift:.3g}")
+        else:
+            lines.append("  no cell fitted in both scans")
         for a, b in pairs:
             if a["aborted"] != b["aborted"]:
                 side = "second" if b["aborted"] else "first"

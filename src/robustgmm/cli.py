@@ -53,13 +53,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _parse_bool(raw: str) -> bool:
+def _parse_bool(raw: str, key: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "1", "yes", "on"):
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
+    raise ConfigError(f"key {key}: expected a boolean, got {raw!r}")
 
 
 def _parse_float(raw: str, key: str) -> float:
@@ -153,14 +153,21 @@ def _require(resolved: dict, key: str) -> str:
     return value
 
 
+_HTE_MODES = {"hte": "treatment_only", "hte-full": "full"}
+_MODEL_KINDS = ("linear", "logistic", "scalar", *_HTE_MODES)
+
+
 def _build_design(resolved: dict):
     """Load the CSV and derive the design for the requested model kind.
 
     Returns (design dataset, model kind for the solver, base dataset for ATE
-    reporting or None). An unreadable input, unusable columns or a logistic
-    response outside [0, 1] are config errors.
+    reporting or None). An unknown model kind (checked before the input is
+    read), an unreadable input, unusable columns or a logistic response
+    outside [0, 1] are config errors.
     """
     kind = resolved["model"]
+    if kind not in _MODEL_KINDS:
+        raise ConfigError(f"unknown model kind {kind!r}")
     try:
         base = load_csv(_require(resolved, "input"), _columns_from(resolved))
         if kind == "logistic" and not 0.0 <= base.Y.min() <= base.Y.max() <= 1.0:
@@ -169,16 +176,12 @@ def _build_design(resolved: dict):
                               f"column {column!r} ranges from {lo:g} to {hi:g}")
         if kind in ("linear", "logistic"):
             return base, kind, None
-        if kind == "hte":
-            return hte_design(base, "treatment_only"), "linear", base
-        if kind == "hte-full":
-            return hte_design(base, "full"), "linear", base
         if kind == "scalar":
-            intercept = _parse_bool(resolved["intercept"])
+            intercept = _parse_bool(resolved["intercept"], "intercept")
             return scalar_treatment_design(base, intercept=intercept), "linear", base
+        return hte_design(base, _HTE_MODES[kind]), "linear", base
     except (ValueError, KeyError, OSError) as err:
         raise ConfigError(str(err)) from None
-    raise ConfigError(f"unknown model kind {kind!r}")
 
 
 _ESTIMATE_SPEC = {
@@ -258,7 +261,7 @@ def _sweep_common(resolved: dict, kind: str, grid: dict) -> dict:
         "repetitions": _parse_int(grid["reps"], "reps"),
         "estimators": tuple(_split_list(resolved["estimators"])),
         "attack": resolved["attack"],
-        "stamp_runtime": _parse_bool(resolved["stamp_runtime"]),
+        "stamp_runtime": _parse_bool(resolved["stamp_runtime"], "stamp_runtime"),
     }
 
 
@@ -318,7 +321,7 @@ def cmd_semi_sweep(args) -> int:
     return _emit_sweep(args, "semi-sweep", resolved, {
         "data_path": _require(resolved, "input"),
         "columns": _columns_from(resolved),
-        "intercept": _parse_bool(resolved["intercept"]),
+        "intercept": _parse_bool(resolved["intercept"], "intercept"),
         **_sweep_common(resolved, "semi", resolved),
     })
 

@@ -543,6 +543,26 @@ def test_sweep_parses_the_seed_before_building_its_config(command, tmp_path, cap
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--set", "eps"], "--set expects KEY=VALUE, got 'eps'"),
+    (["estimate", "--set", "eps=0.1", "--set", f"input={DATA_CSV}", "--set", "model=scalar",
+      "--set", "intercept=maybe", "--set", "col_response=lwage", "--set", "col_treatment=educ",
+      "--set", "col_instruments=nearc4", "--set", "col_covariates=exper"],
+     "key intercept: expected a boolean, got 'maybe'"),
+    (["synth-sweep", "--jobs", "abc"], "--jobs expects an integer, got 'abc'"),
+    # the model kind is checked before the input, which does not exist, is read
+    (["estimate", "--set", "eps=0.1", "--set", "input=absent.csv", "--set", "model=bogus"],
+     "unknown model kind 'bogus'"),
+    (["diagnose", "--set", "input=absent.csv", "--set", "model=bogus"],
+     "unknown model kind 'bogus'"),
+], ids=["set-without-equals", "intercept", "jobs", "estimate-model", "diagnose-model"])
+def test_usage_errors_exit_1_with_their_message(argv, message, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_unwritable_out_and_missing_input_exit_1(linear_csv, tmp_path, capsys):
     path, _, _ = linear_csv
     missing_dir = tmp_path / "no-such-dir"
@@ -578,6 +598,24 @@ def test_diagnose_reports_constants(linear_csv, tmp_path):
     assert report["n"] == "300" and report["d"] == "2" and report["p"] == "2"
     for key in ("jacobian_sigma_min", "moment_norm"):
         assert float(report[key]) >= 0.0
+
+
+def test_diagnose_reports_at_the_origin_when_classical_iv_fails(tmp_path):
+    # one instrument for two covariates: classical IV cannot identify the
+    # design, so the constants are read at w_ref = 0
+    out = tmp_path / "diag.out"
+    assert main(["diagnose", "--out", str(out), "--set", f"input={DATA_CSV}",
+                 "--set", "col_response=lwage", "--set", "col_instruments=nearc4",
+                 "--set", "col_covariates=educ,exper"]) == 0
+    report = parse_report(out)
+    assert (report["n"], report["d"], report["p"]) == ("3010", "2", "1")
+    assert report["w_ref"] == "0,0"
+    assert report["jacobian_sigma_min"] == "0"
+    # at the origin the mean moment is E[nearc4 * lwage]
+    data = load_csv(DATA_CSV, {"response": "lwage", "instruments": "nearc4",
+                               "covariates": ["educ", "exper"]})
+    assert float(report["moment_norm"]) == pytest.approx(
+        abs(np.mean(data.Z[:, 0] * data.Y)), rel=1e-12)
 
 
 def test_logistic_model_dispatch(tmp_path):

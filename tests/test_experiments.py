@@ -471,8 +471,9 @@ def test_block_transform_survives_zero_columns():
 
 def reference_block_transform(columns):
     # the block transform before its gate read the second-moment matrix:
-    # the gate took the cosines of the rms-scaled columns, and the whitener
-    # formed the second-moment matrix again
+    # the gate took the cosines of the rms-scaled columns; the whitener and
+    # the diagonal scale (the floored root of its diagonal) formed the
+    # second-moment matrix again
     rms = np.sqrt(np.mean(columns**2, axis=0))
     if not np.all(np.isfinite(rms)):
         raise EstimationError("column scale overflows float64; rescale the columns")
@@ -483,15 +484,16 @@ def reference_block_transform(columns):
     unit = columns / rms
     cos = unit.T @ unit / len(unit)
     np.fill_diagonal(cos, 0.0)
+    second = columns.T @ columns / len(columns)
     if float(np.max(np.abs(cos))) > 0.8:
-        second = columns.T @ columns / len(columns)
         evals, evecs = np.linalg.eigh(second)
         top = float(evals[-1])
         if top <= 0.0:
             return np.eye(second.shape[0])
         evals = np.maximum(evals, 1e-8 * top)
         return (evecs * evals**-0.5) @ evecs.T
-    return np.diag(1.0 / rms)
+    scale = np.sqrt(np.diagonal(second))
+    return np.diag(1.0 / np.maximum(scale, 1e-8 * float(scale.max())))
 
 
 def hte_blocks(regime):

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustgmm import Dataset, load_csv
+from robustgmm import CARD_STANDIN_COLUMNS, Dataset, load_csv
 
 MISSING_MARKERS = {"", "na", "nan", "null"}
+DATA_CSV = Path(__file__).resolve().parents[1] / "data" / "card_standin.csv"
 
 
 def reference_load_csv(path, columns):
@@ -198,3 +199,36 @@ def test_load_csv_skips_a_byte_order_mark(tmp_path):
     got = load_csv(path, COLS)
     np.testing.assert_array_equal(got.Y, [1.0, 4.0])
     np.testing.assert_array_equal(got.X, [[3.0], [6.0]])
+
+
+# the bundled file is clean, so load_csv takes its bulk path; exper in two
+# roles is the map of the regime scan's clean-two-instrument design
+BUNDLED_MAPS = [
+    CARD_STANDIN_COLUMNS,
+    {"response": "lwage", "instruments": ["nearc4", "exper"], "covariates": ["educ", "exper"]},
+]
+
+
+@pytest.mark.parametrize("columns", BUNDLED_MAPS)
+def test_load_csv_reads_the_bundled_file_like_the_reference(columns):
+    result, caught = assert_same_as_reference(DATA_CSV, columns)
+    assert result[0] == "data" and caught == []
+
+
+@pytest.mark.parametrize("columns", BUNDLED_MAPS)
+def test_load_csv_reads_a_dirty_copy_like_the_reference(tmp_path, columns):
+    # a missing response, a row cut short of expersq and a blank line send
+    # load_csv down its row loop
+    lines = DATA_CSV.read_text().splitlines()
+    lines[5] = "na," + lines[5].split(",", 1)[1]
+    lines[10] = lines[10].rsplit(",", 1)[0]
+    lines.insert(20, "")
+    path = tmp_path / "dirty.csv"
+    path.write_text("\n".join(lines) + "\n")
+    result, caught = assert_same_as_reference(path, columns)
+    # the short row lacks only expersq, which the second map does not read
+    lost = 2 if "expersq" in columns["covariates"] else 1
+    y_shape = result[1][1][0]
+    assert result[0] == "data" and y_shape == (3010 - lost,)
+    # the blank line is dropped too
+    assert caught == [(UserWarning, f"dropped {lost + 1} rows with missing values")]

@@ -123,8 +123,13 @@ def test_compare_reports_moves_aborts_and_drift():
     assert regime_scan.compare(first, {}) == ["desk: missing from the second scan"]
     # a regime whose every cell aborts in one scan has no change to report
     aborted = {"desk": [second["desk"][1]]}
-    assert regime_scan.compare({"desk": [other]}, aborted)[1] == (
-        "  eps 0.1   no cell fitted in both scans, 1 of 1 moved, aborts 0 -> 1")
+    lines = regime_scan.compare({"desk": [other]}, aborted)
+    assert lines[1] == "  eps 0.1   no cell fitted in both scans, 1 of 1 moved, aborts 0 -> 1"
+    assert lines[2] == "  no cell fitted in both scans"
+    # nor does a regime whose every cell aborts in both
+    lines = regime_scan.compare(aborted, aborted)
+    assert lines[1:] == ["  eps 0.1   no cell fitted in both scans, 0 of 1 moved, aborts 1 -> 1",
+                         "  no cell fitted in both scans"]
 
 
 def test_a_failed_fit_is_an_aborted_cell(monkeypatch):
