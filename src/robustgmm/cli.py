@@ -161,13 +161,15 @@ def _build_design(resolved: dict):
     """Load the CSV and derive the design for the requested model kind.
 
     Returns (design dataset, model kind for the solver, base dataset for ATE
-    reporting or None). An unknown model kind (checked before the input is
-    read), an unreadable input, unusable columns or a logistic response
-    outside [0, 1] are config errors.
+    reporting or None). An unknown model kind or a non-boolean intercept,
+    under every kind (both checked before the input is read), an
+    unreadable input, unusable columns or a logistic response outside
+    [0, 1] are config errors.
     """
     kind = resolved["model"]
     if kind not in _MODEL_KINDS:
         raise ConfigError(f"unknown model kind {kind!r}")
+    intercept = _parse_bool(resolved["intercept"], "intercept")
     try:
         base = load_csv(_require(resolved, "input"), _columns_from(resolved))
         if kind == "logistic" and not 0.0 <= base.Y.min() <= base.Y.max() <= 1.0:
@@ -177,7 +179,6 @@ def _build_design(resolved: dict):
         if kind in ("linear", "logistic"):
             return base, kind, None
         if kind == "scalar":
-            intercept = _parse_bool(resolved["intercept"], "intercept")
             return scalar_treatment_design(base, intercept=intercept), "linear", base
         return hte_design(base, _HTE_MODES[kind]), "linear", base
     except (ValueError, KeyError, OSError) as err:

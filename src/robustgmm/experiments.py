@@ -502,10 +502,10 @@ class SweepConfig:
     against the true effect vector; kind "semi" loads a fixed design from
     data_path, which it requires, and records the fitted ATE. eps_grid
     values differ in their first six significant digits, which label each
-    cell's random stream, and estimators are distinct names from
-    ESTIMATOR_NAMES. The robust estimator fits each cell at its own eps with
-    plug-in constants (robust_linear_estimate). The master seed is not part
-    of the config: run_sweep and sweep_cell take it as an argument.
+    cell's random stream, and estimators are one or more distinct names
+    from ESTIMATOR_NAMES. The robust estimator fits each cell at its own
+    eps with plug-in constants (robust_linear_estimate). The master seed is
+    not part of the config: run_sweep and sweep_cell take it as an argument.
     """
 
     kind: str
@@ -545,6 +545,8 @@ class SweepConfig:
             labels[label] = e
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
+        if not self.estimators:
+            raise ValueError("estimators is empty")
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")

@@ -76,7 +76,8 @@ class FilterOutcome:
 
     mean_score is the top eigenvalue of the score covariance. threshold is
     None exactly when nothing was removed (mean_score was already within
-    the slack bound). kept and removed partition the input.
+    the slack bound). kept and removed partition the input's active rows;
+    inert_removed counts the inert rows that left, all of them or none.
     """
 
     kept: ActiveSet
@@ -84,6 +85,7 @@ class FilterOutcome:
     mean_score: float
     threshold: Optional[float]
     direction: np.ndarray
+    inert_removed: int = 0
 
 
 def spectral_filter(
@@ -92,6 +94,7 @@ def spectral_filter(
     bound: Union[float, Callable[[np.ndarray, np.ndarray], float]],
     rng: RandomSource,
     slack: float = FILTER_SLACK,
+    inert: int = 0,
 ) -> FilterOutcome:
     """Filter the rows of `values` (aligned with `active`) once.
 
@@ -99,6 +102,17 @@ def spectral_filter(
     in any direction: a number, or a rule such as robust_score_bound that
     maps the pass's (centered scores, ascending spectrum) to one (gmm_sever
     passes robust_score_bound itself). slack * bound is the firing level.
+
+    inert counts further rows, outside `active`, whose scores are all zero
+    (gmm_sever's rows with a zero instrument row). The pass reads them in
+    closed form, as if they were materialized: they enter the mean and the
+    covariance (centered_cov), their one shared projected score enters the
+    maximum the threshold is drawn from, and they leave together exactly
+    when that score exceeds the threshold (FilterOutcome.inert_removed).
+    For one-dimensional scores a callable bound also reads their centered
+    score, appended once per inert row, as robust_score_bound's median
+    needs it; on wider scores the rule reads only the spectrum, and gets
+    the active rows alone. inert = 0 is a pass over `values` alone.
     """
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim != 2:
@@ -109,11 +123,18 @@ def spectral_filter(
         )
     if slack <= 0:
         raise ValueError("slack must be positive")
+    if inert < 0:
+        raise ValueError("inert must be nonnegative")
 
-    centered, cov = centered_cov(vals)
+    centered, cov = centered_cov(vals, inert)
+    # the inert rows' shared centered row, -mean
+    shared = -(vals.sum(axis=0) / (vals.shape[0] + inert)) if inert else None
     direction, eigenvalues = top_eigenvector(cov)
     if callable(bound):
-        bound = bound(centered, eigenvalues)
+        rule_rows = centered
+        if inert and vals.shape[1] == 1:
+            rule_rows = np.concatenate([centered, np.full((inert, 1), shared[0])])
+        bound = bound(rule_rows, eigenvalues)
     if bound < 0:
         raise ValueError("variance bound must be nonnegative")
     mean_score = float(eigenvalues[-1])  # mean squared projection
@@ -128,12 +149,17 @@ def spectral_filter(
     rng.normal(vals.shape[1])
     scores = centered @ direction
     scores = scores * scores
+    inert_proj = float(shared @ direction) if inert else 0.0
+    inert_score = inert_proj * inert_proj
     # mean_score > slack * bound >= 0 means a nonzero covariance, so a
     # strictly positive max. uniform() < 1 removes the argmax; the cap keeps
     # it so on subnormal scores, where uniform() * max can round up to max.
-    top = scores.max()
+    # The inert rows' score joins the max; with no inert rows it is 0.0,
+    # which no (nonnegative) score falls below.
+    top = scores.max(initial=inert_score)
     threshold = float(min(rng.uniform() * top, np.nextafter(top, 0.0)))
     keep_mask = scores <= threshold
     kept = active.subset(keep_mask)
     removed = active.subset(~keep_mask)
-    return FilterOutcome(kept, removed, mean_score, threshold, direction)
+    inert_removed = inert if inert_score > threshold else 0
+    return FilterOutcome(kept, removed, mean_score, threshold, direction, inert_removed)

@@ -95,11 +95,12 @@ class SingleIndexIVModel(ABC):
     The gathers and products stay on row-major rows (X @ w, Z @ u,
     sloped.T @ X).
 
-    affine : every g_i is affine in w, so the mean moment is u0 + J w with
-             u0 the mean moment at 0 and J the constant mean Jacobian.
-             gmm_sever then takes each round's exact minimizer of
-             ||u0 + J w||^2 over the search ball and never calls the
-             learner.
+    affine : the link is linear, f(t) = a t (the identity on
+             LinearIVModel), so every g_i is affine in w and the mean
+             moment is u0 + J w with u0 = E Z_i Y_i, the mean moment at 0,
+             and J the constant mean Jacobian. gmm_sever then takes each
+             round's exact minimizer of ||u0 + J w||^2 over the search ball
+             and never calls the learner.
     """
 
     affine: bool = False

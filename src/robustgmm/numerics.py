@@ -98,18 +98,28 @@ def median(x: np.ndarray) -> np.ndarray:
     return (s[..., h - 1] + s[..., h]) / 2
 
 
-def centered_cov(values: np.ndarray):
+def centered_cov(values: np.ndarray, inert: int = 0):
     """Mean-centered rows and their (1/m)-normalized covariance.
 
     The 1/m normalization (not 1/(m-1)) matches the filtering analysis.
     numpy computes centered.T @ centered with syrk, so the covariance is
     symmetric bit for bit without averaging it with its transpose.
+
+    inert counts further all-zero rows that are not passed. They join m, so
+    the mean is the passed rows' sum over m, and each one's centered row is
+    -mean, which adds inert * mean mean^T to the covariance before it is
+    normalized; the returned centered rows are the passed ones only.
     """
     vals = np.asarray(values, dtype=np.float64)
-    if vals.ndim != 2 or vals.shape[0] == 0:
+    if vals.ndim != 2 or vals.shape[0] + inert == 0:
         raise ValueError(f"expected a nonempty (m, k) array, got shape {vals.shape}")
-    centered = vals - vals.mean(axis=0)
-    return centered, centered.T @ centered / vals.shape[0]
+    m = vals.shape[0] + inert
+    mean = vals.sum(axis=0) / m
+    centered = vals - mean
+    gram = centered.T @ centered
+    if inert:
+        gram += inert * np.outer(mean, mean)
+    return centered, gram / m
 
 
 def top_eigenvector(A: np.ndarray):

@@ -7,10 +7,13 @@ raw moments), minimizing again whenever a pass removes samples. For an
 affine model (linear IV) f is a convex quadratic, and every round takes its
 exact minimizer over the ball (_exact_step: one SVD and, when the ball
 binds, a scalar multiplier); only non-affine models run the constrained
-learner, which returns an approximate critical point. The loop gathers the
-active set's rows once per set, after the screen and after each pass that
-removes rows, and every kernel of a round reads them through the model's
-row forms. amplified_gmm_sever repeats that with fresh randomness until a
+learner, which returns an approximate critical point. An affine fit reads
+only its live rows, those with a nonzero instrument row: an inert row's
+moment and Jacobian are zero at every w, so it counts in every mean's
+denominator and enters each filter pass in closed form. The loop gathers
+the live rows once per active set, after the screen and after each pass
+that removes rows, and every kernel of a round reads them through the
+model's row forms. amplified_gmm_sever repeats that with fresh randomness until a
 run keeps enough samples, and iterated_gmm_sever is the plug-in fit's
 sever stage: one amplified run. Every layer returns the one
 core.EstimateReport.
@@ -114,12 +117,17 @@ ACCEPT_EPS_MULT = 10.0
 AMPLIFY_REPS = 3
 
 
-def _affine_terms(model: SingleIndexIVModel, rows: Rows):
-    """u0 = E_S g(0) and the constant mean Jacobian J of an affine model on
-    an active set S's gathered rows, so that E_S g(w) = u0 + J w for every w."""
+def _affine_terms(model: SingleIndexIVModel, rows: Rows, m: int):
+    """u0 = E_S g(0) and the constant mean Jacobian J of an affine model over
+    an active set S of m rows, so that E_S g(w) = u0 + J w for every w.
+
+    rows holds S's rows with a nonzero instrument row, or all of S's rows:
+    the others add zero to both sums and count only in m. An affine link
+    maps 0 to 0, so g_i(0) = Z_i Y_i and X_i . 0 is never formed.
+    """
     zero = np.zeros(model.param_dim)
-    u0 = model.row_moments(rows, zero).mean(axis=0)
-    return u0, model.row_mean_jacobian(rows, zero)
+    u0 = np.multiply(rows.Z, rows.Y[:, None], order="F").sum(axis=0) / m
+    return u0, -(model.row_sloped_instruments(rows, zero).T @ rows.X) / m
 
 
 def _moment_objective(model: SingleIndexIVModel, rows: Rows):
@@ -197,6 +205,16 @@ def gmm_sever(
     spectrum tracks the clean rows at the current iterate, at the price of
     a blind spot for corruptions spread evenly across directions.
 
+    After the screen, which reads every row's residual, an affine fit
+    splits the active set into live rows (nonzero instrument row) and
+    inert ones (about half of the desk and paper-scale rows, none of the
+    semi design's). Its rounds gather and compute on the live rows only
+    and divide every mean by the full active count m, so _affine_terms,
+    the moment scores, u, mom_scale and the roundoff floor read as if the
+    inert rows were there; each pass takes their number as
+    spectral_filter's inert, and they stay or leave as one block. A
+    non-affine fit reads every row.
+
     Aborts with FilterExhaustedError once fewer than max(1, ceil(2n/3))
     samples survive; each learner call is warm-started from the previous
     round's point.
@@ -206,13 +224,13 @@ def gmm_sever(
     S = ActiveSet.full(n)
     floor = max(1, math.ceil(2 * n / 3))
 
-    def shrink(kept: ActiveSet) -> ActiveSet:
-        if len(kept) < floor:
+    def shrink(size: int) -> None:
+        if size < floor:
             raise FilterExhaustedError(
-                f"filter exhausted sample set: {len(kept)} of {n} remain"
+                f"filter exhausted sample set: {size} of {n} remain"
             )
-        return kept
 
+    Z = model.data.Z
     if model.affine:
         # the per-row Jacobians are the rank-one f'(0) Z_i X_i^T; the product
         # of the root-mean-square row norms of f'(0) Z and X bounds their mean
@@ -237,23 +255,37 @@ def gmm_sever(
         keep_mask = dev <= PRACTICE_RESPONSE_CAP * mad
         if keep_mask.all():
             break
-        S = shrink(S.subset(keep_mask))
+        S = S.subset(keep_mask)
+        shrink(len(S))
         res = res[keep_mask]
         events.append((0, "response", int((~keep_mask).sum()), float(dev.max() / mad)))
     # the roundoff level of both passes (_ROUNDOFF_FLOOR), from the screened
     # residuals at the center (their square when all sit at the median) and
     # every instrument row
-    Z = model.data.Z
     spread = float(dev @ dev) or float(res @ res)
     roundoff = _ROUNDOFF_FLOOR * spread / len(S) * float(np.vdot(Z, Z)) / n
 
-    # S's rows, gathered once per active set: after the screen and after each
-    # pass that removes rows
-    rows = model.gather(S.indices)
+    # An affine fit splits S into live rows, whose instrument row is
+    # nonzero, and inert ones: an inert row has g_i(w) = 0 and a zero
+    # Jacobian at every w, so it enters every mean of a round only through
+    # the count m of active rows, and every filter pass as one block of
+    # zero scores (spectral_filter's inert). A non-affine fit reads every
+    # row. A row's absolute sum is zero exactly when every entry is, and one
+    # gemv takes it several times faster than Z.any(axis=1).
+    if model.affine:
+        live_mask = (np.abs(Z) @ np.ones(Z.shape[1]) > 0.0)[S.indices]
+    else:
+        live_mask = np.ones(len(S), dtype=bool)
+    live, inert = S.subset(live_mask), S.subset(~live_mask)
     while True:
         rounds += 1
+        # the live rows, gathered once per active set: after the screen and
+        # after each pass that removes rows; read in place while they are
+        # every sample
+        rows = model.data if len(live) == n else model.gather(live.indices)
+        m = len(live) + len(inert)
         if model.affine:
-            w = _exact_step(*_affine_terms(model, rows), row_scale, hp.R0)
+            w = _exact_step(*_affine_terms(model, rows, m), row_scale, hp.R0)
         else:
             prob = CriticalPointProblem(
                 objective_grad=_moment_objective(model, rows),
@@ -266,11 +298,12 @@ def gmm_sever(
             unmet += not learned.tolerance_met
             w = learned.x
         moment_scores = model.row_moments(rows, w)
-        u = moment_scores.mean(axis=0)
-        # one sum over the contiguous column-major matrix: it only meets the
+        u = moment_scores.sum(axis=0) / m
+        # one dot over the contiguous column-major buffer: it only meets the
         # roundoff floor, from which every measured design sits a factor of
         # 1e6 or more away, so the summation order cannot move the decision
-        mom_scale = float(np.sum(moment_scores * moment_scores)) / len(S)
+        flat = moment_scores.ravel(order="F")
+        mom_scale = float(flat @ flat) / m
         passes = []
         if mom_scale > roundoff:
             passes.append(("moment", "mom", moment_scores, PRACTICE_SLACK))
@@ -282,10 +315,12 @@ def gmm_sever(
                 passes.insert(0, ("jacobian", "jac", jac_scores, jac_slack))
         for kind, label, scores, slack in passes:
             out = spectral_filter(
-                scores, S, robust_score_bound, rng.child(f"{label}-{rounds}"), slack
+                scores, live, robust_score_bound, rng.child(f"{label}-{rounds}"), slack,
+                len(inert),
             )
-            events.append((rounds, kind, len(out.removed), out.mean_score))
-            if len(out.removed) > 0:
+            removed = len(out.removed) + out.inert_removed
+            events.append((rounds, kind, removed, out.mean_score))
+            if removed > 0:
                 break
         else:
             diagnostics = {
@@ -293,9 +328,14 @@ def gmm_sever(
                 "learner_tolerance_unmet": float(unmet),
                 "outer_rounds": 1.0,
             }
-            return EstimateReport(w, S, rounds, tuple(events), diagnostics)
-        S = shrink(out.kept)
-        rows = model.gather(S.indices)
+            final = live
+            if len(inert):
+                final = ActiveSet(np.sort(np.concatenate([live.indices, inert.indices])))
+            return EstimateReport(w, final, rounds, tuple(events), diagnostics)
+        live = out.kept
+        if out.inert_removed:
+            inert = inert.subset(np.zeros(len(inert), dtype=bool))
+        shrink(len(live) + len(inert))
         warm = w
 
 

@@ -549,18 +549,38 @@ def test_sweep_parses_the_seed_before_building_its_config(command, tmp_path, cap
       "--set", "intercept=maybe", "--set", "col_response=lwage", "--set", "col_treatment=educ",
       "--set", "col_instruments=nearc4", "--set", "col_covariates=exper"],
      "key intercept: expected a boolean, got 'maybe'"),
+    # every model kind parses intercept, before the input is read
+    (["diagnose", "--set", f"input={DATA_CSV}", "--set", "model=linear",
+      "--set", "intercept=maybe", "--set", "col_response=lwage",
+      "--set", "col_instruments=nearc4", "--set", "col_covariates=educ"],
+     "key intercept: expected a boolean, got 'maybe'"),
+    (["estimate", "--set", "eps=0.1", "--set", "input=absent.csv", "--set", "model=scalar",
+      "--set", "intercept=maybe"],
+     "key intercept: expected a boolean, got 'maybe'"),
     (["synth-sweep", "--jobs", "abc"], "--jobs expects an integer, got 'abc'"),
     # the model kind is checked before the input, which does not exist, is read
     (["estimate", "--set", "eps=0.1", "--set", "input=absent.csv", "--set", "model=bogus"],
      "unknown model kind 'bogus'"),
     (["diagnose", "--set", "input=absent.csv", "--set", "model=bogus"],
      "unknown model kind 'bogus'"),
-], ids=["set-without-equals", "intercept", "jobs", "estimate-model", "diagnose-model"])
+], ids=["set-without-equals", "intercept", "linear-intercept", "scalar-intercept-before-input",
+        "jobs", "estimate-model", "diagnose-model"])
 def test_usage_errors_exit_1_with_their_message(argv, message, tmp_path, capsys):
     out = tmp_path / "out.txt"
     assert main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth-sweep", "semi-sweep"])
+def test_sweep_rejects_an_empty_estimator_list(command, tmp_path, capsys):
+    # an empty list would write header-only CSVs and exit 0
+    source = f"input={DATA_CSV}" if command == "semi-sweep" else "preset=desk"
+    argv = [command, "--out", str(tmp_path / "o.csv"), "--set", source,
+            "--set", "estimators="]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: estimators is empty\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unwritable_out_and_missing_input_exit_1(linear_csv, tmp_path, capsys):

@@ -303,8 +303,8 @@ def test_one_eigh_per_pass_and_a_projection_only_when_it_fires(monkeypatch):
     def no_eigvalsh(a):
         raise AssertionError("a pass takes its bulk from eigh's spectrum")
 
-    def counted_cov(vals):
-        centered, cov = centered_cov(vals)
+    def counted_cov(vals, inert=0):
+        centered, cov = centered_cov(vals, inert)
         return centered.view(CountingArray), cov
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
@@ -342,3 +342,84 @@ def test_fired_pass_draws_k_normals_before_the_threshold():
     replay.normal(3)
     replay.uniform()
     assert rng.uniform() == replay.uniform()
+
+
+# ---------------------------------------------------------------------------
+# inert rows: all-zero scores passed as a count
+
+
+def materialized_pass(vals, k, src, slack, rng):
+    # the same pass with the k zero rows written out at random positions
+    # among fresh sorted indices; returns both passes and the index split
+    m, dim = vals.shape
+    indices = src.subset(1000, m + k)
+    inert_at = np.zeros(m + k, dtype=bool)
+    inert_at[src.subset(m + k, k)] = True
+    full = np.zeros((m + k, dim))
+    full[~inert_at] = vals
+    live, inert = indices[~inert_at], indices[inert_at]
+    compact = spectral_filter(vals, ActiveSet(live), robust_score_bound, rng(), slack, k)
+    written = spectral_filter(full, ActiveSet(indices), robust_score_bound, rng(), slack)
+    return compact, written, live, inert
+
+
+def assert_same_pass(compact, written, live, inert):
+    np.testing.assert_array_equal(
+        compact.kept.indices, np.intersect1d(written.kept.indices, live))
+    np.testing.assert_array_equal(
+        compact.removed.indices, np.intersect1d(written.removed.indices, live))
+    inert_removed = np.intersect1d(written.removed.indices, inert).size
+    assert inert_removed in (0, inert.size)
+    assert compact.inert_removed == inert_removed
+    assert compact.mean_score == pytest.approx(written.mean_score, rel=1e-12, abs=1e-300)
+    if written.threshold is None:
+        assert compact.threshold is None
+    else:
+        assert compact.threshold == pytest.approx(written.threshold, rel=1e-12)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(0, 60),
+    st.integers(1, 40),
+    st.integers(1, 5),
+    st.sampled_from(["normal", "offset", "spiked"]),
+    st.floats(0.25, 4.0),
+)
+def test_inert_count_matches_the_materialized_zero_rows(seed, m, k, dim, shape, slack):
+    # one-dimensional scores take the median bound, which reads the inert
+    # rows' centered score; wider ones the spectrum
+    src = RandomSource(seed)
+    vals = src.normal((m, dim)) * (1.0 + 10.0 * float(src.uniform()))
+    if shape == "offset":
+        vals += 5.0 * src.normal(dim)
+    elif shape == "spiked":
+        vals[: max(1, m // 10), 0] += 20.0
+    vals = np.asfortranarray(vals)
+    compact, written, live, inert = materialized_pass(
+        vals, k, src.child("split"), slack, lambda: src.child("f"))
+    assert_same_pass(compact, written, live, inert)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_inert_rows_leave_together_when_their_score_crosses_the_threshold(dim):
+    # 30 live rows near 10 e1 and 10 zero rows: the mean 7.5 e1 leaves the
+    # zero rows at squared projection 56.25 and the live rows near 6.25, so a
+    # threshold at half the maximum removes the inert block and keeps every
+    # live row (at slack 1 the one-dimensional pass fires too: its median
+    # bound reads 6.25 / 0.455 against a top eigenvalue near 18.75); no
+    # sweep cell reaches this branch
+    src = RandomSource(7)
+    vals = 0.01 * src.normal((30, dim))
+    vals[:, 0] += 10.0
+    compact, written, live, inert = materialized_pass(
+        vals, 10, src.child("split"), 1.0, lambda: ForcedUniform(1, 0.5))
+    assert_same_pass(compact, written, live, inert)
+    assert compact.inert_removed == 10 and compact.removed.indices.size == 0
+    assert compact.threshold == pytest.approx(0.5 * 56.25, rel=1e-3)
+
+
+def test_inert_count_must_be_nonnegative(rng):
+    with pytest.raises(ValueError, match="inert"):
+        spectral_filter(np.zeros((3, 2)), ActiveSet(np.arange(3)), 1.0, rng, 1.0, -1)

@@ -85,7 +85,7 @@ def test_repro_cells_plant_their_attack():
 def test_clean_two_instrument_cell_is_the_design_estimate_reads():
     cell = BATTERY["clean-two-instrument"].cell(3, 0.05, 0)
     assert cell.theta is None and cell.planted.size == 0 and cell.seed == 3
-    resolved = {"model": "linear", "input": regime_scan.SEMI_INPUT,
+    resolved = {"model": "linear", "intercept": "true", "input": regime_scan.SEMI_INPUT,
                 "col_response": "lwage", "col_treatment": "",
                 "col_covariates": "educ,exper", "col_instruments": "nearc4,exper"}
     design, kind, _ = _build_design(resolved)

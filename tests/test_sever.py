@@ -85,7 +85,12 @@ def test_affine_objective_matches_kernels(design, seed):
         "one-row": ActiveSet(np.array([int(src.integers(0, n))])),
     }
     for name, S in sets.items():
-        u0, J = sever_mod._affine_terms(model, model.gather(S.indices))
+        u0, J = sever_mod._affine_terms(model, model.gather(S.indices), len(S))
+        # S's live rows alone, with the inert ones counted, give the same terms
+        live = S.indices[model.data.Z[S.indices].any(axis=1)]
+        u0_live, J_live = sever_mod._affine_terms(model, model.gather(live), len(S))
+        np.testing.assert_allclose(u0_live, u0, rtol=1e-12, atol=1e-15, err_msg=name)
+        np.testing.assert_allclose(J_live, J, rtol=1e-12, atol=1e-15, err_msg=name)
         for k in range(3):
             w = src.child(f"w-{name}-{k}").normal(model.param_dim)
             u = model.moments(S.indices, w).mean(axis=0)
@@ -231,10 +236,14 @@ def test_exact_step_is_iv_on_the_first_active_set(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["desk", "semi", "logistic"])
 def test_a_fit_gathers_each_active_set_once(monkeypatch, kind):
-    # gmm_sever gathers its rows after the screen (which removes rows on the
-    # semi cell) and after each pass that removes rows; every round reads
-    # them through the row forms, so no index-form kernel runs in a fit. A
-    # logistic round's learner objective reads the round's rows as well.
+    # gmm_sever gathers its live rows after the screen (which removes rows
+    # on the semi cell) and after each pass that removes rows; every round
+    # reads them through the row forms, so no index-form kernel runs in a
+    # fit. An affine fit's live rows are those with a nonzero instrument
+    # row (about half of the desk cell's, every semi row); a logistic fit
+    # reads every row, and its learner objective reads the round's rows as
+    # well. Round 1 reads the model's Dataset in place when the screen
+    # removed nothing and every row is live (the logistic cell).
     if kind == "logistic":
         design, eps, rng = instrument_attacked_logistic_data(), 0.1, RandomSource(0)
         model = LogisticIVModel(design)
@@ -258,11 +267,60 @@ def test_a_fit_gathers_each_active_set_once(monkeypatch, kind):
     report = iterated_gmm_sever(model, hp, rng)
     assert report.diagnostics["outer_rounds"] == 1.0
     removing = [e for e in report.events if e[1] != "response" and e[2] > 0]
-    assert len(gathered) == len(removing) + 1 == report.rounds
+    assert len(removing) + 1 == report.rounds
+    screened = sum(e[2] for e in report.events if e[1] == "response")
+    live = design.Z.any(axis=1) if model.affine else np.ones(design.n, dtype=bool)
+    assert live.all() == (kind != "desk")
+    in_place = screened == 0 and live.all()
+    assert in_place == (kind == "logistic")
+    assert len(gathered) == report.rounds - in_place
     assert len({idx.tobytes() for idx in gathered}) == len(gathered)
-    np.testing.assert_array_equal(gathered[-1], report.final_set.indices)
-    screened = [e for e in report.events if e[1] == "response"]
-    assert len(gathered[0]) == design.n - sum(e[2] for e in screened)
+    assert all(live[idx].all() for idx in gathered)
+    final = report.final_set.indices
+    np.testing.assert_array_equal(gathered[-1], final[live[final]])
+    if not in_place and live.all():
+        assert len(gathered[0]) == design.n - screened
+
+
+def coin_instrument_cell(kind):
+    # the desk cell, whose lifted instrument z_i X_i is zero on about half of
+    # the rows; or an overidentified point-mass cell (p = 10, d = 5, the
+    # first 200 rows X = Z = 1, Y = -5) with the instrument rows of a fair
+    # coin's other rows zeroed, whose exact step leaves a nonzero mean
+    # moment, so the filter passes center the inert rows away from zero
+    if kind == "desk":
+        return scaled_cell("desk")
+    data = BATTERY["overidentified"].cell(3, 0.1, 0).design
+    Z = data.Z.copy()
+    Z[200:][RandomSource(3).child("coin").uniform(data.n - 200) < 0.5] = 0.0
+    return Dataset(X=data.X, Y=data.Y, Z=Z), 0.1, RandomSource(3)
+
+
+@pytest.mark.parametrize("kind", ["desk", "overidentified"])
+def test_inert_rows_move_no_fit_decision(kind):
+    # zero instrument rows, read in closed form, against the same rows made
+    # live by one instrument entry of 1e-200, which every kernel and filter
+    # pass then materializes: a 1e-200 moment adds nothing a float64 sum of
+    # O(1) terms can hold
+    design, eps, rng = coin_instrument_cell(kind)
+    inert = ~design.Z.any(axis=1)
+    assert 0.3 < inert.mean() < 0.7
+    Z = design.Z.copy()
+    Z[inert, 0] = 1e-200
+    hp = derive_hyperparams(LinearIVModel(design), eps)
+    want = iterated_gmm_sever(LinearIVModel(Dataset(X=design.X, Y=design.Y, Z=Z)), hp, rng)
+    got = iterated_gmm_sever(LinearIVModel(design), hp, rng)
+    removed = [(r, label, m) for r, label, m, _ in want.events]
+    assert [(r, label, m) for r, label, m, _ in got.events] == removed
+    assert sum(m for _, _, m in removed) > 0
+    if kind == "overidentified":
+        assert any(label == "jacobian" for _, label, _ in removed)
+    # each pass's score, the top eigenvalue over every active row, inert
+    # ones included
+    np.testing.assert_allclose([e[3] for e in got.events], [e[3] for e in want.events],
+                               rtol=1e-10)
+    np.testing.assert_array_equal(got.final_set.indices, want.final_set.indices)
+    np.testing.assert_allclose(got.w_hat, want.w_hat, rtol=1e-12)
 
 
 def test_exact_step_outside_the_ball_lands_on_the_sphere(monkeypatch, rng):
@@ -280,7 +338,7 @@ def test_exact_step_outside_the_ball_lands_on_the_sphere(monkeypatch, rng):
     assert learner_calls == [] and len(steps) == res.rounds
     for _, w in steps:
         assert np.linalg.norm(w) == pytest.approx(0.1, rel=1e-12)
-    u0, J = sever_mod._affine_terms(model, model.data)
+    u0, J = sever_mod._affine_terms(model, model.data, model.n_samples)
     assert np.linalg.norm(np.linalg.solve(J, -u0)) > 1.0
     for radius in (0.1, 0.5, 1.0):
         w = sever_mod._exact_step(u0, J, 1.0, radius)
