@@ -80,7 +80,7 @@ class SingleIndexIVModel(ABC):
     jacobian_dot, mean_jacobian_over) take an integer array idx of sample
     indices, one sample i being the batch np.array([i]); each gathers its
     rows, then calls its row form, so a formula is written once and both
-    forms give the same bits. gmm_sever gathers once per active set and
+    forms give the same bits. gmm_sever gathers once per live set and
     calls only the row forms, as diagnose_assumptions does on the model's
     Dataset; the index forms serve the acceptance battery and the
     benchmark's kernel hooks. No index form calls another, so each call is

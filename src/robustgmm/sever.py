@@ -11,9 +11,9 @@ learner, which returns an approximate critical point. An affine fit reads
 only its live rows, those with a nonzero instrument row: an inert row's
 moment and Jacobian are zero at every w, so it counts in every mean's
 denominator and enters each filter pass in closed form. The loop gathers
-the live rows once per active set, after the screen and after each pass
-that removes rows, and every kernel of a round reads them through the
-model's row forms. amplified_gmm_sever repeats that with fresh randomness until a
+the live rows once per live set, after the screen and after each pass
+that removes live rows, and every kernel of a round reads them through
+the model's row forms. amplified_gmm_sever repeats that with fresh randomness until a
 run keeps enough samples, and iterated_gmm_sever is the plug-in fit's
 sever stage: one amplified run. Every layer returns the one
 core.EstimateReport.
@@ -277,12 +277,11 @@ def gmm_sever(
     else:
         live_mask = np.ones(len(S), dtype=bool)
     live, inert = S.subset(live_mask), S.subset(~live_mask)
+    # the live rows, gathered once per live set: after the screen and after
+    # each pass that removes live rows
+    rows = model.gather(live.indices)
     while True:
         rounds += 1
-        # the live rows, gathered once per active set: after the screen and
-        # after each pass that removes rows; read in place while they are
-        # every sample
-        rows = model.data if len(live) == n else model.gather(live.indices)
         m = len(live) + len(inert)
         if model.affine:
             w = _exact_step(*_affine_terms(model, rows, m), row_scale, hp.R0)
@@ -332,7 +331,9 @@ def gmm_sever(
             if len(inert):
                 final = ActiveSet(np.sort(np.concatenate([live.indices, inert.indices])))
             return EstimateReport(w, final, rounds, tuple(events), diagnostics)
-        live = out.kept
+        if len(out.removed):
+            live = out.kept
+            rows = model.gather(live.indices)
         if out.inert_removed:
             inert = inert.subset(np.zeros(len(inert), dtype=bool))
         shrink(len(live) + len(inert))

@@ -31,16 +31,22 @@ def test_last_json_reads_the_final_line():
         last_json("env {}\nnot json\n")
 
 
-def test_summary_reports_medians_quartiles_wins_and_verdicts():
+PARENT_MS = [3.0, 3.1, 3.2, 3.3, 3.4, 3.5, 3.6, 3.7, 3.8, 3.9]
+CHANGE_MS = [2.5, 2.6, 2.7, 2.8, 2.9, 3.0, 3.1, 3.2, 3.3, 3.9]
+
+
+def faster_fit_pairs(change_failed=0, parent_failed=0):
     # ten pairs: the change fits faster in nine (one tie) and runs cells
-    # 40% slower in every pair
-    parent_ms = [3.0, 3.1, 3.2, 3.3, 3.4, 3.5, 3.6, 3.7, 3.8, 3.9]
-    change_ms = [2.5, 2.6, 2.7, 2.8, 2.9, 3.0, 3.1, 3.2, 3.3, 3.9]
-    pairs = [
-        (last_json(run_output(100.0 + i, p)), last_json(run_output(60.0 + i, c, failed=i == 0)))
-        for i, (p, c) in enumerate(zip(parent_ms, change_ms))
+    # 40% slower in every pair; the first pair's runs fail the given counts
+    return [
+        (last_json(run_output(100.0 + i, p, failed=parent_failed if i == 0 else 0)),
+         last_json(run_output(60.0 + i, c, failed=change_failed if i == 0 else 0)))
+        for i, (p, c) in enumerate(zip(PARENT_MS, CHANGE_MS))
     ]
-    lines = summarize(pairs, END_TO_END)
+
+
+def test_summary_reports_medians_quartiles_wins_and_verdicts():
+    lines = summarize(faster_fit_pairs(), END_TO_END)
     assert lines[0].split()[:2] == ["metric", "unit"]
     cells, fit = lines[1], lines[2]
     assert cells.startswith("cells_per_s") and fit.startswith("robust_fit_ms.p50")
@@ -52,7 +58,18 @@ def test_summary_reports_medians_quartiles_wins_and_verdicts():
     assert " 9/10 " in fit and fit.endswith("gain")
     assert "-14.5%" in fit
     assert lines[3] == "parent: 0 of 1000 operations failed, correct in every run"
+    assert lines[4] == "change: 0 of 1000 operations failed, correct in every run"
+
+
+def test_summary_denies_a_gain_to_a_change_that_fails_more():
+    # the same fit times: no gain once the change fails more operations
+    # than the parent, a gain again when it fails no more
+    lines = summarize(faster_fit_pairs(change_failed=1), END_TO_END)
+    assert " 9/10 " in lines[2] and lines[2].endswith("-")
+    assert lines[3] == "parent: 0 of 1000 operations failed, correct in every run"
     assert lines[4] == "change: 1 of 1000 operations failed, correct in not every run"
+    lines = summarize(faster_fit_pairs(change_failed=2, parent_failed=2), END_TO_END)
+    assert lines[2].endswith("gain")
 
 
 def test_summary_needs_the_spread_beaten_too():

@@ -234,16 +234,30 @@ def test_exact_step_is_iv_on_the_first_active_set(monkeypatch):
     assert all(w is not None for _, w in steps)
 
 
+def screened_rows(model):
+    # the response screen's survivors, replayed: residuals at the origin
+    # more than PRACTICE_RESPONSE_CAP MADs from their median leave, until
+    # none does
+    res = model.row_residuals(model.data, np.zeros(model.param_dim))
+    keep = np.arange(model.n_samples)
+    while True:
+        dev = np.abs(res[keep] - sever_mod.median(res[keep]))
+        mad = sever_mod.median(dev)
+        if mad <= 0.0 or (dev <= sever_mod.PRACTICE_RESPONSE_CAP * mad).all():
+            return keep
+        keep = keep[dev <= sever_mod.PRACTICE_RESPONSE_CAP * mad]
+
+
 @pytest.mark.parametrize("kind", ["desk", "semi", "logistic"])
 def test_a_fit_gathers_each_active_set_once(monkeypatch, kind):
     # gmm_sever gathers its live rows after the screen (which removes rows
-    # on the semi cell) and after each pass that removes rows; every round
-    # reads them through the row forms, so no index-form kernel runs in a
-    # fit. An affine fit's live rows are those with a nonzero instrument
-    # row (about half of the desk cell's, every semi row); a logistic fit
-    # reads every row, and its learner objective reads the round's rows as
-    # well. Round 1 reads the model's Dataset in place when the screen
-    # removed nothing and every row is live (the logistic cell).
+    # on the semi cell) and after each pass that removes live rows; every
+    # round reads them through the row forms, so no index-form kernel runs
+    # in a fit. An affine fit's live rows are those with a nonzero
+    # instrument row (about half of the desk cell's, every semi row); a
+    # logistic fit reads every row, and its learner objective reads the
+    # round's rows as well. No pass of these cells removes the inert block,
+    # so each removing pass is followed by one gather.
     if kind == "logistic":
         design, eps, rng = instrument_attacked_logistic_data(), 0.1, RandomSource(0)
         model = LogisticIVModel(design)
@@ -251,6 +265,7 @@ def test_a_fit_gathers_each_active_set_once(monkeypatch, kind):
         design, eps, rng = scaled_cell(kind)
         model = LinearIVModel(design)
     hp = derive_hyperparams(model, eps)
+    screened = screened_rows(model)
     gathered = []
     gather = SingleIndexIVModel.gather
 
@@ -266,20 +281,18 @@ def test_a_fit_gathers_each_active_set_once(monkeypatch, kind):
         monkeypatch.setattr(SingleIndexIVModel, kernel, forbidden)
     report = iterated_gmm_sever(model, hp, rng)
     assert report.diagnostics["outer_rounds"] == 1.0
+    assert sum(e[2] for e in report.events if e[1] == "response") == design.n - len(screened)
     removing = [e for e in report.events if e[1] != "response" and e[2] > 0]
     assert len(removing) + 1 == report.rounds
-    screened = sum(e[2] for e in report.events if e[1] == "response")
     live = design.Z.any(axis=1) if model.affine else np.ones(design.n, dtype=bool)
     assert live.all() == (kind != "desk")
-    in_place = screened == 0 and live.all()
-    assert in_place == (kind == "logistic")
-    assert len(gathered) == report.rounds - in_place
-    assert len({idx.tobytes() for idx in gathered}) == len(gathered)
-    assert all(live[idx].all() for idx in gathered)
     final = report.final_set.indices
+    # the inert block stayed: every screened inert row is in the final set
+    np.testing.assert_array_equal(final[~live[final]], screened[~live[screened]])
+    assert len(gathered) == report.rounds
+    assert len({idx.tobytes() for idx in gathered}) == len(gathered)
+    np.testing.assert_array_equal(gathered[0], screened[live[screened]])
     np.testing.assert_array_equal(gathered[-1], final[live[final]])
-    if not in_place and live.all():
-        assert len(gathered[0]) == design.n - screened
 
 
 def coin_instrument_cell(kind):
